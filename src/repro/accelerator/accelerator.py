@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.csb import ConfigSpaceBus
-from repro.accelerator.engine import CleanAccumulatorCache, VectorisedEngine, config_fusable
+from repro.accelerator.engine import VectorisedEngine, config_fusable
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
 from repro.accelerator.pdp import PDP
 from repro.accelerator.reference import ScalarReferenceEngine
@@ -27,7 +27,7 @@ from repro.faults.injector import InjectionConfig
 from repro.faults.models import flip_int8_bytes
 from repro.faults.registers import FaultInjectionRegisterFile
 from repro.faults.sites import FaultUniverse
-from repro.quant.qlayers import QAdd, QConv, QGlobalAvgPool, QLinear, QMaxPool
+from repro.quant.qlayers import QAdd, QGlobalAvgPool, QMaxPool
 from repro.utils.profiling import PROFILER
 
 
@@ -43,12 +43,6 @@ class NVDLAAccelerator:
         only practical for tiny layers).
     seed:
         Seed for fault models that need randomness (transient pulses).
-    cache_entries:
-        Size of the vectorised engine's clean-accumulator cache (0 disables
-        it).  Campaigns that re-run a frozen image batch under many fault
-        configurations reuse each layer's im2col buffer and clean GEMM and
-        pay only the correction-term cost; results are bit-identical either
-        way.  Ignored by the scalar reference engine.
     tape_bytes:
         Byte budget of the clean-activation tape (0 disables it).  The tape
         records the whole clean forward per batch chunk during the baseline
@@ -62,20 +56,17 @@ class NVDLAAccelerator:
         geometry: ArrayGeometry = PAPER_GEOMETRY,
         engine: str = "vectorised",
         seed: int = 0,
-        cache_entries: int = 0,
         tape_bytes: int = 0,
     ):
         self.geometry = geometry
         rng = np.random.default_rng(seed)
         if engine == "vectorised":
-            cache = CleanAccumulatorCache(cache_entries) if cache_entries > 0 else None
             tape = CleanForwardTape(tape_bytes) if tape_bytes > 0 else None
-            self.engine = VectorisedEngine(geometry, rng=rng, clean_cache=cache, tape=tape)
+            self.engine = VectorisedEngine(geometry, rng=rng, tape=tape)
         elif engine == "scalar":
             self.engine = ScalarReferenceEngine(geometry, rng=rng)
         else:
             raise ValueError(f"unknown engine {engine!r}; use 'vectorised' or 'scalar'")
-        self.engine_name = engine
         self.sdp = SDP()
         self.pdp = PDP()
         self.csb = ConfigSpaceBus()
@@ -112,23 +103,15 @@ class NVDLAAccelerator:
         return self._injection
 
     # ------------------------------------------------------------------
-    # Clean-accumulator cache lifecycle
+    # Clean-activation tape lifecycle
     # ------------------------------------------------------------------
-    @property
-    def clean_cache(self) -> CleanAccumulatorCache | None:
-        """The engine's clean-accumulator cache, if one is armed."""
-        return getattr(self.engine, "clean_cache", None)
-
     @property
     def tape(self) -> CleanForwardTape | None:
         """The engine's clean-activation tape, if one is armed."""
         return getattr(self.engine, "tape", None)
 
     def reset_caches(self) -> None:
-        """Drop cached clean accumulators (e.g. between unrelated campaigns)."""
-        cache = self.clean_cache
-        if cache is not None:
-            cache.clear()
+        """Drop the taped clean forward (e.g. between unrelated campaigns)."""
         tape = self.tape
         if tape is not None:
             tape.clear()
@@ -137,7 +120,7 @@ class NVDLAAccelerator:
     # Execution
     # ------------------------------------------------------------------
     def _program_op(self, op, node) -> None:
-        """Program one operation over the CSB (shared by both execute paths)."""
+        """Program one operation over the CSB."""
         if isinstance(op, ConvOp):
             self.csb.program_operation(
                 op.name,
@@ -166,7 +149,7 @@ class NVDLAAccelerator:
             raise TypeError(f"cannot execute op type {type(op).__name__}")
         self.csb.ring_doorbell()
 
-    def _dma_input(self, qinput: np.ndarray) -> np.ndarray:
+    def _dma_input(self, qinput: np.ndarray, config: InjectionConfig) -> np.ndarray:
         """Apply armed input-pipeline corruption at the DMA boundary.
 
         The runtime quantises images on the host and DMA-transfers them into
@@ -177,30 +160,10 @@ class NVDLAAccelerator:
         byte verification, so a taped clean forward is never replayed for
         it.
         """
-        flips = self._injection.input_flips() if self._injection.enabled else []
+        flips = config.input_flips() if config.enabled else []
         if flips:
             qinput = flip_int8_bytes(qinput, flips, per_sample=True)
         return qinput
-
-    def _tape_context(self, qinput: np.ndarray, chunk_key: tuple | None):
-        """``(segment, recording, qinput)`` for one chunk execution.
-
-        During the fault-free baseline pass a fresh segment is recorded;
-        during trials the verified segment of the chunk (or ``None``) is
-        replayed.  On a replay hit the *taped* quantised input is handed
-        back so downstream clean-prefix checks succeed by pointer identity.
-        """
-        tape = self.tape
-        if tape is None or chunk_key is None:
-            return None, False, qinput
-        if tape.recording:
-            if self._injection.enabled:
-                return None, False, qinput
-            return tape.begin_segment(chunk_key, qinput), True, qinput
-        segment = tape.segment_for(chunk_key, qinput)
-        if segment is not None:
-            qinput = segment.qinput
-        return segment, False, qinput
 
     def execute(
         self,
@@ -213,123 +176,22 @@ class NVDLAAccelerator:
 
         The input is quantised with the loadable's input scale (the runtime
         does this on the ARM cores in the real platform), every op of the
-        execution plan is programmed and executed in order, and the raw
-        int32/int64 logits of the final layer are returned (shape
-        ``(N, num_classes)``).
+        execution plan is programmed and executed in order with the armed
+        configuration, and the raw int32/int64 logits of the final layer are
+        returned (shape ``(N, num_classes)``).
 
         ``chunk_key`` identifies the batch's position in an evaluation loop
         (``(start, length)``) and arms the clean-activation tape: the
         fault-free baseline pass records the clean forward of each chunk,
         and subsequent trial passes re-execute only the suffix of the
-        network that diverges from it — an op whose inputs are still the
-        taped clean activations is skipped (conv/FC ops skip their GEMM and
-        pay only the fault-correction term), and an op whose output comes
-        out byte-identical to the clean output hands the taped object
-        downstream.  Values are only ever substituted under byte equality,
-        so the logits are bit-identical to a full execution.
+        network that diverges from it (see :meth:`_run`).  Values are only
+        ever substituted under byte equality, so the logits are
+        bit-identical to a full execution.
         """
-        model = loadable.model
-        input_node = model.input_node
-        qinput = self._dma_input(input_node.quantize(images))
-        segment, recording, qinput = self._tape_context(qinput, chunk_key)
-        replaying = segment is not None and not recording
-        activations: dict[str, np.ndarray] = {input_node.name: qinput}
-        self.csb.reset()
-        # The delta trial engine (tape armed) routes post-processing through
-        # the in-place SDP variants; tape-less platforms keep the reference
-        # chain so the PR 2 execution path stays reproducible for
-        # differential tests and benchmarks.
-        fast = self.tape is not None
-        conv_post = self.sdp.conv_post_owned if fast else self.sdp.conv_post
-        if fast:
-            self.engine.tape_segment = segment
-            self.engine.tape_chunk_active = chunk_key is not None
-
-        try:
-            # Per-inference GEMM execution index: the dwell clock of
-            # memory-resident faults.  It advances once per conv/FC op in
-            # plan order and resets for every inference, so dwell windows
-            # are invariant to how the evaluation loop chunks the batch.
-            gemm_index = 0
-            for op in loadable.ops:
-                node = model.node(op.name)
-                inputs = [activations[src] for src in op.inputs]
-                self._program_op(op, node)
-                entry = segment.entry(op.name) if replaying else None
-                is_gemm_op = isinstance(op, (ConvOp, FullyConnectedOp))
-
-                if entry is not None and not is_gemm_op:
-                    # Non-GEMM ops carry no fault site: clean inputs imply
-                    # the clean output.  Taped outputs propagate as the same
-                    # objects, so identity is the complete check here.
-                    if all(x is ref for x, ref in zip(inputs, entry.inputs)):
-                        activations[op.name] = entry.output
-                        continue
-
-                if isinstance(op, ConvOp):
-                    assert isinstance(node, QConv)
-                    acc = self.engine.conv_accumulate(
-                        inputs[0], node, self._injection, exec_index=gemm_index
-                    )
-                    gemm_index += 1
-                    start = PROFILER.tick()
-                    out = conv_post(acc, node, channel_axis=1)
-                    PROFILER.tock("requant", start)
-                elif isinstance(op, FullyConnectedOp):
-                    assert isinstance(node, QLinear)
-                    acc = self.engine.linear_accumulate(
-                        inputs[0], node, self._injection, exec_index=gemm_index
-                    )
-                    gemm_index += 1
-                    start = PROFILER.tick()
-                    out = conv_post(acc, node, channel_axis=1)
-                    PROFILER.tock("requant", start)
-                elif isinstance(op, PoolOp):
-                    assert isinstance(node, QMaxPool)
-                    out = self.pdp.max_pool(inputs[0], node)
-                elif isinstance(op, GlobalAvgPoolOp):
-                    assert isinstance(node, QGlobalAvgPool)
-                    out = (
-                        self.sdp.global_average_owned(inputs[0], node)
-                        if fast
-                        else self.sdp.global_average(inputs[0], node)
-                    )
-                else:
-                    assert isinstance(node, QAdd)
-                    out = (
-                        self.sdp.elementwise_add_owned(inputs[0], inputs[1], node)
-                        if fast
-                        else self.sdp.elementwise_add(inputs[0], inputs[1], node)
-                    )
-
-                if recording:
-                    segment.record(op.name, tuple(inputs), out)
-                elif entry is not None and arrays_match(out, entry.output):
-                    # Masked fault: the trial re-converged onto the clean
-                    # forward — hand the taped object downstream so the rest
-                    # of the network is skipped by identity.
-                    out = entry.output
-                activations[op.name] = out
-        finally:
-            if fast:
-                self.engine.tape_segment = None
-                self.engine.tape_chunk_active = False
-        if recording:
-            self.tape.commit_segment(segment)
-
-        logits = activations[model.output_name]
+        logits, states = self._run(loadable, images, [self._injection], chunk_key)
         if return_activations:
-            return logits, activations
+            return logits, {name: array for name, (_, array) in states.items()}
         return logits
-
-    @staticmethod
-    def _to_stack(state: tuple[str, np.ndarray], groups: int) -> np.ndarray:
-        """Materialise a per-trial stack from a clean/stacked activation state."""
-        kind, array = state
-        if kind == "stack":
-            return array
-        reps = (groups,) + (1,) * (array.ndim - 1)
-        return np.tile(array, reps)
 
     def execute_fused(
         self,
@@ -340,34 +202,14 @@ class NVDLAAccelerator:
     ) -> np.ndarray:
         """Run ``len(configs)`` fault trials over one batch in a single pass.
 
-        The trials share the clean input batch, so their forward passes are
-        identical until the first diverging layer.  Per-op activations are
-        tracked as either *clean* (one shared array — all trials still equal
-        the fault-free forward) or a *stack* of per-trial arrays
-        ``(G*N, ...)``:
-
-        * a conv/FC op on a clean input evaluates the clean GEMM once (from
-          the tape when available) and applies each trial's correction term
-          to its slice of the stacked accumulator;
-        * a conv/FC op on diverged inputs runs **one** stacked im2col + GEMM
-          for the whole group instead of G per-trial passes — the per-trial
-          Python and BLAS dispatch overhead is paid once;
-        * non-GEMM ops on clean inputs are skipped outright; on stacks they
-          execute once over the whole stack (requant, pooling and additions
-          are per-sample, so slices equal the per-trial results bit for
-          bit);
-        * when every trial's output of an op equals the taped clean output,
-          the state collapses back to clean and the suffix is skipped again.
-
         Returns the stacked logits ``(G*N, num_classes)`` where slice ``g``
         is bit-identical to ``execute`` with ``configs[g]`` armed.
 
-        Requires the vectorised engine, no injection armed on the
-        accelerator itself, and only fusable fault models (see
-        :func:`~repro.accelerator.engine.config_fusable`).
+        Requires no injection armed on the accelerator itself.  A group of
+        several configurations must hold only fusable fault models (see
+        :func:`~repro.accelerator.engine.config_fusable`); a single
+        configuration may arm any model.
         """
-        if self.engine_name != "vectorised":
-            raise NotImplementedError("fused multi-trial execution needs the vectorised engine")
         if self._injection.enabled:
             raise RuntimeError(
                 "fused execution evaluates explicit per-trial configurations; "
@@ -375,98 +217,141 @@ class NVDLAAccelerator:
             )
         if not configs:
             raise ValueError("execute_fused needs at least one configuration")
-        unfusable = [c.describe() for c in configs if not config_fusable(c)]
-        if unfusable:
-            raise ValueError(
-                f"configuration(s) {unfusable} arm RNG-dependent fault models "
-                "and cannot be fused; evaluate them one at a time"
-            )
+        if len(configs) > 1:
+            unfusable = [c.describe() for c in configs if not config_fusable(c)]
+            if unfusable:
+                raise ValueError(
+                    f"configuration(s) {unfusable} arm RNG-dependent or memory "
+                    "fault models and cannot be fused; evaluate them one at a time"
+                )
+        logits, _ = self._run(loadable, images, configs, chunk_key)
+        return logits
 
+    def _run(
+        self,
+        loadable: Loadable,
+        images: np.ndarray,
+        configs: list[InjectionConfig],
+        chunk_key: tuple | None,
+    ) -> tuple[np.ndarray, dict[str, tuple[str, np.ndarray]]]:
+        """The op loop: ``(stacked logits, per-op activation states)``.
+
+        The trials share the clean input batch, so their forward passes are
+        identical until the first diverging layer.  Per-op activations are
+        tracked as either *clean* (one shared array for every trial) or a
+        *stack* of per-trial arrays ``(G*N, ...)``; with one configuration
+        both are that trial's own array.
+
+        * a conv/FC op on a clean input evaluates the clean GEMM once (from
+          the tape when its input is the taped one) and applies each trial's
+          correction term to its slice of the accumulator stack;
+        * a conv/FC op on diverged inputs runs **one** stacked im2col + GEMM
+          for the whole group instead of G per-trial passes;
+        * non-GEMM ops carry no fault site: on clean inputs they are
+          skipped when the tape holds their output, or run once; on stacks
+          they run once over the whole stack (requant, pooling and additions
+          are per-sample, so slices equal the per-trial results bit for
+          bit);
+        * when every trial's output of an op equals the taped clean output
+          (all faults masked so far), the state collapses back to clean and
+          the rest of the network is skipped by identity.
+
+        A single configuration may also arm input-DMA and dwell-window
+        memory faults and RNG-dependent models; the fault-free baseline pass
+        (one configuration, tape recording) records each chunk's segment.
+        """
         groups = len(configs)
         per_trial = len(images)
         model = loadable.model
         input_node = model.input_node
         qinput = input_node.quantize(images)
-        segment, _, qinput = self._tape_context(qinput, chunk_key)
-        if self.tape is not None and self.tape.recording:
-            segment = None  # never record from a faulty pass
+        if groups == 1:
+            qinput = self._dma_input(qinput, configs[0])
+        tape = self.tape
+        segment, recording = None, False
+        if tape is not None and chunk_key is not None:
+            if not tape.recording:
+                segment = tape.segment_for(chunk_key, qinput)
+                if segment is not None:
+                    # Hand the taped input downstream so clean-prefix checks
+                    # succeed by pointer identity.
+                    qinput = segment.qinput
+            elif groups == 1 and not configs[0].enabled:
+                # Only a fault-free pass may record the clean forward.
+                segment, recording = tape.begin_segment(chunk_key, qinput), True
+        replaying = segment is not None and not recording
 
         states: dict[str, tuple[str, np.ndarray]] = {input_node.name: ("clean", qinput)}
         self.csb.reset()
-        if self.tape is not None:
-            # Chunk-keyed fused runs must not hash one-shot activations into
-            # the digest cache when the chunk's segment is missing.
-            self.engine.tape_chunk_active = chunk_key is not None
-
-        try:
-            return self._execute_fused_ops(
-                loadable, segment, states, configs, per_trial
-            )
-        finally:
-            if self.tape is not None:
-                self.engine.tape_chunk_active = False
-
-    def _execute_fused_ops(
-        self, loadable, segment, states, configs, per_trial
-    ) -> np.ndarray:
-        groups = len(configs)
-        model = loadable.model
+        # Per-inference GEMM execution index: the dwell clock of
+        # memory-resident faults.  It advances once per conv/FC op in plan
+        # order and resets for every inference, so dwell windows are
+        # invariant to how the evaluation loop chunks the batch.
+        gemm_index = 0
         for op in loadable.ops:
             node = model.node(op.name)
             in_states = [states[src] for src in op.inputs]
+            inputs = [array for _, array in in_states]
             all_clean = all(kind == "clean" for kind, _ in in_states)
-            entry = segment.entry(op.name) if segment is not None else None
+            entry = segment.entry(op.name) if replaying else None
             self._program_op(op, node)
 
             if isinstance(op, (ConvOp, FullyConnectedOp)):
-                fused = (
+                accumulate = (
                     self.engine.conv_accumulate_fused
                     if isinstance(op, ConvOp)
                     else self.engine.linear_accumulate_fused
                 )
-                if all_clean:
-                    x_clean = in_states[0][1]
-                    if (
-                        entry is not None
-                        and entry.acc is not None
-                        and arrays_match(x_clean, entry.inputs[0])
-                    ):
-                        acc_stack = fused(node, configs, per_trial, clean_entry=entry)
-                    else:
-                        acc_stack = fused(node, configs, per_trial, x_clean=x_clean)
+                if not all_clean:
+                    source = {"x_stack": inputs[0]}
+                elif (
+                    entry is not None
+                    and entry.acc is not None
+                    and arrays_match(inputs[0], entry.inputs[0])
+                ):
+                    source = {"clean_entry": entry}
                 else:
-                    x_stack = self._to_stack(in_states[0], groups)
-                    acc_stack = fused(node, configs, per_trial, x_stack=x_stack)
+                    source = {"x_clean": inputs[0]}
+                acc = accumulate(
+                    node, configs, per_trial, exec_index=gemm_index,
+                    record=segment if recording else None, **source,
+                )
+                gemm_index += 1
                 start = PROFILER.tick()
-                out = self.sdp.conv_post_owned(acc_stack, node, channel_axis=1)
+                out = self.sdp.conv_post_owned(acc, node, channel_axis=1)
                 PROFILER.tock("requant", start)
-                states[op.name] = self._collapsed(out, entry, groups, per_trial)
-                continue
-
-            if all_clean:
-                # No fault site lives in pooling/addition: clean inputs give
-                # the clean output, computed once (or taken from the tape).
-                inputs = [arr for _, arr in in_states]
+                state = self._collapsed(out, entry, groups, per_trial)
+            elif all_clean:
                 if entry is not None and all(
                     arrays_match(x, ref) for x, ref in zip(inputs, entry.inputs)
                 ):
                     states[op.name] = ("clean", entry.output)
                     continue
                 out = self._run_simple_op(op, node, inputs)
-                states[op.name] = ("clean", out)
-                continue
+                state = ("clean", out)
+            else:
+                stacked = [self._to_stack(s, groups) for s in in_states]
+                out = self._run_simple_op(op, node, stacked)
+                state = self._collapsed(out, entry, groups, per_trial)
+            if recording:
+                segment.record(op.name, tuple(inputs), out)
+            states[op.name] = state
+        if recording:
+            tape.commit_segment(segment)
 
-            stacked = [self._to_stack(state, groups) for state in in_states]
-            out = self._run_simple_op(op, node, stacked)
-            states[op.name] = self._collapsed(out, entry, groups, per_trial)
+        return self._to_stack(states[model.output_name], groups), states
 
-        kind, logits = states[model.output_name]
-        if kind == "clean":
-            logits = self._to_stack((kind, logits), groups)
-        return logits
+    @staticmethod
+    def _to_stack(state: tuple[str, np.ndarray], groups: int) -> np.ndarray:
+        """Materialise a per-trial stack from a clean/stacked activation state."""
+        kind, array = state
+        if kind == "stack" or groups == 1:
+            return array
+        reps = (groups,) + (1,) * (array.ndim - 1)
+        return np.tile(array, reps)
 
     def _run_simple_op(self, op, node, inputs: list[np.ndarray]) -> np.ndarray:
-        """Execute one non-GEMM op on the given activations (owned SDP chain)."""
+        """Execute one non-GEMM op on the given activations."""
         if isinstance(op, PoolOp):
             assert isinstance(node, QMaxPool)
             return self.pdp.max_pool(inputs[0], node)
@@ -491,7 +376,7 @@ class NVDLAAccelerator:
             return ("stack", stack)
         reference = entry.output
         for g in range(groups):
-            if not np.array_equal(stack[g * per_trial:(g + 1) * per_trial], reference):
+            if not arrays_match(stack[g * per_trial:(g + 1) * per_trial], reference):
                 return ("stack", stack)
         return ("clean", reference)
 

@@ -38,20 +38,9 @@ The clean accumulator is computed by the shared exact integer GEMM core
 way to the GEMM boundary and the contraction runs on BLAS float kernels
 whose exactness is certified by an overflow bound — bit-identical to the
 original int64 einsum, several times faster.
-
-Because ``faulty = clean + correction``, a campaign that re-evaluates the
-same frozen image batch under many injection configurations recomputes the
-same clean GEMMs over and over.  :class:`CleanAccumulatorCache` memoises
-``(layer, input-digest) -> (cols, clean accumulator)`` so repeat trials pay
-only the correction-term cost for every layer whose input is unchanged (the
-first conv layer always qualifies; deeper layers qualify whenever the armed
-fault did not perturb the upstream activations).
 """
 
 from __future__ import annotations
-
-import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -86,233 +75,245 @@ def config_fusable(config: InjectionConfig) -> bool:
     )
 
 
-class CleanAccumulatorCache:
-    """LRU cache of clean per-layer GEMM results, keyed by input content.
-
-    A key is ``(layer name, input shape, SHA-1 of the input bytes)``: two
-    calls reuse an entry only when the layer sees byte-identical input, so
-    cached campaigns are bit-identical to uncached ones by construction.
-    Entries hold the (narrow-dtype) im2col buffer and the clean int64
-    accumulator; neither is ever mutated by the engine (fault corrections
-    copy before writing), so entries can be shared freely across trials.
-
-    During a campaign only the *clean* activations recur: a fault perturbs
-    every layer downstream of it, so trial-time inputs of deeper layers are
-    one-shot and caching them would just pin dead memory and churn the LRU.
-    The platform therefore primes the cache during the fault-free baseline
-    pass and then :meth:`freeze`\\ s it — frozen lookups still hit, but
-    misses no longer insert.
-
-    Capacity is bounded both by entry count and by payload bytes
-    (``max_bytes``, default 256 MB): a full-width model primes one entry of
-    tens of MB per (layer, batch chunk), so an entry cap alone could pin
-    GBs.  When the baseline pass primes more than fits, the LRU keeps the
-    most recently primed chunks and trials hit only on those — the cache
-    degrades to partial reuse, never to unbounded memory.
-    """
-
-    #: Default ceiling on cached payload bytes (cols + accumulators).
-    DEFAULT_MAX_BYTES = 256 << 20
-
-    def __init__(self, max_entries: int = 128, max_bytes: int | None = None):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (use cache=None to disable)")
-        self.max_entries = max_entries
-        #: Byte budget across all entries; at paper scale a single entry of
-        #: the full-width model is tens of MB, so an entry count alone would
-        #: let the cache pin GBs.  ``None`` disables the byte bound.
-        self.max_bytes = self.DEFAULT_MAX_BYTES if max_bytes is None else max_bytes
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        #: When True, misses do not insert (reads still hit).
-        self.frozen = False
-
-    def key(self, name: str, x: np.ndarray) -> tuple:
-        digest = hashlib.sha1(x.tobytes()).digest()
-        return (name, x.shape, digest)
-
-    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def _evict_oldest(self) -> None:
-        _, (cols, acc) = self._entries.popitem(last=False)
-        self._bytes -= cols.nbytes + acc.nbytes
-
-    def put(self, key: tuple, cols: np.ndarray, acc: np.ndarray) -> None:
-        if self.frozen:
-            return
-        entry_bytes = cols.nbytes + acc.nbytes
-        if self.max_bytes is not None and entry_bytes > self.max_bytes:
-            return  # a single over-budget payload would evict everything else
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= previous[0].nbytes + previous[1].nbytes
-        self._entries[key] = (cols, acc)
-        self._bytes += entry_bytes
-        while len(self._entries) > self.max_entries:
-            self._evict_oldest()
-        if self.max_bytes is not None:
-            while self._bytes > self.max_bytes and len(self._entries) > 1:
-                self._evict_oldest()
-
-    def freeze(self) -> None:
-        """Stop inserting on miss (campaign trials only ever *reuse*)."""
-        self.frozen = True
-
-    def thaw(self) -> None:
-        """Allow inserts again (the fault-free baseline pass primes here)."""
-        self.frozen = False
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes currently held (cols + accumulators)."""
-        return self._bytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, int | float]:
-        return {
-            "entries": len(self),
-            "bytes": self._bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "frozen": self.frozen,
-        }
-
-
 class VectorisedEngine:
-    """Fast lane-accurate engine for conv/FC layers on the MAC array."""
+    """Fast lane-accurate engine for conv/FC layers on the MAC array.
+
+    Every layer evaluation — one configuration or a fused group of them —
+    goes through :meth:`_accumulate`; the public ``*_accumulate`` and
+    ``*_accumulate_fused`` methods only name its input form.
+    """
 
     def __init__(
         self,
         geometry: ArrayGeometry = PAPER_GEOMETRY,
         rng: np.random.Generator | None = None,
-        clean_cache: CleanAccumulatorCache | None = None,
         tape: CleanForwardTape | None = None,
     ):
         self.geometry = geometry
         self.rng = rng or np.random.default_rng(0)
-        #: Optional clean-accumulator reuse across fault trials (off for a
-        #: bare engine; campaigns enable it through the platform config).
-        self.clean_cache = clean_cache
-        #: Optional clean-activation tape (the delta-propagation engine's
-        #: generalisation of the cache); owned by the accelerator.
+        #: Optional clean-activation tape (owned by the accelerator); the
+        #: engine only keeps its layer hit/miss counters.
         self.tape = tape
-        #: The tape segment of the batch chunk currently executing, set by
-        #: the accelerator around each chunk.
-        self.tape_segment: TapeSegment | None = None
-        #: True while a chunk-keyed execution is in flight on a tape-armed
-        #: platform.  A missing segment then means "tape evicted/unverified
-        #: for this chunk" — the layer recomputes directly instead of
-        #: falling through to the digest cache, which would SHA-1-hash and
-        #: insert one-shot faulty activations on every trial.  Chunk-less
-        #: (ad-hoc) executions leave this False and keep using the cache.
-        self.tape_chunk_active: bool = False
 
     # ------------------------------------------------------------------
-    # Clean GEMM (shared by conv and FC)
+    # Layer evaluation (shared by conv and FC, one or many configurations)
     # ------------------------------------------------------------------
-    def _clean_accumulate(
-        self, name: str, x_q: np.ndarray, w_mat: np.ndarray, make_cols,
-        reusable: bool = True,
+    def _clean_parts(
+        self,
+        name: str,
+        make_cols,
+        w_mat: np.ndarray,
+        clean_entry: TapeOpEntry | None,
+        record: TapeSegment | None,
     ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Return ``(cols, clean acc, acc owned)``, via the tape or cache.
+        """``(cols, clean acc, acc owned)`` of one layer evaluation.
 
-        With a tape segment active the lookup is a pointer-identity check
-        against the segment's recorded clean input (byte comparison as a
-        backstop) — no content hashing anywhere.  A miss means the trial
-        diverged upstream of this layer: the suffix is recomputed directly,
-        bypassing the digest cache (hashing a one-shot faulty activation
-        would be pure overhead).
-
-        ``reusable = False`` bypasses the tape and the digest cache entirely
-        (no lookup, no insert).  Both stores key on the layer *input* and
-        assume the layer's weights are the compiled ones; a dwell-active
-        weight-surface fault breaks that assumption — a clean input would
-        falsely hit the clean accumulator — so such ops always recompute.
+        There are three outcomes.  A tape hit (``clean_entry``) serves the
+        taped parts without any compute.  The baseline pass (``record``)
+        computes the clean GEMM and stashes it into the segment being
+        recorded.  Anything else recomputes: one GEMM for a shared input,
+        or one stacked GEMM for a group of diverged trials.
 
         The ``owned`` flag tells the caller whether the accumulator is a
-        freshly computed buffer it may mutate in place (suffix GEMMs) or a
-        shared tape/cache entry that fault corrections must copy first.
+        freshly computed buffer it may mutate in place, or taped state that
+        fault corrections must copy first.
         """
-        if not reusable:
-            start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
-            return cols, acc, True
         tape = self.tape
-        segment = self.tape_segment
-        if tape is not None and segment is None and self.tape_chunk_active:
-            # Tape-armed chunk whose segment was evicted or failed
-            # verification: recompute the layer directly.
-            tape.layer_misses += 1
-            start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
-            return cols, acc, True
-        if tape is not None and segment is not None:
-            if tape.recording:
-                start = PROFILER.tick()
-                cols = make_cols()
-                acc = exact_matmul(w_mat, cols)
-                PROFILER.tock("tape_build", start)
-                segment.stash_gemm(name, cols, acc)
-                # The stashed buffer becomes tape state the moment the
-                # accelerator records the op: treat it as shared already.
-                return cols, acc, False
-            entry = segment.entry(name)
-            if (
-                entry is not None
-                and entry.acc is not None
-                and arrays_match(x_q, entry.inputs[0])
-            ):
+        if clean_entry is not None:
+            if tape is not None:
                 tape.layer_hits += 1
-                return entry.cols, entry.acc, False
-            tape.layer_misses += 1
-            start = PROFILER.tick()
-            cols = make_cols()
-            acc = exact_matmul(w_mat, cols)
-            PROFILER.tock("suffix_forward", start)
-            return cols, acc, True
-        cache = self.clean_cache
-        if cache is None:
-            cols = make_cols()
-            return cols, exact_matmul(w_mat, cols), True
-        key = cache.key(name, x_q)
-        entry = cache.get(key)
-        if entry is not None:
-            return entry[0], entry[1], False
+            return clean_entry.cols, clean_entry.acc, False
+        start = PROFILER.tick()
         cols = make_cols()
         acc = exact_matmul(w_mat, cols)
-        cache.put(key, cols, acc)
-        return cols, acc, False
+        if record is not None:
+            PROFILER.tock("tape_build", start)
+            record.stash_gemm(name, cols, acc)
+            # The stashed buffer becomes tape state the moment the
+            # accelerator records the op: treat it as shared already.
+            return cols, acc, False
+        PROFILER.tock("suffix_forward", start)
+        if tape is not None:
+            tape.layer_misses += 1
+        return cols, acc, True
 
-    # ------------------------------------------------------------------
-    # Convolution
-    # ------------------------------------------------------------------
+    def _accumulate(
+        self,
+        node: QConv | QLinear,
+        configs: list[InjectionConfig],
+        per_trial: int,
+        x_stack: np.ndarray | None,
+        x_clean: np.ndarray | None,
+        clean_entry: TapeOpEntry | None,
+        exec_index: int,
+        record: TapeSegment | None,
+    ) -> np.ndarray:
+        """Saturated accumulators of ``len(configs)`` trials of one layer.
+
+        Exactly one input form describes the layer input:
+
+        * ``clean_entry`` — every trial's input equals the taped clean
+          input; the taped cols/accumulator are reused and only the
+          per-trial correction terms are evaluated.
+        * ``x_clean`` — one input shared by every trial, with no taped
+          parts available; the clean GEMM runs once for the whole group.
+        * ``x_stack`` — diverged inputs stacked as ``(G*N, ...)``; one
+          stacked im2col + GEMM replaces G per-trial passes.
+
+        With a single configuration, its dwell-active memory faults corrupt
+        the staged operands first (memory models never join a fused group,
+        see :func:`config_fusable`).  Returns the stack ``(G*N, OC, OH, OW)``
+        for a convolution or ``(G*N, OUT)`` for a fully-connected layer.
+        """
+        sources = [x_stack, x_clean, clean_entry]
+        if sum(s is not None for s in sources) != 1:
+            raise ValueError("provide exactly one of x_stack, x_clean, clean_entry")
+        groups = len(configs)
+        if x_stack is not None:
+            x = x_stack
+            if x.shape[0] != groups * per_trial:
+                raise ValueError(
+                    f"stack of {x.shape[0]} samples does not hold "
+                    f"{groups} trials x {per_trial} images"
+                )
+        else:
+            x = x_clean if x_clean is not None else clean_entry.inputs[0]
+        if x.dtype != np.int8:
+            raise TypeError(f"expected int8 activations, got {x.dtype}")
+        conv = isinstance(node, QConv)
+        if not conv and x.ndim != 2:
+            raise ValueError(f"linear input must be (N, features), got shape {x.shape}")
+        weight = node.weight
+        if groups == 1:
+            x, weight, datapath, reusable = self._staged_operands(
+                x, weight, configs[0], exec_index
+            )
+            # The taped parts hold only for the compiled weights and the
+            # taped input bytes.
+            if clean_entry is not None and not (
+                reusable and arrays_match(x, clean_entry.inputs[0])
+            ):
+                clean_entry = None
+            configs = [datapath]
+
+        if conv:
+            _, in_channels, h, w = x.shape
+            out_channels, ic_w, k, _ = weight.shape
+            if in_channels != ic_w:
+                raise ValueError(
+                    f"{node.name}: input channels {in_channels} != weight channels {ic_w}"
+                )
+            out_shape = (
+                out_channels,
+                conv_output_size(h, k, node.stride, node.padding),
+                conv_output_size(w, k, node.stride, node.padding),
+            )
+            w_mat = weight.reshape(out_channels, -1)  # int8, (OC, IC*K*K)
+            kernel_elems = k * k
+            # int8 patches, (N, IC*K*K, P) — narrow until the GEMM boundary
+            make_cols = lambda: im2col(x, k, node.stride, node.padding)  # noqa: E731
+        else:
+            in_channels = x.shape[1]
+            out_channels, in_w = weight.shape
+            if in_channels != in_w:
+                raise ValueError(
+                    f"{node.name}: input features {in_channels} != weight {in_w}"
+                )
+            # An FC layer is a 1x1 convolution over a 1x1 feature map on this
+            # datapath; reuse the convolution fault arithmetic with P == 1.
+            out_shape = (out_channels,)
+            w_mat = weight  # int8, (OUT, IN)
+            kernel_elems = 1
+            make_cols = lambda: x.reshape(x.shape[0], in_channels, 1)  # noqa: E731
+
+        cols, acc, owned = self._clean_parts(node.name, make_cols, w_mat, clean_entry, record)
+        shared = x_stack is None
+        if shared and groups > 1:
+            acc, owned = np.tile(acc, (groups, 1, 1)), True
+        elif not owned and any(config.enabled for config in configs):
+            # Shared tape entry: corrections must not leak into it.
+            acc, owned = acc.copy(), True
+        for g, config in enumerate(configs):
+            if not config.enabled:
+                continue
+            self._validate_stage_combination(config)
+            rows = slice(g * per_trial, (g + 1) * per_trial)
+            self._apply_config(
+                acc[rows], cols if shared else cols[rows], w_mat,
+                out_channels, in_channels, kernel_elems, config,
+            )
+        # 34-bit accumulator saturation, in place when the buffer is owned.
+        acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc if owned else None)
+        return acc.reshape((groups * per_trial,) + out_shape)
+
+    def conv_accumulate(
+        self,
+        x_q: np.ndarray,
+        node: QConv,
+        config: InjectionConfig | None = None,
+        exec_index: int = 0,
+    ) -> np.ndarray:
+        """Raw accumulator of a convolution (no bias / requant), int64 NCHW.
+
+        ``exec_index`` is the op's per-inference GEMM execution index — the
+        clock that memory-resident faults' dwell windows are defined on.
+        """
+        config = config or InjectionConfig.fault_free()
+        return self._accumulate(node, [config], len(x_q), None, x_q, None, exec_index, None)
+
+    def linear_accumulate(
+        self,
+        x_q: np.ndarray,
+        node: QLinear,
+        config: InjectionConfig | None = None,
+        exec_index: int = 0,
+    ) -> np.ndarray:
+        """Raw accumulator of a fully-connected layer, int64 of shape (N, OUT)."""
+        config = config or InjectionConfig.fault_free()
+        return self._accumulate(node, [config], len(x_q), None, x_q, None, exec_index, None)
+
+    def conv_accumulate_fused(
+        self,
+        node: QConv,
+        configs: list[InjectionConfig],
+        per_trial: int,
+        x_stack: np.ndarray | None = None,
+        x_clean: np.ndarray | None = None,
+        clean_entry: TapeOpEntry | None = None,
+        exec_index: int = 0,
+        record: TapeSegment | None = None,
+    ) -> np.ndarray:
+        """Convolution accumulators of ``len(configs)`` trials in one pass.
+
+        See :meth:`_accumulate` for the input forms; ``record`` is the tape
+        segment the fault-free baseline pass is recording.  The stack is
+        bit-identical to concatenating G single-trial ``conv_accumulate``
+        calls.
+        """
+        return self._accumulate(
+            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record
+        )
+
+    def linear_accumulate_fused(
+        self,
+        node: QLinear,
+        configs: list[InjectionConfig],
+        per_trial: int,
+        x_stack: np.ndarray | None = None,
+        x_clean: np.ndarray | None = None,
+        clean_entry: TapeOpEntry | None = None,
+        exec_index: int = 0,
+        record: TapeSegment | None = None,
+    ) -> np.ndarray:
+        """Fully-connected accumulators of ``len(configs)`` trials at once.
+
+        Same contract as :meth:`conv_accumulate_fused`; returns the stack
+        ``(G*N, OUT)``.
+        """
+        return self._accumulate(
+            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record
+        )
+
     def _staged_operands(
         self,
         x_q: np.ndarray,
@@ -325,7 +326,7 @@ class VectorisedEngine:
         Returns ``(x_q, weight, datapath config, reusable)``: the (possibly
         corrupted) activation and weight tensors the GEMM must read, the
         configuration stripped of its memory faults, and whether the clean
-        tape/cache may serve this op (False once the weights differ from the
+        tape may serve this op (False once the weights differ from the
         compiled ones).  Corruption is the vectorised path — an XOR on a
         uint8 view of a copy — mirroring the scalar reference engine's
         per-byte staging corruption.
@@ -341,72 +342,6 @@ class VectorisedEngine:
         if activation_flips:
             x_q = flip_int8_bytes(x_q, activation_flips, per_sample=True)
         return x_q, weight, datapath, reusable
-
-    def conv_accumulate(
-        self,
-        x_q: np.ndarray,
-        node: QConv,
-        config: InjectionConfig | None = None,
-        exec_index: int = 0,
-    ) -> np.ndarray:
-        """Raw accumulator of a convolution (no bias / requant), int64 NCHW.
-
-        ``exec_index`` is the op's per-inference GEMM execution index — the
-        clock that memory-resident faults' dwell windows are defined on.
-        """
-        if x_q.dtype != np.int8:
-            raise TypeError(f"expected int8 activations, got {x_q.dtype}")
-        config = config or InjectionConfig.fault_free()
-        x_q, weight, config, reusable = self._staged_operands(
-            x_q, node.weight, config, exec_index
-        )
-        n, ic, h, w = x_q.shape
-        oc, ic_w, k, _ = weight.shape
-        if ic != ic_w:
-            raise ValueError(f"{node.name}: input channels {ic} != weight channels {ic_w}")
-        out_h = conv_output_size(h, k, node.stride, node.padding)
-        out_w = conv_output_size(w, k, node.stride, node.padding)
-
-        w_mat = weight.reshape(oc, -1)  # int8, (OC, IC*K*K)
-        cols, acc, owned = self._clean_accumulate(
-            node.name,
-            x_q,
-            w_mat,
-            # int8 patches, (N, IC*K*K, P) — narrow until the GEMM boundary
-            lambda: im2col(x_q, k, node.stride, node.padding),
-            reusable=reusable,
-        )
-
-        if config.enabled:
-            acc = self._apply_faults_conv(acc, cols, w_mat, node, config, owned)
-            owned = True
-
-        acc = self._saturated(acc, owned)
-        return acc.reshape(n, oc, out_h, out_w)
-
-    @staticmethod
-    def _saturated(acc: np.ndarray, owned: bool) -> np.ndarray:
-        """34-bit accumulator saturation, in place when the buffer is owned."""
-        return saturate(acc, ACCUMULATOR_WIDTH, out=acc if owned else None)
-
-    def _apply_faults_conv(
-        self,
-        acc: np.ndarray,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
-        node: QConv,
-        config: InjectionConfig,
-        owned: bool = False,
-    ) -> np.ndarray:
-        self._validate_stage_combination(config)
-        if not owned:
-            # Shared tape/cache entry: corrections must not leak into it.
-            acc = acc.copy()
-        self._apply_config(
-            acc, cols, w_mat, node.out_channels, node.in_channels,
-            node.kernel_size ** 2, config,
-        )
-        return acc
 
     def _apply_config(
         self,
@@ -547,7 +482,7 @@ class VectorisedEngine:
         # The generic int64 einsum is acceptable here because, like the
         # value-dependent product path, it only touches the armed MAC's
         # ~1/atomic_k slice of the layer; the clean accumulator itself still
-        # comes from the BLAS-backed GEMM core (and is usually cached).
+        # comes from the BLAS-backed GEMM core (and is usually taped).
         partials = np.einsum("ogle,nglep->nogep", w_g, cols_g)
         faulty = model.apply(partials, self.rng)
         return (faulty - partials).sum(axis=(2, 3))
@@ -681,244 +616,6 @@ class VectorisedEngine:
             pad_faulty = model.apply_at(pad_products, cycles)
             delta += pad_faulty.sum(axis=2)
         return delta
-
-    # ------------------------------------------------------------------
-    # Fully connected
-    # ------------------------------------------------------------------
-    def linear_accumulate(
-        self,
-        x_q: np.ndarray,
-        node: QLinear,
-        config: InjectionConfig | None = None,
-        exec_index: int = 0,
-    ) -> np.ndarray:
-        """Raw accumulator of a fully-connected layer, int64 of shape (N, OUT)."""
-        if x_q.dtype != np.int8:
-            raise TypeError(f"expected int8 activations, got {x_q.dtype}")
-        config = config or InjectionConfig.fault_free()
-        if x_q.ndim != 2:
-            raise ValueError(f"linear input must be (N, features), got shape {x_q.shape}")
-        x_q, weight, config, reusable = self._staged_operands(
-            x_q, node.weight, config, exec_index
-        )
-        n, in_features = x_q.shape
-        out_features, in_w = weight.shape
-        if in_features != in_w:
-            raise ValueError(f"{node.name}: input features {in_features} != weight {in_w}")
-
-        # An FC layer is a 1x1 convolution over a 1x1 feature map on this
-        # datapath; reuse the convolution fault arithmetic with P == 1.
-        w_mat = weight  # int8, (OUT, IN)
-        cols, acc, owned = self._clean_accumulate(
-            node.name, x_q, w_mat, lambda: x_q.reshape(n, in_features, 1),
-            reusable=reusable,
-        )
-
-        if config.enabled:
-            self._validate_stage_combination(config)
-            if not owned:
-                acc = acc.copy()
-            self._apply_config(acc, cols, w_mat, out_features, in_features, 1, config)
-            owned = True
-
-        acc = self._saturated(acc, owned)
-        return acc.reshape(n, out_features)
-
-    # ------------------------------------------------------------------
-    # Fused multi-trial evaluation
-    # ------------------------------------------------------------------
-    def _fused_clean_parts(
-        self,
-        name: str,
-        x_shared: np.ndarray | None,
-        make_cols,
-        w_mat: np.ndarray,
-        clean_entry: TapeOpEntry | None,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """``(cols, clean acc, acc owned)`` for a fused layer evaluation.
-
-        ``clean_entry`` (all trials still on the clean prefix) serves the
-        taped parts without any compute; a shared clean input without taped
-        parts goes through :meth:`_clean_accumulate` (one GEMM for the whole
-        group, cache-aware); a diverged trial stack runs one stacked GEMM.
-        """
-        if clean_entry is not None and clean_entry.acc is not None:
-            if self.tape is not None:
-                self.tape.layer_hits += 1
-            return clean_entry.cols, clean_entry.acc, False
-        if x_shared is not None:
-            return self._clean_accumulate(name, x_shared, w_mat, make_cols)
-        if self.tape is not None:
-            self.tape.layer_misses += 1
-        start = PROFILER.tick()
-        cols = make_cols()
-        acc = exact_matmul(w_mat, cols)
-        PROFILER.tock("suffix_forward", start)
-        return cols, acc, True
-
-    def _fused_corrections(
-        self,
-        cols: np.ndarray,
-        clean_acc: np.ndarray,
-        w_mat: np.ndarray,
-        out_channels: int,
-        in_channels: int,
-        kernel_elems: int,
-        configs: list[InjectionConfig],
-        per_trial: int,
-        shared_cols: bool,
-        acc_owned: bool = False,
-    ) -> np.ndarray:
-        """Stack of per-trial faulty accumulators, shape ``(G*N, OC, P)``.
-
-        ``shared_cols`` means every trial sees the same clean input (cols
-        has ``per_trial`` samples and the clean accumulator is broadcast
-        across the group); otherwise ``cols``/``clean_acc`` hold the whole
-        stack and trial ``g`` corrects its own ``[g*N, (g+1)*N)`` slice.
-        Each trial's correction is computed exactly as the single-trial
-        path computes it — same cols, same cycle indices (per-slice sample
-        indices restart at 0) — so the stack is bit-identical to evaluating
-        the group one configuration at a time.
-        """
-        groups = len(configs)
-        if shared_cols:
-            acc_stack = np.tile(clean_acc, (groups, 1, 1))
-        elif acc_owned:
-            acc_stack = clean_acc
-        else:
-            acc_stack = clean_acc.copy()
-        for g, config in enumerate(configs):
-            if not config.enabled:
-                continue
-            self._validate_stage_combination(config)
-            trial_cols = cols if shared_cols else cols[g * per_trial:(g + 1) * per_trial]
-            acc_view = acc_stack[g * per_trial:(g + 1) * per_trial]
-            self._apply_config(
-                acc_view, trial_cols, w_mat, out_channels, in_channels,
-                kernel_elems, config,
-            )
-        return acc_stack
-
-    def conv_accumulate_fused(
-        self,
-        node: QConv,
-        configs: list[InjectionConfig],
-        per_trial: int,
-        x_stack: np.ndarray | None = None,
-        x_clean: np.ndarray | None = None,
-        clean_entry: TapeOpEntry | None = None,
-    ) -> np.ndarray:
-        """Convolution accumulators of ``len(configs)`` trials in one pass.
-
-        Exactly one input form must describe the clean prefix state:
-
-        * ``clean_entry`` — all trials' inputs equal the taped clean input;
-          the taped cols/accumulator are reused and only the per-trial
-          correction terms are evaluated.
-        * ``x_clean`` — shared clean input ``(N, C, H, W)`` with no taped
-          parts available; the clean GEMM runs once for the whole group.
-        * ``x_stack`` — diverged inputs stacked as ``(G*N, C, H, W)``; one
-          stacked im2col + GEMM replaces G per-trial passes.
-
-        Returns the saturated accumulator stack ``(G*N, OC, OH, OW)``,
-        bit-identical to concatenating G single-trial ``conv_accumulate``
-        calls.
-        """
-        sources = [x_stack, x_clean, clean_entry]
-        if sum(s is not None for s in sources) != 1:
-            raise ValueError("provide exactly one of x_stack, x_clean, clean_entry")
-        groups = len(configs)
-        if clean_entry is not None:
-            x_ref = clean_entry.inputs[0]
-        elif x_clean is not None:
-            x_ref = x_clean
-        else:
-            x_ref = x_stack
-            if x_ref.shape[0] != groups * per_trial:
-                raise ValueError(
-                    f"stack of {x_ref.shape[0]} samples does not hold "
-                    f"{groups} trials x {per_trial} images"
-                )
-        if x_ref.dtype != np.int8:
-            raise TypeError(f"expected int8 activations, got {x_ref.dtype}")
-        _, ic, h, w = x_ref.shape
-        oc, ic_w, k, _ = node.weight.shape
-        if ic != ic_w:
-            raise ValueError(f"{node.name}: input channels {ic} != weight channels {ic_w}")
-        out_h = conv_output_size(h, k, node.stride, node.padding)
-        out_w = conv_output_size(w, k, node.stride, node.padding)
-        w_mat = node.weight.reshape(oc, -1)
-
-        shared = x_stack is None
-        source = x_ref if x_stack is None else x_stack
-        cols, clean_acc, acc_owned = self._fused_clean_parts(
-            node.name,
-            source if shared else None,
-            lambda: im2col(source, k, node.stride, node.padding),
-            w_mat,
-            clean_entry,
-        )
-        acc_stack = self._fused_corrections(
-            cols, clean_acc, w_mat, oc, ic, k * k, configs, per_trial, shared,
-            acc_owned=acc_owned and not shared,
-        )
-        # The stack is always freshly tiled/copied, so saturate in place.
-        saturate(acc_stack, ACCUMULATOR_WIDTH, out=acc_stack)
-        return acc_stack.reshape(groups * per_trial, oc, out_h, out_w)
-
-    def linear_accumulate_fused(
-        self,
-        node: QLinear,
-        configs: list[InjectionConfig],
-        per_trial: int,
-        x_stack: np.ndarray | None = None,
-        x_clean: np.ndarray | None = None,
-        clean_entry: TapeOpEntry | None = None,
-    ) -> np.ndarray:
-        """Fully-connected accumulators of ``len(configs)`` trials at once.
-
-        Same contract as :meth:`conv_accumulate_fused`; returns the stack
-        ``(G*N, OUT)``.
-        """
-        sources = [x_stack, x_clean, clean_entry]
-        if sum(s is not None for s in sources) != 1:
-            raise ValueError("provide exactly one of x_stack, x_clean, clean_entry")
-        groups = len(configs)
-        if clean_entry is not None:
-            x_ref = clean_entry.inputs[0]
-        else:
-            x_ref = x_clean if x_clean is not None else x_stack
-        if x_stack is not None and x_stack.shape[0] != groups * per_trial:
-            raise ValueError(
-                f"stack of {x_stack.shape[0]} samples does not hold "
-                f"{groups} trials x {per_trial} images"
-            )
-        if x_ref.dtype != np.int8:
-            raise TypeError(f"expected int8 activations, got {x_ref.dtype}")
-        if x_ref.ndim != 2:
-            raise ValueError(f"linear input must be (N, features), got shape {x_ref.shape}")
-        in_features = x_ref.shape[1]
-        out_features, in_w = node.weight.shape
-        if in_features != in_w:
-            raise ValueError(f"{node.name}: input features {in_features} != weight {in_w}")
-        w_mat = node.weight
-
-        shared = x_stack is None
-        source = x_ref if x_stack is None else x_stack
-        cols, clean_acc, acc_owned = self._fused_clean_parts(
-            node.name,
-            source if shared else None,
-            lambda: source.reshape(source.shape[0], in_features, 1),
-            w_mat,
-            clean_entry,
-        )
-        acc_stack = self._fused_corrections(
-            cols, clean_acc, w_mat, out_features, in_features, 1,
-            configs, per_trial, shared,
-            acc_owned=acc_owned and not shared,
-        )
-        saturate(acc_stack, ACCUMULATOR_WIDTH, out=acc_stack)
-        return acc_stack.reshape(groups * per_trial, out_features)
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -214,3 +214,43 @@ class ScalarReferenceEngine:
                     if oc < out_features:
                         acc[sample, oc] = saturate(acc[sample, oc] + partial[mac], ACCUMULATOR_WIDTH)
         return acc
+
+    # ------------------------------------------------------------------
+    # The accelerator's op loop calls the fused forms
+    # ------------------------------------------------------------------
+    def _one_config_at_a_time(
+        self, accumulate, node, configs, per_trial, x_stack, x_clean, exec_index
+    ) -> np.ndarray:
+        """Evaluate a fused layer call one configuration at a time.
+
+        Each trial runs through the unchanged literal ``*_accumulate``
+        method, so the oracle's arithmetic stays independent of the
+        vectorised engine's fusion.  The scalar engine has no tape, so a
+        taped ``clean_entry`` never reaches it.
+        """
+        parts = [
+            accumulate(
+                x_clean if x_stack is None else x_stack[g * per_trial:(g + 1) * per_trial],
+                node,
+                config,
+                exec_index,
+            )
+            for g, config in enumerate(configs)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def conv_accumulate_fused(
+        self, node, configs, per_trial, x_stack=None, x_clean=None,
+        clean_entry=None, exec_index=0, record=None,
+    ) -> np.ndarray:
+        return self._one_config_at_a_time(
+            self.conv_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index
+        )
+
+    def linear_accumulate_fused(
+        self, node, configs, per_trial, x_stack=None, x_clean=None,
+        clean_entry=None, exec_index=0, record=None,
+    ) -> np.ndarray:
+        return self._one_config_at_a_time(
+            self.linear_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index
+        )

@@ -13,73 +13,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quant.qlayers import QAdd, QConv, QGlobalAvgPool, QLinear
-from repro.quant.qscheme import INT8_MAX, INT8_MIN, requantize, requantize_owned
+from repro.quant.qscheme import INT8_MAX, INT8_MIN, requantize_owned
 from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
 
 
 class SDP:
     """Stateless post-processor; every method maps integer arrays to int8.
 
-    Each operation exists in two bit-identical flavours: the reference
-    methods (``conv_post``, ``elementwise_add``, ``global_average``) map
-    fresh arrays through the seed-era requantisation chain, and the
-    ``*_owned`` variants are the delta trial engine's hot path — they may
-    mutate their accumulator argument in place and route through
-    :func:`~repro.quant.qscheme.requantize_owned`, shaving the temporary
-    allocations a campaign pays per layer per trial.  Callers of the owned
-    variants must pass accumulators they own (the engine's are always
-    freshly computed or freshly corrected).
+    The methods may mutate their accumulator argument in place and route
+    through :func:`~repro.quant.qscheme.requantize_owned`, shaving the
+    temporary allocations a campaign pays per layer per trial.  Callers
+    must pass accumulators they own (the engine's are always freshly
+    computed or freshly corrected).  The CPU backend keeps the reference
+    :func:`~repro.quant.qscheme.requantize` chain as the bit-exact oracle.
     """
 
-    def bias_add(self, accumulator: np.ndarray, bias: np.ndarray, channel_axis: int = 1) -> np.ndarray:
-        """Add the per-channel int32 bias to raw accumulator values."""
-        acc = np.asarray(accumulator, dtype=np.int64)
-        bias = np.asarray(bias, dtype=np.int64)
-        shape = [1] * acc.ndim
-        shape[channel_axis] = -1
-        return saturate(acc + bias.reshape(shape), ACCUMULATOR_WIDTH)
-
-    def conv_post(self, accumulator: np.ndarray, node: QConv | QLinear, channel_axis: int = 1) -> np.ndarray:
-        """Full convolution/FC post-processing: bias, requantise, ReLU.
-
-        For a final :class:`QLinear` with ``requant=None`` the biased raw
-        accumulator is returned (int64) instead of an int8 tensor.
-        """
-        acc = self.bias_add(accumulator, node.bias, channel_axis)
-        if isinstance(node, QLinear) and node.requant is None:
-            return acc
-        return requantize(acc, node.requant, channel_axis=channel_axis, relu=node.relu)
-
-    def elementwise_add(self, a: np.ndarray, b: np.ndarray, node: QAdd) -> np.ndarray:
-        """Residual addition of two int8 tensors with independent rescaling."""
-        if a.shape != b.shape:
-            raise ValueError(f"elementwise add shapes differ: {a.shape} vs {b.shape}")
-        a_scaled = requantize(
-            np.asarray(a, dtype=np.int64), node.requant_a, channel_axis=1, saturate_to_int8=False
-        )
-        b_scaled = requantize(
-            np.asarray(b, dtype=np.int64), node.requant_b, channel_axis=1, saturate_to_int8=False
-        )
-        total = a_scaled + b_scaled
-        if node.relu:
-            total = np.maximum(total, 0)
-        return np.clip(total, INT8_MIN, INT8_MAX).astype(np.int8)
-
-    def global_average(self, x: np.ndarray, node: QGlobalAvgPool) -> np.ndarray:
-        """Global average pooling: integer spatial sum then requantisation."""
-        acc = np.asarray(x, dtype=np.int64).sum(axis=(2, 3))
-        return requantize(acc, node.requant, channel_axis=1, relu=False)
-
-    # ------------------------------------------------------------------
-    # Owned (in-place) variants — the delta trial engine's hot path
-    # ------------------------------------------------------------------
     def conv_post_owned(
         self, accumulator: np.ndarray, node: QConv | QLinear, channel_axis: int = 1
     ) -> np.ndarray:
-        """:meth:`conv_post` for an int64 accumulator the caller owns.
+        """Convolution/FC post-processing: bias, 34-bit saturation, requantise, ReLU.
 
-        The bias addition and 34-bit saturation mutate ``accumulator`` in
-        place; the result is bit-identical to the reference method.
+        The bias addition and saturation mutate ``accumulator`` in place.
+        For a final :class:`QLinear` with ``requant=None`` the biased raw
+        accumulator is returned (int64) instead of an int8 tensor.
         """
         acc = accumulator
         if acc.dtype != np.int64 or not acc.flags.writeable:
@@ -94,7 +50,7 @@ class SDP:
         return requantize_owned(acc, node.requant, channel_axis=channel_axis, relu=node.relu)
 
     def elementwise_add_owned(self, a: np.ndarray, b: np.ndarray, node: QAdd) -> np.ndarray:
-        """:meth:`elementwise_add` through the in-place requantise chain."""
+        """Residual addition of two int8 tensors with independent rescaling."""
         if a.shape != b.shape:
             raise ValueError(f"elementwise add shapes differ: {a.shape} vs {b.shape}")
         a_scaled = requantize_owned(a, node.requant_a, channel_axis=1, saturate_to_int8=False)
@@ -106,6 +62,6 @@ class SDP:
         return a_scaled.astype(np.int8)
 
     def global_average_owned(self, x: np.ndarray, node: QGlobalAvgPool) -> np.ndarray:
-        """:meth:`global_average` through the in-place requantise chain."""
+        """Global average pooling: integer spatial sum then requantisation."""
         acc = np.asarray(x, dtype=np.int64).sum(axis=(2, 3))
         return requantize_owned(acc, node.requant, channel_axis=1, relu=False)

@@ -27,23 +27,27 @@ under byte equality the trial logits are bit-identical to a full forward by
 construction (the property-test suite certifies this for every fault-model
 family).
 
-The tape generalises the PR 2 ``CleanAccumulatorCache``: where the cache
-keyed clean GEMM results by an SHA-1 content digest (paying a hash of every
-layer input on every trial), the tape is keyed by the evaluation loop's
-chunk coordinates and verified once per chunk with a single memcmp of the
-quantised input, after which hits are pointer-identity checks.  Memory is
-bounded by a byte budget (:attr:`CleanForwardTape.max_bytes`): when the
-clean pass records more than fits, the least recently used chunk segments
-are dropped and trials on those chunks fall back to full re-execution —
-partial reuse, never unbounded memory.
+The tape is the platform's only clean-state store.  It is keyed by the
+evaluation loop's chunk coordinates and verified once per chunk with a
+single memcmp of the quantised input, after which hits are
+pointer-identity checks.  Memory is bounded by a byte budget
+(:attr:`CleanForwardTape.max_bytes`): when the clean pass records more than
+fits, the least recently used chunk segments are dropped and trials on
+those chunks fall back to full re-execution — partial reuse, never
+unbounded memory.  Dropped segments are counted (``segments_dropped`` in
+:meth:`CleanForwardTape.stats`) and logged once per recording pass.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from repro.utils.logging import get_logger
+
+logger = get_logger(__name__)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -79,10 +83,9 @@ class TapeOpEntry:
     """Clean record of one op in one chunk segment.
 
     ``cols`` and ``acc`` are only present for conv/FC ops: the int8 im2col
-    buffer and the raw (unsaturated) int64 clean accumulator, exactly the
-    pair the PR 2 cache held.  ``inputs`` and ``output`` are the int8
-    activations around the op (the output of a final classifier layer may
-    be int64 logits).
+    buffer and the raw (unsaturated) int64 clean accumulator.  ``inputs``
+    and ``output`` are the int8 activations around the op (the output of a
+    final classifier layer may be int64 logits).
     """
 
     inputs: tuple[np.ndarray, ...]
@@ -191,6 +194,9 @@ class CleanForwardTape:
         #: the tape vs recomputed because the trial diverged upstream.
         self.layer_hits = 0
         self.layer_misses = 0
+        #: Recorded segments the byte budget could not keep (oversized or
+        #: LRU-evicted); their chunks re-execute in full during trials.
+        self.segments_dropped = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -201,6 +207,14 @@ class CleanForwardTape:
 
     def finish_recording(self) -> None:
         self.recording = False
+        if self.segments_dropped:
+            logger.warning(
+                "clean-activation tape dropped %d chunk segment(s) over its "
+                "%d-byte budget; those chunks re-execute in full during trials "
+                "(raise tape_bytes to keep them)",
+                self.segments_dropped,
+                self.max_bytes,
+            )
 
     def begin_segment(self, chunk_key: tuple, qinput: np.ndarray) -> TapeSegment:
         """Open a fresh segment for one chunk of the clean pass."""
@@ -213,10 +227,12 @@ class CleanForwardTape:
 
         A single segment larger than the whole budget is discarded (keeping
         it would evict every other chunk for one oversized entry) — the
-        affected chunk simply re-executes in full during trials.
+        affected chunk simply re-executes in full during trials.  Both
+        discards and evictions count towards ``segments_dropped``.
         """
         nbytes = segment.nbytes
         if nbytes > self.max_bytes:
+            self.segments_dropped += 1
             return
         previous = self._segments.pop(segment.chunk_key, None)
         if previous is not None:
@@ -226,6 +242,7 @@ class CleanForwardTape:
         while self._bytes > self.max_bytes and len(self._segments) > 1:
             _, evicted = self._segments.popitem(last=False)
             self._bytes -= evicted.nbytes
+            self.segments_dropped += 1
 
     # ------------------------------------------------------------------
     # Replay
@@ -259,6 +276,7 @@ class CleanForwardTape:
         self.misses = 0
         self.layer_hits = 0
         self.layer_misses = 0
+        self.segments_dropped = 0
 
     def __len__(self) -> int:
         return len(self._segments)
@@ -292,5 +310,6 @@ class CleanForwardTape:
             "layer_hits": self.layer_hits,
             "layer_misses": self.layer_misses,
             "layer_hit_rate": (self.layer_hits / total) if total else 0.0,
+            "segments_dropped": self.segments_dropped,
             "recording": self.recording,
         }

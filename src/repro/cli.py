@@ -70,7 +70,7 @@ def _add_log_level_argument(parser: argparse.ArgumentParser) -> None:
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", type=str, default="",
                         help="write telemetry spans/counters (campaign + scenario "
-                             "spans, lease lifecycle, cache hit counters) as JSONL "
+                             "spans, lease lifecycle, tape hit counters) as JSONL "
                              "to this path; purely observational — records are "
                              "byte-identical with tracing on or off")
 
@@ -126,7 +126,7 @@ def _recovery_note(result) -> str | None:
 
 
 def _runtime_note(stats: dict | None) -> str | None:
-    """One line of execution counters (cache hit rates at a glance)."""
+    """One line of execution counters (tape hit rates at a glance)."""
     if not stats:
         return None
     parts = []
@@ -134,12 +134,6 @@ def _runtime_note(stats: dict | None) -> str | None:
     calls = sum(v for k, v in gemm.items() if k.endswith("_calls"))
     if calls:
         parts.append(f"{calls} GEMM call(s)")
-    cache = stats.get("clean_cache")
-    if cache:
-        parts.append(
-            f"clean-cache hit rate {cache.get('hit_rate', 0.0):.1%} "
-            f"({cache.get('hits', 0)}/{cache.get('hits', 0) + cache.get('misses', 0)})"
-        )
     tape = stats.get("tape")
     if tape:
         parts.append(
@@ -147,6 +141,8 @@ def _runtime_note(stats: dict | None) -> str | None:
             f"({tape.get('layer_hits', 0)}/"
             f"{tape.get('layer_hits', 0) + tape.get('layer_misses', 0)})"
         )
+        if tape.get("segments_dropped"):
+            parts.append(f"{tape['segments_dropped']} tape segment(s) dropped over budget")
     if not parts:
         return None
     processes = stats.get("processes")
@@ -218,7 +214,6 @@ def _write_profile(result, checkpoint: str, default: str) -> Path:
         "profile": stats.get("profile"),
         "gemm": stats.get("gemm"),
         "tape": stats.get("tape"),
-        "clean_cache": stats.get("clean_cache"),
         "processes": stats.get("processes"),
         "workers": stats.get("workers"),
         "wall_seconds": result.wall_seconds,
@@ -412,7 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     if stats_parts:
         # Each scenario's runtime_stats is shaped like one per-process
-        # payload (gemm/clean_cache/tape/profile), so the runner's
+        # payload (gemm/tape/profile), so the runner's
         # aggregator merges them sweep-wide and recomputes the hit rates.
         merged = ParallelCampaignRunner._aggregate_runtime_stats(stats_parts, args.workers)
         if merged:

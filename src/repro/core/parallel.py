@@ -366,7 +366,6 @@ def _worker_stats(platform: EmulationPlatform) -> dict:
     """Execution statistics one process ships back for aggregation."""
     return {
         "gemm": GEMM_STATS.as_dict(),
-        "clean_cache": platform.gemm_cache_stats(),
         "tape": platform.tape_stats(),
         "profile": PROFILER.as_dict() if PROFILER.enabled else None,
     }
@@ -758,17 +757,13 @@ class ParallelCampaignRunner:
         """Merge per-process stats payloads into ``CampaignResult.runtime_stats``.
 
         Before this aggregation existed, everything a worker process counted
-        (GEMM kernel dispatch, cache/tape hit rates, stage profiles) was
+        (GEMM kernel dispatch, tape hit rates, stage profiles) was
         silently dropped when the process exited; now each worker ships one
         stats message and the totals land in the campaign result.
         """
         if not parts:
             return None
         gemm = cls._sum_counters([p.get("gemm") for p in parts])
-        cache = cls._sum_counters([p.get("clean_cache") for p in parts])
-        if cache is not None:
-            lookups = cache.get("hits", 0) + cache.get("misses", 0)
-            cache["hit_rate"] = (cache.get("hits", 0) / lookups) if lookups else 0.0
         tape = cls._sum_counters([p.get("tape") for p in parts])
         if tape is not None:
             layers = tape.get("layer_hits", 0) + tape.get("layer_misses", 0)
@@ -778,14 +773,13 @@ class ParallelCampaignRunner:
             "processes": len(parts),
             "workers": workers,
             "gemm": gemm,
-            "clean_cache": cache,
             "tape": tape,
             "profile": StageProfiler.merge_dicts(profiles) if profiles else None,
         }
 
     @staticmethod
     def _emit_runtime_telemetry(result: CampaignResult) -> None:
-        """Ship the aggregated cache/kernel counters to the trace sink.
+        """Ship the aggregated tape/kernel counters to the trace sink.
 
         Purely observational (counter events never feed back into records);
         a single attribute check when tracing is off.
@@ -793,7 +787,7 @@ class ParallelCampaignRunner:
         if not TELEMETRY.enabled:
             return
         stats = result.runtime_stats or {}
-        for group in ("gemm", "clean_cache", "tape"):
+        for group in ("gemm", "tape"):
             counters = stats.get(group)
             if not counters:
                 continue
@@ -821,7 +815,6 @@ class ParallelCampaignRunner:
         }
         part = {
             "gemm": delta,
-            "clean_cache": platform.gemm_cache_stats(),
             "tape": platform.tape_stats(),
             "profile": PROFILER.as_dict() if self.config.profile else None,
         }
@@ -857,7 +850,7 @@ class ParallelCampaignRunner:
     ) -> CampaignResult:
         cfg = self.config
         platform = self.platform if self.platform is not None else self.spec.build()
-        # Fresh cache/tape per run: deterministic memory profile, and reused
+        # Fresh tape per run: deterministic memory profile, and reused
         # platforms (serial campaigns) don't carry entries across campaigns.
         platform.reset_caches()
         self._serial_stats_begin()

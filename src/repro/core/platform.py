@@ -9,6 +9,7 @@ under an arbitrary injection configuration, latency and resource reports.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,25 @@ from repro.utils.logging import get_logger
 logger = get_logger(__name__)
 
 
+def _release_free_heap() -> None:
+    """Hand freed heap pages back to the OS (glibc; a no-op elsewhere).
+
+    Set-up frees hundreds of MB (the float model's evaluation, and cyclic
+    garbage the collector reaches at an arbitrary point), and the tape is
+    then laid over that heap.  ``free`` returns only the free top of the
+    heap, so whenever a live block lands above the freed pages they stay
+    resident: a process's steady RSS would then depend on allocation order
+    (about 355 or 506 MB for a 48-image w0.25 fleet node) instead of
+    following its live set.  ``malloc_trim`` also releases the free pages
+    below live blocks.
+    """
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)
+
+
 @dataclass
 class PlatformConfig:
     """Configuration of an :class:`EmulationPlatform`."""
@@ -38,14 +58,6 @@ class PlatformConfig:
     engine: str = "vectorised"
     seed: int = 0
     name: str = "resnet18-cifar10"
-    #: LRU size of the engine's clean-accumulator cache (0 disables).  A
-    #: campaign shard re-runs a frozen batch under many fault configs; the
-    #: baseline pass primes one entry per (layer, batch chunk) and trials
-    #: reuse each layer's im2col + clean GEMM, paying only the
-    #: correction-term cost.  Records are bit-identical either way.
-    #: With the tape armed (``tape_bytes > 0``) the cache only serves
-    #: ad-hoc executions outside the campaign evaluation loop.
-    gemm_cache_entries: int = 128
     #: Byte budget of the clean-activation tape (0 disables it).  The tape
     #: records the whole clean forward per evaluation-batch chunk during
     #: the baseline pass; fault trials then re-execute only the network
@@ -90,7 +102,6 @@ class EmulationPlatform:
             geometry=self.config.geometry,
             engine=self.config.engine,
             seed=self.config.seed,
-            cache_entries=self.config.gemm_cache_entries,
             tape_bytes=self.config.tape_bytes,
         )
         self.runtime = Runtime(accelerator=self.accelerator)
@@ -112,29 +123,22 @@ class EmulationPlatform:
     def baseline_accuracy(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
         """Fault-free accuracy of the accelerator on the given dataset.
 
-        This is the pass that builds the clean-activation tape (or primes
-        the legacy clean-accumulator cache): only the clean activations
-        ever recur across fault trials (a fault perturbs everything
-        downstream of it), so recording happens here and is frozen
-        afterwards — trials replay the clean forward but one-shot faulty
-        activations are never inserted.
+        This is the pass that builds the clean-activation tape: only the
+        clean activations ever recur across fault trials (a fault perturbs
+        everything downstream of it), so recording happens here and is
+        frozen afterwards — trials replay the clean forward but one-shot
+        faulty activations are never inserted.
         """
         self.runtime.clear_faults()
         tape = self.accelerator.tape
-        if tape is not None:
-            tape.start_recording()
-            try:
-                return self.runtime.accuracy(images, labels, batch_size=batch_size)
-            finally:
-                tape.finish_recording()
-        cache = self.accelerator.clean_cache
-        if cache is not None:
-            cache.thaw()
+        if tape is None:
+            return self.runtime.accuracy(images, labels, batch_size=batch_size)
+        tape.start_recording()
         try:
             return self.runtime.accuracy(images, labels, batch_size=batch_size)
         finally:
-            if cache is not None:
-                cache.freeze()
+            tape.finish_recording()
+            _release_free_heap()
 
     def accuracy_with_faults(
         self,
@@ -216,16 +220,11 @@ class EmulationPlatform:
         return self.cpu_backend.accuracy(self.quantized_model, images, labels)
 
     # ------------------------------------------------------------------
-    # Cache lifecycle
+    # Clean-state lifecycle
     # ------------------------------------------------------------------
     def reset_caches(self) -> None:
-        """Drop cached clean state (campaign runners call this up front)."""
+        """Drop the taped clean state (campaign runners call this up front)."""
         self.accelerator.reset_caches()
-
-    def gemm_cache_stats(self) -> dict[str, int | float] | None:
-        """Hit/miss statistics of the clean-accumulator cache (None when off)."""
-        cache = self.accelerator.clean_cache
-        return None if cache is None else cache.stats()
 
     def tape_stats(self) -> dict[str, int | float] | None:
         """Segment/layer statistics of the clean-activation tape (None when off)."""

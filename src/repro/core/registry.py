@@ -627,7 +627,6 @@ def _build_stratified(params: dict, *, models=None, values=None, name=None):
         ParamSpec("num_macs", "int", default=8, doc="MAC units in the array"),
         ParamSpec("muls_per_mac", "int", default=8, doc="multiplier lanes per MAC unit"),
         ParamSpec("engine", "str", default="vectorised", doc="emulation engine"),
-        ParamSpec("gemm_cache_entries", "int", default=128, doc="clean-GEMM cache capacity"),
     ],
     description="NVDLA-style MAC array geometry plus engine configuration",
 )
@@ -640,7 +639,6 @@ def _build_nvdla_platform(params: dict, *, name: str = ""):
             num_macs=params["num_macs"], muls_per_mac=params["muls_per_mac"]
         ),
         engine=params["engine"],
-        gemm_cache_entries=params["gemm_cache_entries"],
         name=name,
     )
 

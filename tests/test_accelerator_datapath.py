@@ -184,17 +184,19 @@ class TestAccumulator:
 
 
 class TestSDP:
-    def test_bias_add_broadcast(self):
+    def test_bias_add_broadcast(self, qlinear_factory):
         sdp = SDP()
+        node = qlinear_factory(8, 3, final=True)  # requant=None: raw biased output
+        node.bias = np.array([1, 2, 3], dtype=np.int64)
         acc = np.zeros((1, 3, 2, 2), dtype=np.int64)
-        out = sdp.bias_add(acc, np.array([1, 2, 3]))
+        out = sdp.conv_post_owned(acc, node)
         assert out[0, 2, 0, 0] == 3
 
     def test_conv_post_requantises_and_relu(self, qconv_factory):
         sdp = SDP()
         node = qconv_factory(8, 8, 1, relu=True)
         acc = np.full((1, 8, 2, 2), -(10**6), dtype=np.int64)
-        out = sdp.conv_post(acc, node)
+        out = sdp.conv_post_owned(acc, node)
         assert out.dtype == np.int8
         assert np.all(out >= 0)  # ReLU clamps the large negative accumulator
 
@@ -202,7 +204,7 @@ class TestSDP:
         sdp = SDP()
         node = qlinear_factory(8, 4, final=True)
         acc = np.arange(4, dtype=np.int64).reshape(1, 4) * 1000
-        out = sdp.conv_post(acc, node)
+        out = sdp.conv_post_owned(acc.copy(), node)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, acc + node.bias[None, :])
 
@@ -217,7 +219,9 @@ class TestSDP:
             requant_b=compute_requant_params(1.0, 1.0, 1.0),
         )
         with pytest.raises(ValueError):
-            sdp.elementwise_add(np.zeros((1, 2, 2, 2), np.int8), np.zeros((1, 3, 2, 2), np.int8), node)
+            sdp.elementwise_add_owned(
+                np.zeros((1, 2, 2, 2), np.int8), np.zeros((1, 3, 2, 2), np.int8), node
+            )
 
     def test_elementwise_add_identity_scales(self):
         sdp = SDP()
@@ -232,7 +236,7 @@ class TestSDP:
         )
         a = np.full((1, 1, 2, 2), 10, dtype=np.int8)
         b = np.full((1, 1, 2, 2), -3, dtype=np.int8)
-        out = sdp.elementwise_add(a, b, node)
+        out = sdp.elementwise_add_owned(a, b, node)
         assert out.dtype == np.int8
         np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 7, dtype=np.int8))
 
@@ -247,7 +251,7 @@ class TestSDP:
             requant=compute_requant_params(1.0, 1.0 / 4, 1.0),
         )
         x = np.full((1, 2, 2, 2), 8, dtype=np.int8)
-        out = sdp.global_average(x, node)
+        out = sdp.global_average_owned(x, node)
         np.testing.assert_array_equal(out, np.full((1, 2), 8, dtype=np.int8))
 
 

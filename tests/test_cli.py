@@ -219,7 +219,7 @@ class TestValidateAndCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--spec" in err
 
-    def test_validate_reports_every_problem_in_broken_spec(self, capsys):
+    def test_validate_reports_every_problem_in_broken_spec(self, tmp_path, capsys):
         assert main(["validate", "--spec", self.BROKEN_SPEC]) == 1
         err = capsys.readouterr().err
         assert "5 problem(s)" in err
@@ -230,6 +230,19 @@ class TestValidateAndCleanErrors:
         assert "registered fault kinds:" in err and "bitflip" in err
         assert "parameter 'counts' must be a list of integers" in err
         assert "unknown parameters ['typo']" in err
+        assert "Traceback" not in err
+        # A spec written for the removed clean-GEMM cache knob fails through
+        # the same unknown-parameter error.
+        legacy = dict(self.GOOD_SPEC, platforms=[
+            {"name": "8x8", "num_macs": 8, "muls_per_mac": 8, "gemm_cache_entries": 128},
+        ])
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy))
+        assert main(["validate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "unknown parameters ['gemm_cache_entries'] for platform kind 'nvdla'" in err
+        )
         assert "Traceback" not in err
 
     def test_example_specs_all_validate(self, capsys):

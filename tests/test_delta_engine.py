@@ -7,35 +7,37 @@ full forward pass.  These tests certify that contract over random
 geometries and every fault-model family (constants, bit flips,
 accumulator-stage stuck-ats, deterministic per-cycle transients), plus the
 bookkeeping that makes the tape safe (byte budgets, read-only entries,
-segment verification) and the regression the PR 2 cache needed
-(``put()`` overwrite byte accounting).
+segment verification, loud overflow).
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accelerator.engine import (
-    CleanAccumulatorCache,
-    VectorisedEngine,
-    config_fusable,
-)
+from repro.accelerator.accelerator import NVDLAAccelerator
+from repro.accelerator.engine import VectorisedEngine, config_fusable
 from repro.accelerator.geometry import PAPER_GEOMETRY
 from repro.accelerator.tape import CleanForwardTape, TapeSegment, arrays_match
+from repro.core import platform as platform_module
 from repro.core.platform import EmulationPlatform, PlatformConfig
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import (
     AccumulatorStuckAt,
+    ActivationBitFlip,
     BitFlip,
     ConstantValue,
+    InputCorruption,
     StuckAtOne,
     StuckAtZero,
     TransientCycleFault,
     TransientPulse,
+    WeightBitFlip,
 )
-from repro.faults.sites import FaultSite
+from repro.faults.sites import FaultSite, MemorySite
 from repro.quant.qscheme import (
     RequantParams,
     requantize,
@@ -172,9 +174,7 @@ class TestPlatformDeltaEquivalence:
         reference = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(
-                name="reference", seed=3, tape_bytes=0, gemm_cache_entries=0
-            ),
+            config=PlatformConfig(name="reference", seed=3, tape_bytes=0),
         )
         return delta, reference
 
@@ -209,35 +209,59 @@ class TestPlatformDeltaEquivalence:
         ]
         assert fused == serial
 
-    def test_evicted_tape_chunks_do_not_pollute_the_cache(
-        self, tiny_graph, tiny_dataset
+    def test_evicted_tape_chunks_are_loud(
+        self, tiny_graph, tiny_dataset, caplog
     ):
         """A tape too small to hold the clean forward must degrade to full
-        re-execution — never to hashing one-shot faulty activations into the
-        digest cache (which would churn its LRU at a 0% hit rate)."""
+        re-execution loudly: every dropped chunk segment is counted in the
+        tape stats, the recording pass logs one warning, and the records
+        still match the tape-less reference platform bit for bit."""
         platform = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(
-                name="tiny-tape", seed=3, tape_bytes=1024, gemm_cache_entries=64
-            ),
+            config=PlatformConfig(name="tiny-tape", seed=3, tape_bytes=1024),
         )
         images = tiny_dataset.test_images[:16]
         labels = tiny_dataset.test_labels[:16]
-        baseline = platform.baseline_accuracy(images, labels, batch_size=8)
-        assert platform.tape_stats()["segments"] == 0  # everything evicted
+        with caplog.at_level(logging.WARNING, logger="repro.accelerator.tape"):
+            baseline = platform.baseline_accuracy(images, labels, batch_size=8)
+        stats = platform.tape_stats()
+        assert stats["segments"] == 0  # everything evicted
+        assert stats["segments_dropped"] == 2  # one per batch chunk
+        warnings = [r for r in caplog.records if r.name == "repro.accelerator.tape"]
+        assert len(warnings) == 1
+        assert "dropped 2 chunk segment(s)" in warnings[0].getMessage()
         config = InjectionConfig.single(FaultSite(0, 0), ConstantValue(0))
         accuracy = platform.accuracy_with_faults(config, images, labels, batch_size=8)
-        cache = platform.accelerator.clean_cache
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
         # And the records still match a tape-less reference platform.
         reference = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="ref", seed=3, tape_bytes=0, gemm_cache_entries=0),
+            config=PlatformConfig(name="ref", seed=3, tape_bytes=0),
         )
         assert baseline == reference.baseline_accuracy(images, labels, batch_size=8)
         assert accuracy == reference.accuracy_with_faults(config, images, labels, batch_size=8)
+
+    def test_recording_pass_releases_freed_heap(self, platforms, tiny_dataset, monkeypatch):
+        """The baseline pass that records a tape ends by handing the heap
+        that set-up freed back to the OS, and the release is a no-op where
+        glibc is missing."""
+        delta, reference = platforms
+        images = tiny_dataset.test_images[:8]
+        labels = tiny_dataset.test_labels[:8]
+        calls = []
+        monkeypatch.setattr(platform_module, "_release_free_heap", lambda: calls.append(1))
+        delta.reset_caches()
+        delta.baseline_accuracy(images, labels, batch_size=8)
+        reference.baseline_accuracy(images, labels, batch_size=8)
+        assert calls == [1]  # only the pass that records a tape
+        monkeypatch.undo()
+
+        def missing_libc(name):
+            raise OSError(name)
+
+        monkeypatch.setattr(platform_module.ctypes, "CDLL", missing_libc)
+        platform_module._release_free_heap()
 
     def test_tape_stats_report_reuse(self, platforms, tiny_dataset):
         delta, _ = platforms
@@ -259,6 +283,53 @@ class TestPlatformDeltaEquivalence:
         assert stats["layer_hits"] >= 2  # at least the stem conv per chunk
 
 
+#: Configurations only a one-config pass may arm: memory faults corrupt
+#: the staged operands a fused group shares, and transient pulses draw from
+#: the engine's RNG stream.
+ONE_CONFIG_ONLY = [
+    InjectionConfig.uniform(
+        [MemorySite("weight", 5, 6)], WeightBitFlip(dwell_start=1, dwell=2)
+    ),
+    InjectionConfig.uniform(
+        [MemorySite("activation", 30, 3)], ActivationBitFlip(dwell_start=2, dwell=3)
+    ),
+    InjectionConfig.uniform([MemorySite("input", 2, 7)], InputCorruption()),
+    InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
+]
+
+
+class TestOneOpLoop:
+    """``execute`` and ``execute_fused`` share one op loop: a one-config
+    fused pass must equal ``execute`` with that configuration armed, for
+    every fault family including the ones that never join a fused group."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [InjectionConfig.single(_site_for(m, 1, 2), m) for m in FAMILIES] + ONE_CONFIG_ONLY,
+        ids=lambda c: c.describe(),
+    )
+    def test_one_config_fused_pass_equals_execute(self, tiny_platform, tiny_dataset, config):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        chunk = (0, len(images))
+        fused, armed = (
+            NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=1 << 20)
+            for _ in range(2)
+        )
+        for accelerator in (fused, armed):
+            accelerator.tape.start_recording()
+            accelerator.execute(loadable, images, chunk_key=chunk)
+            accelerator.tape.finish_recording()
+        got = fused.execute_fused(loadable, images, [config], chunk_key=chunk)
+        armed.set_injection_config(config)
+        want = armed.execute(loadable, images, chunk_key=chunk)
+        np.testing.assert_array_equal(got, want)
+        if any(model.stage == "memory" for model in config.faults.values()):
+            scalar = NVDLAAccelerator(engine="scalar", seed=3)
+            scalar.set_injection_config(config)
+            np.testing.assert_array_equal(got, scalar.execute(loadable, images))
+
+
 # ----------------------------------------------------------------------
 # Tape bookkeeping
 # ----------------------------------------------------------------------
@@ -277,6 +348,7 @@ class TestCleanForwardTape:
         tape.finish_recording()
         assert tape.nbytes <= 10_000
         assert len(tape) < 5
+        assert tape.stats()["segments_dropped"] == 5 - len(tape)
         # Most recently committed chunks survive.
         survivors = {key for key in tape._segments}
         assert (4, 64) in survivors
@@ -286,6 +358,7 @@ class TestCleanForwardTape:
         tape.start_recording()
         tape.commit_segment(self._segment(tape, (0, 64), nbytes=4096))
         assert len(tape) == 0
+        assert tape.stats()["segments_dropped"] == 1
 
     def test_segment_verification_rejects_different_input(self):
         tape = CleanForwardTape(max_bytes=1 << 20)
@@ -420,40 +493,3 @@ class TestRequantizeOwned:
         params = RequantParams(multiplier=np.int64(3), shift=2)
         requantize_owned(acc, params, channel_axis=1, relu=True)
         np.testing.assert_array_equal(acc, saved)
-
-
-# ----------------------------------------------------------------------
-# PR 2 cache regression: put() overwrite byte accounting
-# ----------------------------------------------------------------------
-class TestCacheOverwriteAccounting:
-    def test_overwrite_releases_old_bytes_before_charging_new(self):
-        cache = CleanAccumulatorCache(max_entries=8)
-        small = np.zeros(100, dtype=np.int64)
-        large = np.zeros(400, dtype=np.int64)
-        cache.put(("k",), small, small)
-        assert cache.nbytes == 2 * small.nbytes
-        cache.put(("k",), large, large)
-        assert cache.nbytes == 2 * large.nbytes
-        cache.put(("k",), small, small)
-        assert cache.nbytes == 2 * small.nbytes
-        assert len(cache) == 1
-
-    def test_overwrite_refreshes_lru_recency(self):
-        cache = CleanAccumulatorCache(max_entries=2)
-        a = np.zeros(10, dtype=np.int64)
-        cache.put(("old",), a, a)
-        cache.put(("young",), a, a)
-        cache.put(("old",), a, a)  # overwrite moves it to the fresh end
-        cache.put(("new",), a, a)  # evicts "young", not "old"
-        assert cache.get(("old",)) is not None
-        assert cache.get(("young",)) is None
-
-    def test_budget_holds_under_repeated_overwrites(self):
-        cache = CleanAccumulatorCache(max_entries=4, max_bytes=64_000)
-        for i in range(32):
-            payload = np.zeros(1000 + i, dtype=np.int64)
-            cache.put(("k", i % 3), payload, payload)
-            assert cache.nbytes <= 64_000
-            assert cache.nbytes == sum(
-                c.nbytes + a.nbytes for c, a in cache._entries.values()
-            )

@@ -5,8 +5,7 @@ through float BLAS kernels whenever an overflow bound certifies that every
 partial sum is exactly representable.  These tests pin the load-bearing
 claim — *bit-identical to the int64 einsum reference, always* — across
 random shapes and dtypes, at the worst-case operand magnitudes, on the tier
-boundaries, and through the forced-fallback path.  They also cover the
-clean-accumulator cache that reuses per-layer GEMMs across fault trials.
+boundaries, and through the forced-fallback path.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accelerator.engine import CleanAccumulatorCache, VectorisedEngine
+from repro.accelerator.engine import VectorisedEngine
 from repro.faults.injector import InjectionConfig
-from repro.faults.models import BitFlip, ConstantValue, StuckAtZero, TransientPulse
+from repro.faults.models import ConstantValue
 from repro.faults.sites import FaultSite
 from repro.runtime import gemm
 from repro.runtime.gemm import (
@@ -195,161 +194,3 @@ class TestEngineUsesExactCore:
         with gemm_backend("int64"):
             forced = VectorisedEngine().conv_accumulate(x, node, config)
         np.testing.assert_array_equal(auto, forced)
-
-
-class TestCleanAccumulatorCache:
-    def _engine_pair(self):
-        cached = VectorisedEngine(clean_cache=CleanAccumulatorCache(max_entries=8))
-        plain = VectorisedEngine()
-        return cached, plain
-
-    def test_hit_on_repeated_input(self):
-        cached, plain = self._engine_pair()
-        node = make_qconv(8, 8, 3, padding=1, seed=6)
-        x = random_int8((2, 8, 6, 6), seed=7)
-        first = cached.conv_accumulate(x, node)
-        second = cached.conv_accumulate(x, node)
-        assert cached.clean_cache.hits == 1
-        assert cached.clean_cache.misses == 1
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(first, plain.conv_accumulate(x, node))
-
-    def test_faulty_trials_reuse_clean_entry(self):
-        cached, plain = self._engine_pair()
-        node = make_qconv(8, 12, 3, padding=1, seed=8)
-        x = random_int8((2, 8, 6, 6), seed=9)
-        cached.conv_accumulate(x, node)  # primes the cache (baseline run)
-        for value in (0, -1, 5):
-            config = InjectionConfig.single(FaultSite(1, 2), ConstantValue(value))
-            fast = cached.conv_accumulate(x, node, config)
-            np.testing.assert_array_equal(fast, plain.conv_accumulate(x, node, config))
-        assert cached.clean_cache.hits == 3
-
-    def test_cached_entries_survive_faulty_mutation(self):
-        # A faulty trial must not corrupt the cached clean accumulator.
-        cached, plain = self._engine_pair()
-        node = make_qconv(8, 8, 3, padding=1, seed=10)
-        x = random_int8((1, 8, 5, 5), seed=11)
-        clean_before = cached.conv_accumulate(x, node)
-        cached.conv_accumulate(
-            x, node, InjectionConfig.single(FaultSite(0, 0), StuckAtZero())
-        )
-        clean_after = cached.conv_accumulate(x, node)
-        np.testing.assert_array_equal(clean_before, clean_after)
-        np.testing.assert_array_equal(clean_after, plain.conv_accumulate(x, node))
-
-    def test_different_inputs_are_distinct_entries(self):
-        cached, plain = self._engine_pair()
-        node = make_qconv(8, 8, 3, padding=1, seed=12)
-        a = random_int8((1, 8, 5, 5), seed=13)
-        b = random_int8((1, 8, 5, 5), seed=14)
-        np.testing.assert_array_equal(
-            cached.conv_accumulate(a, node), plain.conv_accumulate(a, node)
-        )
-        np.testing.assert_array_equal(
-            cached.conv_accumulate(b, node), plain.conv_accumulate(b, node)
-        )
-        assert cached.clean_cache.misses == 2
-        assert len(cached.clean_cache) == 2
-
-    def test_linear_path_cached(self):
-        from tests.conftest import make_qlinear
-
-        cached, plain = self._engine_pair()
-        node = make_qlinear(24, 10, final=True, seed=15)
-        x = random_int8((3, 24), seed=16)
-        cached.linear_accumulate(x, node)
-        config = InjectionConfig.single(FaultSite(1, 3), ConstantValue(100))
-        np.testing.assert_array_equal(
-            cached.linear_accumulate(x, node, config),
-            plain.linear_accumulate(x, node, config),
-        )
-        assert cached.clean_cache.hits == 1
-
-    def test_value_dependent_models_identical_with_cache(self):
-        # Bit flips materialise products from the cached cols; transient
-        # pulses additionally draw from the engine RNG — both must match an
-        # uncached engine with the same seed draw for draw.
-        for model in (BitFlip(7), TransientPulse(11, duty=0.5)):
-            cached = VectorisedEngine(
-                rng=np.random.default_rng(42),
-                clean_cache=CleanAccumulatorCache(max_entries=8),
-            )
-            plain = VectorisedEngine(rng=np.random.default_rng(42))
-            node = make_qconv(8, 8, 3, padding=1, seed=17)
-            x = random_int8((1, 8, 5, 5), seed=18)
-            config = InjectionConfig.single(FaultSite(3, 1), model)
-            cached.conv_accumulate(x, node)  # prime
-            plain.conv_accumulate(x, node)
-            np.testing.assert_array_equal(
-                cached.conv_accumulate(x, node, config),
-                plain.conv_accumulate(x, node, config),
-            )
-
-    def test_lru_eviction_is_bounded(self):
-        cache = CleanAccumulatorCache(max_entries=2)
-        engine = VectorisedEngine(clean_cache=cache)
-        node = make_qconv(8, 8, 1, seed=19)
-        for seed in range(5):
-            engine.conv_accumulate(random_int8((1, 8, 4, 4), seed=seed), node)
-        assert len(cache) == 2
-        assert cache.misses == 5
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            CleanAccumulatorCache(max_entries=0)
-
-    def test_byte_budget_bounds_payload(self):
-        node = make_qconv(8, 8, 1, seed=27)
-        x = random_int8((1, 8, 4, 4), seed=28)
-        # Size the budget to exactly two entries of this geometry.
-        probe = CleanAccumulatorCache(max_entries=8)
-        VectorisedEngine(clean_cache=probe).conv_accumulate(x, node)
-        entry_bytes = probe.nbytes
-        cache = CleanAccumulatorCache(max_entries=8, max_bytes=2 * entry_bytes)
-        engine = VectorisedEngine(clean_cache=cache)
-        for seed in range(5):
-            engine.conv_accumulate(random_int8((1, 8, 4, 4), seed=seed), node)
-        assert len(cache) == 2
-        assert cache.nbytes <= cache.max_bytes
-        # An over-budget single payload is skipped rather than evicting all.
-        tiny = CleanAccumulatorCache(max_entries=8, max_bytes=entry_bytes - 1)
-        engine = VectorisedEngine(clean_cache=tiny)
-        engine.conv_accumulate(x, node)
-        assert len(tiny) == 0 and tiny.nbytes == 0
-
-    def test_frozen_cache_hits_but_never_inserts(self):
-        # Campaign trials run against a frozen cache: primed entries hit,
-        # one-shot faulty activations are not retained.
-        cache = CleanAccumulatorCache(max_entries=8)
-        engine = VectorisedEngine(clean_cache=cache)
-        node = make_qconv(8, 8, 1, seed=24)
-        primed = random_int8((1, 8, 4, 4), seed=25)
-        engine.conv_accumulate(primed, node)  # baseline primes
-        cache.freeze()
-        one_shot = random_int8((1, 8, 4, 4), seed=26)
-        plain = VectorisedEngine()
-        np.testing.assert_array_equal(
-            engine.conv_accumulate(one_shot, node), plain.conv_accumulate(one_shot, node)
-        )
-        np.testing.assert_array_equal(
-            engine.conv_accumulate(primed, node), plain.conv_accumulate(primed, node)
-        )
-        assert len(cache) == 1  # the one-shot input was not inserted
-        assert cache.hits == 1 and cache.frozen
-        cache.thaw()
-        engine.conv_accumulate(one_shot, node)
-        assert len(cache) == 2
-
-    def test_stats_and_clear(self):
-        cache = CleanAccumulatorCache(max_entries=4)
-        engine = VectorisedEngine(clean_cache=cache)
-        node = make_qconv(8, 8, 1, seed=20)
-        x = random_int8((1, 8, 4, 4), seed=21)
-        engine.conv_accumulate(x, node)
-        engine.conv_accumulate(x, node)
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["entries"] == 1
-        assert stats["hit_rate"] == pytest.approx(0.5)
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0

@@ -359,13 +359,13 @@ class TestMemoryFaultPlatformExecution:
         }
 
     def test_taped_platform_matches_scalar_reference(self, tiny_platform, tiny_dataset):
-        """A tape/cache-armed vectorised platform must equal the scalar
+        """A tape-armed vectorised platform must equal the scalar
         reference for every memory fault family — including the weight-dwell
         case whose mid-plan corruption bypasses the tape."""
         images = tiny_dataset.test_images[:2]
         loadable = tiny_platform.loadable
         scalar = NVDLAAccelerator(engine="scalar")
-        taped = NVDLAAccelerator(engine="vectorised", cache_entries=64, tape_bytes=1 << 20)
+        taped = NVDLAAccelerator(engine="vectorised", tape_bytes=1 << 20)
         # record the tape with a fault-free baseline first, as campaigns do
         chunk = (0,)
         baseline = taped.execute(loadable, images, chunk_key=chunk)
@@ -415,7 +415,7 @@ class TestMemoryFaultPlatformExecution:
             input_node.quantize(images), [(site.byte_offset, site.bit)], per_sample=True
         )
         clean_acc = NVDLAAccelerator(engine="vectorised")
-        assert np.array_equal(clean_acc._dma_input(flipped), flipped)
+        assert np.array_equal(clean_acc._dma_input(flipped, clean_acc.injection_config), flipped)
         # execute() quantises internally, so feed the pre-flipped bytes to a
         # clean accelerator through a monkeypatched quantiser: the result
         # must equal the DMA-boundary corruption.

@@ -131,56 +131,6 @@ class TestDeterministicSharding:
         assert serial.records == spawned.records
 
 
-class TestCleanAccumulatorCacheDeterminism:
-    """The clean-accumulator cache must be invisible in campaign records.
-
-    These tests pin ``tape_bytes=0``: with the clean-activation tape armed
-    (the default) campaign chunks replay from the tape and the legacy
-    digest-keyed cache only serves ad-hoc executions, so exercising the
-    cache path needs the tape out of the way.
-    """
-
-    def _spec_with_cache(self, spec, entries):
-        import dataclasses
-
-        config = dataclasses.replace(
-            spec.platform_config, gemm_cache_entries=entries, tape_bytes=0
-        )
-        return dataclasses.replace(spec, platform_config=config)
-
-    def test_cached_and_uncached_records_identical(self, tiny_platform_spec, tiny_dataset):
-        cached_platform = self._spec_with_cache(tiny_platform_spec, 64).build()
-        uncached_platform = self._spec_with_cache(tiny_platform_spec, 0).build()
-        assert uncached_platform.gemm_cache_stats() is None
-
-        cached = ParallelCampaignRunner(cached_platform, STRATEGY, CONFIG).run(
-            tiny_dataset.test_images, tiny_dataset.test_labels
-        )
-        uncached = ParallelCampaignRunner(uncached_platform, STRATEGY, CONFIG).run(
-            tiny_dataset.test_images, tiny_dataset.test_labels
-        )
-        assert cached.records == uncached.records
-        assert cached.baseline_accuracy == uncached.baseline_accuracy
-
-        # The frozen batch means the baseline primes every layer and each
-        # trial reuses at least the first conv layer's clean GEMM; after the
-        # baseline the cache freezes so trials never insert dead entries.
-        stats = cached_platform.gemm_cache_stats()
-        assert stats["hits"] > 0
-        assert stats["frozen"] is True
-
-    def test_run_resets_cache_up_front(self, tiny_platform_spec, tiny_dataset):
-        platform = self._spec_with_cache(tiny_platform_spec, 64).build()
-        runner = ParallelCampaignRunner(platform, STRATEGY, CONFIG)
-        first = runner.run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        stats_first = platform.gemm_cache_stats()
-        second = runner.run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        stats_second = platform.gemm_cache_stats()
-        assert first.records == second.records
-        # Counters restart per run: identical work, identical statistics.
-        assert stats_first == stats_second
-
-
 class TestCheckpointResume:
     def _truncate_after(self, checkpoint, keep_records):
         """Simulate a run killed mid-campaign: keep the header and the first

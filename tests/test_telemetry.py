@@ -165,7 +165,6 @@ class TestCampaignTracing:
         assert by_name["campaign.runtime-stats"][0]["event"] == "point"
         gemm_counters = {n for n in by_name if n.startswith("gemm.")}
         assert "gemm.int64_calls" in gemm_counters
-        assert any(n.startswith("clean_cache.") for n in by_name)
         assert any(n.startswith("tape.") for n in by_name)
 
     def test_workers_never_write_to_the_parent_trace(
