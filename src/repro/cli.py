@@ -63,7 +63,7 @@ def _add_log_level_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
                         default=None,
                         help="verbosity of the repro.* loggers (e.g. 'info' surfaces "
-                             "supervisor recovery logs; default: warning, or the "
+                             "scheduler recovery logs; default: warning, or the "
                              "REPRO_LOG_LEVEL environment variable)")
 
 
@@ -98,7 +98,7 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _recovery_note(result) -> str | None:
-    """One line summarising what the supervisor had to heal, if anything."""
+    """One line summarising what the scheduler had to heal, if anything."""
     recovery = result.recovery or {}
     healed = (
         recovery.get("reclaimed", 0)
@@ -1035,7 +1035,7 @@ def main(argv: list[str] | None = None) -> int:
     # docker stop, CI cancellation, kill <pid>) flushes the same state and
     # prints the same resume hint as SIGINT, then exits with 128+15.
     # Forked pool workers reset SIGTERM to SIG_DFL in _worker_setup, so the
-    # supervisor's terminate_process() keeps its kill semantics.
+    # pool's terminate_process() keeps its kill semantics.
     previous_sigterm = None
     try:
         previous_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)

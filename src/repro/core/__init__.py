@@ -14,9 +14,10 @@ analyse the classification-accuracy drop.
 * :class:`~repro.core.parallel.ParallelCampaignRunner` — shards the trials
   of a campaign across worker processes with JSONL checkpointing and
   resume; the serial campaign is its ``workers=1`` special case.
-* :mod:`repro.core.supervisor` — the self-healing lease supervisor behind
-  the parallel runner: dead/hung-worker detection, bounded re-lease with
-  backoff, poison-shard quarantine.
+* :mod:`repro.core.leasebook` — the one campaign scheduler behind the
+  parallel runner and the fleet coordinator: lease fencing, index-keyed
+  record merge, bounded re-lease with backoff, poison-shard quarantine and
+  adaptive round barriers.
 * :mod:`repro.core.chaos` — deterministic harness-fault injection (seeded
   kill/hang/delay plans) used to prove recovery keeps records byte-identical.
 * :mod:`repro.core.sweep` — declarative scenario grids (models x fault
@@ -35,9 +36,9 @@ from repro.core.platform import EmulationPlatform, PlatformConfig
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
 from repro.core.chaos import ChaosEvent, ChaosMonkey, ChaosPlan, load_plan
 from repro.core.parallel import ParallelCampaignRunner, PlatformSpec, load_checkpoint, shard_indices
-from repro.core.supervisor import (
+from repro.core.leasebook import (
+    LeaseBook,
     LeaseState,
-    LeaseSupervisor,
     PoisonShardError,
     RecoveryLog,
     ShardLease,
@@ -98,8 +99,8 @@ __all__ = [
     "ChaosMonkey",
     "ChaosPlan",
     "load_plan",
+    "LeaseBook",
     "LeaseState",
-    "LeaseSupervisor",
     "PoisonShardError",
     "RecoveryLog",
     "ShardLease",

@@ -55,7 +55,7 @@ class CampaignConfig:
     #: functions of ``(seed, index)``.
     max_shard_retries: int = 2
     #: Seconds a worker may go without emitting any message (baseline meta
-    #: or a record) before the supervisor declares it hung, terminates it
+    #: or a record) before the worker pool declares it hung, terminates it
     #: and re-leases the shard.  ``None`` disables hang detection; size it
     #: as several multiples of platform build + the slowest trial group.
     shard_timeout: float | None = None

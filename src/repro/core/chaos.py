@@ -1,9 +1,9 @@
-"""Deterministic chaos harness for the campaign supervisor.
+"""Deterministic chaos harness for the campaign scheduler's transports.
 
 Fault-injection campaigns study faults in the *accelerator*; this module
 injects faults into the *harness that runs them* — dead workers, hung
-workers, slow workers — so the supervisor's recovery machinery
-(:mod:`repro.core.supervisor`) can be exercised deterministically in tests
+workers, slow workers — so the recovery machinery of the lease book
+(:mod:`repro.core.leasebook`) can be exercised deterministically in tests
 and CI instead of waiting for real infrastructure failures.
 
 A :class:`ChaosPlan` is a seeded, serialisable list of :class:`ChaosEvent`
@@ -15,7 +15,7 @@ slot*, *lease attempt*, *records emitted so far* — and an action:
   re-leased shard then re-emits some of them, which is exactly the
   duplicate-record case the checkpoint merge must resolve);
 * ``hang`` — the worker stops making progress (sleeps far past any
-  per-shard deadline) until the supervisor declares it hung and terminates
+  per-shard deadline) until the worker pool declares it hung and terminates
   it;
 * ``delay`` — the worker sleeps for ``seconds`` and then continues (a slow
   worker, not a failed one; no recovery should trigger).
@@ -49,12 +49,12 @@ logger = get_logger(__name__)
 #: Actions a chaos event may take inside a worker.
 ACTIONS = ("kill", "hang", "delay")
 
-#: Exit code of a chaos-killed worker (distinctive, so supervisor logs and
+#: Exit code of a chaos-killed worker (distinctive, so recovery logs and
 #: recovery provenance make the cause obvious).
 KILL_EXIT_CODE = 73
 
 #: How long a "hung" worker sleeps.  Far past any sane per-shard deadline;
-#: the supervisor terminates the worker long before this expires, and the
+#: the worker pool terminates the worker long before this expires, and the
 #: sleep never holds a queue lock so termination is safe.
 HANG_SECONDS = 3600.0
 
@@ -64,13 +64,15 @@ class ChaosEvent:
     """One injected harness fault at a logical point in a worker's life."""
 
     action: str
-    #: Worker slot (== lease id for shard campaigns, pool slot for adaptive).
+    #: Worker: the pool slot (lease ``w`` of a round runs on slot ``w``),
+    #: or the node ordinal of a fleet worker.
     worker: int
     #: Strike once the worker has emitted this many records in this attempt
     #: (0 = right after its baseline/meta message, before the first record).
     after_records: int
-    #: Only strike on this lease attempt (0 = the first attempt), so a
-    #: killed shard's retry runs clean and the campaign can complete.
+    #: Only strike on this attempt — the pool slot's epoch (0 = its first
+    #: process) or the fleet lease's attempt — so a killed shard's retry
+    #: runs clean and the campaign can complete.
     attempt: int = 0
     #: Sleep duration for ``delay`` events (ignored for kill/hang).
     seconds: float = 0.0

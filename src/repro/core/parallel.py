@@ -12,9 +12,9 @@ serial run** for any worker count and across interrupt/resume:
   randomness from :meth:`SeededRNG.child <repro.utils.rng.SeededRNG.child>`
   streams keyed by the trial's own coordinates, never from iteration order.
 * Sharding is deterministic: worker ``w`` of ``N`` evaluates the pending
-  indices ``pending[w::N]`` (round-robin, so structured strategies spread
-  evenly).  Because records are keyed by trial index, the assignment cannot
-  influence the result, only the wall-clock balance.
+  indices ``pending[w::N]`` of each round (round-robin, so structured
+  strategies spread evenly).  Because records are keyed by trial index,
+  the assignment cannot influence the result, only the wall-clock balance.
 * Each worker constructs its platform exactly once from a picklable
   :class:`PlatformSpec` and streams one record per finished trial back to
   the parent, which appends it to a JSONL checkpoint file.
@@ -34,13 +34,15 @@ lines (skipped and counted) and duplicate records from re-leased shards
 indices, validates the header against the requested campaign, and evaluates
 only the remainder.
 
-Execution is supervised, not fail-fast: every shard is a lease driven by
-:class:`~repro.core.supervisor.LeaseSupervisor`, which detects dead and hung
-workers, re-runs a lease's remaining trials with bounded retries, and
-quarantines (or raises on) shards that keep failing.  See
-:mod:`repro.core.supervisor` for the model and :mod:`repro.core.chaos` for
-the deterministic fault harness that proves recovered runs stay
-byte-identical.
+Execution is supervised, not fail-fast.  One
+:class:`~repro.core.leasebook.LeaseBook` schedules every campaign — a
+fixed-budget campaign is a single round — and a transport drives it: an
+in-process loop for ``workers=1`` and a :class:`WorkerPool` of persistent
+worker processes otherwise, which detects dead and hung workers and lets
+the book re-lease their remaining trials with bounded retries or
+quarantine (or raise on) shards that keep failing.  See
+:mod:`repro.core.chaos` for the deterministic fault harness that proves
+recovered runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -65,12 +67,7 @@ from repro.core.results import CampaignResult, TrialRecord
 from repro.core.shm import SharedBatch, release_batch, resolve_batch
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.strategies import InjectionStrategy, StrategyTrial
-from repro.core.supervisor import (
-    LeaseSupervisor,
-    RecoveryLog,
-    ShardLease,
-    terminate_process,
-)
+from repro.core.leasebook import LeaseBook, ShardLease
 from repro.faults.sites import FaultUniverse
 from repro.runtime.gemm import GEMM_STATS
 from repro.utils.durable import fsync_fileobj
@@ -83,6 +80,9 @@ logger = get_logger(__name__)
 
 #: Version tag written into checkpoint headers.
 CHECKPOINT_VERSION = 1
+
+#: Default result-queue poll interval when no hang deadline bounds it.
+DEFAULT_POLL = 0.5
 
 
 def checkpoint_header_line(
@@ -289,20 +289,6 @@ def _build_record(
     )
 
 
-def _record_for_trial(
-    platform: EmulationPlatform,
-    trial: StrategyTrial,
-    index: int,
-    baseline: float,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int,
-) -> TrialRecord:
-    """Evaluate one trial and build its record (shared by serial + workers)."""
-    accuracy = platform.accuracy_with_faults(trial.config, images, labels, batch_size=batch_size)
-    return _build_record(trial, index, baseline, accuracy)
-
-
 def _records_for_pairs(
     platform: EmulationPlatform,
     pairs: Sequence[tuple[int, StrategyTrial]],
@@ -323,18 +309,15 @@ def _records_for_pairs(
     group = max(1, config.fused_trials)
     for start in range(0, len(pairs), group):
         chunk = pairs[start : start + group]
+        configs = [trial.config for _, trial in chunk]
         if len(chunk) == 1:
-            index, trial = chunk[0]
-            yield _record_for_trial(
-                platform, trial, index, baseline, images, labels, config.batch_size
+            accuracies = [platform.accuracy_with_faults(
+                configs[0], images, labels, batch_size=config.batch_size
+            )]
+        else:
+            accuracies = platform.accuracies_with_faults(
+                configs, images, labels, batch_size=config.batch_size
             )
-            continue
-        accuracies = platform.accuracies_with_faults(
-            [trial.config for _, trial in chunk],
-            images,
-            labels,
-            batch_size=config.batch_size,
-        )
         for (index, trial), accuracy in zip(chunk, accuracies):
             yield _build_record(trial, index, baseline, accuracy)
 
@@ -349,7 +332,7 @@ def _worker_setup(config: CampaignConfig) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # The parent may have installed a raising SIGTERM handler (graceful
         # CLI termination with a resume hint); forked workers inherit it,
-        # but for them SIGTERM is the supervisor's terminate_process() and
+        # but for them SIGTERM is the pool's terminate_process() and
         # must keep its default kill semantics.
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main-thread start methods
@@ -371,51 +354,6 @@ def _worker_stats(platform: EmulationPlatform) -> dict:
     }
 
 
-def _shard_worker(
-    token: tuple[int, int],
-    spec: PlatformSpec,
-    strategy: InjectionStrategy,
-    config: CampaignConfig,
-    batch,
-    indices: list[int],
-    results: mp.Queue,
-) -> None:
-    """Worker entry point: build the platform once, evaluate one shard.
-
-    ``token`` is the ``(lease_id, attempt)`` pair identifying this service
-    of the shard; it tags every message so the supervisor can tell the
-    current attempt's lifecycle messages from a stale attempt's stragglers.
-    ``batch`` is either a zero-copy :class:`~repro.core.shm.SharedBatch`
-    (mapped, not pickled) or a plain ``(images, labels)`` tuple.
-    """
-    try:
-        _worker_setup(config)
-        monkey = ChaosMonkey(config.chaos, token[0], token[1], results)
-        images, labels = resolve_batch(batch)
-        platform = spec.build()
-        platform.reset_caches()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=config.batch_size)
-        results.put(("meta", token, (baseline, platform.inferences_per_second())))
-        monkey.on_record(0)
-        rng = SeededRNG(config.seed)
-        pairs = [
-            (index, strategy.trial_at(platform.universe, rng, index)) for index in indices
-        ]
-        emitted = 0
-        for record in _records_for_pairs(
-            platform, pairs, baseline, images, labels, config
-        ):
-            results.put(("record", token, record))
-            emitted += 1
-            monkey.on_record(emitted)
-        results.put(("stats", token, _worker_stats(platform)))
-        results.put(("done", token, None))
-    except Exception:  # pragma: no cover - exercised via the parent's error path
-        results.put(("error", token, traceback.format_exc()))
-    finally:
-        release_batch(batch)
-
-
 def _round_worker(
     token: tuple[int, int],
     spec: PlatformSpec,
@@ -425,17 +363,18 @@ def _round_worker(
     tasks: mp.Queue,
     results: mp.Queue,
 ) -> None:
-    """Persistent worker for adaptive campaigns: evaluates rounds on demand.
+    """Worker entry point: build the platform once, then serve leases.
 
-    Unlike :func:`_shard_worker` (whole shard known up front), an adaptive
-    campaign decides after every round whether more trials are needed, so
-    workers stay alive between rounds: build the platform once, then serve
-    index batches from ``tasks`` until the ``None`` sentinel arrives.  The
-    ``round-done`` message completes the worker's lease for that round.
+    Serves index lists from ``tasks`` until the ``None`` sentinel arrives;
+    a ``round-done`` message completes each one.  Workers stay alive
+    between leases, so an adaptive campaign's later rounds reuse the
+    built platform.
 
     ``token`` is ``(pool slot, epoch)``: the epoch bumps every time the
-    slot's process is respawned after a death or hang, so a terminated
-    worker's late messages can never complete a later epoch's round.
+    slot's process is respawned after a failure, so a terminated worker's
+    late lifecycle messages can never complete a later epoch's lease.
+    ``batch`` is either a zero-copy :class:`~repro.core.shm.SharedBatch`
+    (mapped, not pickled) or a plain ``(images, labels)`` tuple.
     """
     try:
         _worker_setup(config)
@@ -471,14 +410,179 @@ def _round_worker(
         release_batch(batch)
 
 
+def terminate_process(proc, grace: float = 5.0) -> None:
+    """Stop a worker process for good: terminate, then kill if it lingers."""
+    if proc is None:
+        return
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(grace)
+        if proc.is_alive():  # pragma: no cover - SIGTERM normally suffices
+            proc.kill()
+            proc.join(grace)
+    else:
+        proc.join(grace)
+
+
 @dataclass
 class _PoolSlot:
-    """One persistent adaptive-worker slot; the epoch bumps on respawn."""
+    """One persistent worker slot; the epoch bumps on every respawn."""
 
     slot_id: int
     proc: object | None = None
     tasks: object | None = None
     epoch: int = -1
+    #: Book token of the lease the slot is serving (``None`` when idle).
+    token: tuple[int, int] | None = None
+
+
+class WorkerPool:
+    """The process-pool transport: persistent worker slots serving a book.
+
+    Lease ``w`` always runs on slot ``w``, whose messages arrive on one
+    shared ``results`` queue as ``(kind, (slot, epoch), payload)``.  The
+    pool only moves messages and watches processes; every scheduling
+    decision — fencing, merge, reclaim, backoff, poison, round barriers —
+    is the :class:`~repro.core.leasebook.LeaseBook`'s.
+
+    * Records and baselines merge from any epoch (they are deterministic
+      and keyed by trial index); lifecycle messages (``round-done``,
+      ``error``) count only from the epoch serving the slot's lease.
+    * A slot whose process exited before completing its lease is reported
+      **dead** — but only once the queue reads empty, so a worker's
+      trailing messages are consumed first.
+    * A lease with no progress (any message from its current attempt)
+      for ``timeout`` seconds is **hung**: its worker is terminated.  The
+      deadline bounds the gap between records, not shard duration, so
+      size it as several multiples of the slowest trial group.
+
+    ``start(slot, epoch) -> (proc, tasks)`` launches a slot's process.
+    """
+
+    def __init__(self, size: int, *, start, results, timeout: float | None = None):
+        if timeout is not None and timeout <= 0:
+            raise ValueError("shard timeout must be positive (or None to disable)")
+        self.slots = [_PoolSlot(slot_id) for slot_id in range(size)]
+        self.start = start
+        self.results = results
+        self.timeout = timeout
+        #: Queue polls must wake often enough to notice a hang deadline.
+        self.poll = min(DEFAULT_POLL, timeout / 4.0) if timeout else DEFAULT_POLL
+
+    def serve(self, book: LeaseBook, sink: Callable[[str, object], None]) -> None:
+        """Drive ``book`` until it is done; ``sink`` receives merged records,
+        baseline reports and worker stats."""
+        while not book.done:
+            for lease in book.due():
+                self._launch(book, lease)
+            try:
+                message = self.results.get(timeout=self.poll)
+            except queue_module.Empty:
+                self._scan(book, queue_drained=True)
+                continue
+            self._dispatch(book, message, sink)
+            self._scan(book, queue_drained=False)
+
+    def _launch(self, book: LeaseBook, lease: ShardLease) -> None:
+        slot = self.slots[lease.lease_id]
+        slot.token = book.grant(lease)
+        if slot.proc is None or not slot.proc.is_alive():
+            slot.epoch += 1
+            slot.proc, slot.tasks = self.start(slot.slot_id, slot.epoch)
+        slot.tasks.put(sorted(lease.remaining))
+
+    def _dispatch(self, book: LeaseBook, message, sink) -> None:
+        kind, (slot_id, epoch), payload = message
+        slot = self.slots[slot_id]
+        token = slot.token if epoch == slot.epoch else None
+        if kind == "record":
+            for record in book.merge([payload]):
+                sink("record", record)
+        elif kind == "meta":
+            book.merge_meta(*payload)
+            sink("meta", payload)
+        elif kind == "stats":
+            sink("stats", payload)
+        if token is None:
+            return  # an idle slot or a terminated epoch's straggler
+        if kind in ("record", "meta"):
+            book.touch(*token)
+        elif kind == "error":
+            self._fail(book, slot, f"worker raised:\n{payload}", "worker_errors")
+        elif kind == "round-done":
+            slot.token = None
+            if not book.complete(*token):
+                terminate_process(slot.proc)
+
+    def _scan(self, book: LeaseBook, queue_drained: bool) -> None:
+        hung = {lease.lease_id for lease in book.silent(self.timeout)} if self.timeout else ()
+        for slot in self.slots:
+            if slot.token is None:
+                continue
+            if not slot.proc.is_alive():
+                if queue_drained:
+                    self._fail(
+                        book, slot,
+                        f"worker process died with exit code {slot.proc.exitcode} "
+                        f"before completing its lease",
+                        "dead_workers",
+                    )
+            elif slot.token[0] in hung:
+                logger.warning(
+                    "lease %d: no progress for over %.1fs; terminating worker",
+                    slot.token[0], self.timeout,
+                )
+                self._fail(
+                    book, slot,
+                    f"worker made no progress for {self.timeout}s "
+                    f"(hung; terminated by the supervisor)",
+                    "hung_workers",
+                )
+
+    def _fail(self, book: LeaseBook, slot: _PoolSlot, reason: str, cause: str) -> None:
+        # The slot's worker is unusable: stop it, so the lease's next
+        # attempt respawns the slot under a new epoch.
+        token, slot.token = slot.token, None
+        terminate_process(slot.proc)
+        book.fail(*token, reason, cause)
+
+    def shutdown(self, book: LeaseBook, sink, deadline: float = 30.0) -> None:
+        """Retire surviving workers, collecting their final stats.
+
+        Deadline-aware: a worker that dies or hangs *during shutdown*
+        forfeits its stats (they are observational) instead of stalling
+        the campaign.
+        """
+        waiting = set()
+        for slot in self.slots:
+            if slot.proc is not None and slot.proc.is_alive():
+                slot.tasks.put(None)
+                waiting.add(slot.slot_id)
+        deadline_at = time.monotonic() + deadline
+        while waiting and time.monotonic() < deadline_at:
+            try:
+                message = self.results.get(timeout=0.25)
+            except queue_module.Empty:
+                waiting -= {s.slot_id for s in self.slots if not s.proc.is_alive()}
+                continue
+            kind, (slot_id, epoch), _ = message
+            if epoch != self.slots[slot_id].epoch:
+                continue  # a terminated epoch's stragglers
+            if kind == "done":
+                waiting.discard(slot_id)
+                self.slots[slot_id].proc.join()
+            else:
+                self._dispatch(book, message, sink)
+        for slot in self.slots:
+            if slot.slot_id in waiting:  # pragma: no cover - shutdown stall
+                logger.warning(
+                    "pool worker %d did not retire within %.0fs; terminating",
+                    slot.slot_id, deadline,
+                )
+
+    def close(self) -> None:
+        for slot in self.slots:
+            terminate_process(slot.proc)
 
 
 # ----------------------------------------------------------------------
@@ -584,20 +688,12 @@ class ParallelCampaignRunner:
             resumed=len(completed),
         ) as span:
             try:
-                if self.plan is not None:
-                    if self.workers == 1:
-                        result = self._run_serial_adaptive(images, labels, header, completed)
-                    else:
-                        result = self._run_parallel_adaptive(images, labels, header, completed)
-                elif self.workers == 1:
-                    result = self._run_serial(images, labels, header, completed)
-                else:
-                    result = self._run_parallel(images, labels, header, completed)
+                result = self._execute(images, labels, header, completed)
             finally:
-                # The serial paths arm the process-global profiler when
-                # config.profile is set; restore it even when a run raises so
-                # later campaigns in this process don't silently pay for (and
-                # pollute) profiling state.
+                # The in-process transport arms the process-global profiler
+                # when config.profile is set; restore it even when a run
+                # raises so later campaigns in this process don't silently
+                # pay for (and pollute) profiling state.
                 PROFILER.enabled = profiler_was_enabled
             result.wall_seconds = time.perf_counter() - start
             result.sort_records()
@@ -720,15 +816,6 @@ class ParallelCampaignRunner:
         writer.write(checkpoint_record_line(record))
         fsync_fileobj(writer)
 
-    @staticmethod
-    def _check_baseline(observed: float, reference: float, source: str) -> None:
-        if observed != reference:
-            raise RuntimeError(
-                f"baseline accuracy {observed!r} disagrees with {source} "
-                f"({reference!r}); the platform or dataset is not deterministic, "
-                "so campaign records would not be reproducible"
-            )
-
     # ------------------------------------------------------------------
     # Runtime statistics (observational; never part of campaign identity)
     # ------------------------------------------------------------------
@@ -801,26 +888,6 @@ class ParallelCampaignRunner:
             workers=stats.get("workers"),
         )
 
-    def _serial_stats_begin(self) -> None:
-        self._gemm_before = GEMM_STATS.as_dict()
-        self._profiler_was_enabled = PROFILER.enabled
-        if self.config.profile:
-            PROFILER.enabled = True
-            PROFILER.reset()
-
-    def _serial_stats_end(self, platform: EmulationPlatform) -> dict | None:
-        delta = {
-            key: value - self._gemm_before.get(key, 0)
-            for key, value in GEMM_STATS.as_dict().items()
-        }
-        part = {
-            "gemm": delta,
-            "tape": platform.tape_stats(),
-            "profile": PROFILER.as_dict() if self.config.profile else None,
-        }
-        PROFILER.enabled = self._profiler_was_enabled
-        return self._aggregate_runtime_stats([part], workers=1)
-
     def _make_batch(self, images: np.ndarray, labels: np.ndarray):
         """``(batch payload, shared handle or None)`` for worker processes.
 
@@ -839,9 +906,9 @@ class ParallelCampaignRunner:
         return (images, labels), None
 
     # ------------------------------------------------------------------
-    # Serial path (workers == 1)
+    # The one campaign body: a lease book driven by a transport
     # ------------------------------------------------------------------
-    def _run_serial(
+    def _execute(
         self,
         images: np.ndarray,
         labels: np.ndarray,
@@ -849,96 +916,132 @@ class ParallelCampaignRunner:
         completed: dict[int, TrialRecord],
     ) -> CampaignResult:
         cfg = self.config
-        platform = self.platform if self.platform is not None else self.spec.build()
-        # Fresh tape per run: deterministic memory profile, and reused
-        # platforms (serial campaigns) don't carry entries across campaigns.
-        platform.reset_caches()
-        self._serial_stats_begin()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
-        if header is not None:
-            self._check_baseline(baseline, header["baseline_accuracy"], "the checkpoint header")
-        ips = platform.inferences_per_second()
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=len(labels),
-            seed=cfg.seed,
-            emulated_inferences_per_second=ips,
+        platform = None
+        if self.workers == 1:
+            platform = self.platform if self.platform is not None else self.spec.build()
+            # Fresh tape per run: deterministic memory profile, and reused
+            # platforms (serial campaigns) don't carry entries across campaigns.
+            platform.reset_caches()
+            trial_at, total = self._trial_source(platform.universe)
+        else:
+            total = self.strategy.expected_trials(self._universe())
+        book = LeaseBook(
+            total,
+            plan=self.plan,
+            records=completed,
+            baseline=header["baseline_accuracy"] if header is not None else None,
+            ips=header.get("emulated_inferences_per_second") if header is not None else None,
+            split=lambda pending: shard_indices(pending, self.workers),
+            max_retries=cfg.max_shard_retries,
+            backoff=cfg.retry_backoff,
+            poison_policy=cfg.poison_policy,
+            log_every=cfg.log_every,
         )
-        writer = self._open_checkpoint(fresh=header is None)
+        header_written = header is not None
+        stats_parts: list[dict] = []
+        writer = None
+
+        def sink(kind: str, payload) -> None:
+            nonlocal header_written
+            if kind == "meta" and not header_written:
+                self._write_header(writer, book.baseline, book.ips, len(labels))
+                header_written = True
+            elif kind == "record":
+                self._write_record(writer, payload)
+            elif kind == "stats":
+                stats_parts.append(payload)
+
         try:
-            if header is None:
-                self._write_header(writer, baseline, ips, len(labels))
-            # The expected trial count is only needed for progress logging;
-            # compute it lazily so custom strategies that implement trials()
-            # but not expected_trials() still run (with indexless progress).
-            expected: int | str | None = None
-            rng = SeededRNG(cfg.seed)
-            pending: list[tuple[int, StrategyTrial]] = []
-            group = max(1, cfg.fused_trials)
-
-            def flush() -> None:
-                nonlocal expected
-                for record in _records_for_pairs(
-                    platform, pending, baseline, images, labels, cfg
-                ):
-                    result.add(record)
-                    self._write_record(writer, record)
-                    if cfg.log_every and (record.trial_index + 1) % cfg.log_every == 0:
-                        if expected is None:
-                            total = self._total_trials()
-                            expected = "?" if total is None else total
-                        logger.info(
-                            "trial %d/%s: %s -> accuracy %.3f (drop %.3f)",
-                            record.trial_index + 1,
-                            expected,
-                            record.description,
-                            record.accuracy,
-                            record.accuracy_drop,
-                        )
-                pending.clear()
-
-            for index, trial in enumerate(self.strategy.trials(platform.universe, rng)):
-                if index in completed:
-                    result.add(completed[index])
-                    continue
-                pending.append((index, trial))
-                if len(pending) >= group:
-                    flush()
-            flush()
+            writer = self._open_checkpoint(fresh=header is None)
+            if platform is not None:
+                self._serve_in_process(book, sink, platform, trial_at, images, labels)
+            else:
+                self._serve_pool(book, sink, images, labels)
         finally:
             if writer is not None:
                 writer.close()
-        result.runtime_stats = self._serial_stats_end(platform)
+
+        if book.baseline is None:
+            # No worker survived long enough to report a baseline (every
+            # lease quarantined before its meta message) and the header
+            # carried none either.
+            raise RuntimeError("campaign finished without establishing a baseline accuracy")
+        result = CampaignResult(
+            baseline_accuracy=book.baseline,
+            strategy=self.strategy.name,
+            num_images=len(labels),
+            seed=cfg.seed,
+            emulated_inferences_per_second=book.ips,
+        )
+        if self.plan is None:
+            result.records = [book.records[index] for index in sorted(book.records)]
+        else:
+            result.records = [book.records[index] for index in range(book.stop_end)]
+            interval = self.plan.interval(result.records)
+            result.adaptive = {
+                "plan": self.plan.to_dict(),
+                "budget": book.budget,
+                "rounds_completed": book.completed_rounds,
+                "trials_evaluated": book.stop_end,
+                "stopped_early": book.stop_end < book.budget,
+                "final_half_width": interval.half_width if interval is not None else None,
+                "final_interval": interval.to_dict() if interval is not None else None,
+            }
+        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, self.workers)
+        if platform is None:
+            result.recovery = book.recovery.to_dict()
+            if any(self._checkpoint_stats.values()):
+                result.recovery["checkpoint"] = dict(self._checkpoint_stats)
         return result
 
-    # ------------------------------------------------------------------
-    # Parallel path (workers > 1)
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
+    def _trial_source(self, universe: FaultUniverse):
+        """``(trial_at(index), total_trials)`` for in-process evaluation.
+
+        A strategy that implements only ``trials()`` is enumerated once up
+        front, so it runs through the same index-keyed book as the rest.
+        """
+        rng = SeededRNG(self.config.seed)
+        if self.strategy.supports_random_access:
+            return (
+                lambda index: self.strategy.trial_at(universe, rng, index),
+                self.strategy.expected_trials(universe),
+            )
+        trials = list(self.strategy.trials(universe, rng))
+        return trials.__getitem__, len(trials)
+
+    def _serve_in_process(self, book, sink, platform, trial_at, images, labels) -> None:
+        """The ``workers=1`` transport: serve every lease in this process.
+
+        A trial's exception propagates directly — there is no process to
+        lose, so nothing is retried.
+        """
         cfg = self.config
-        total = self.strategy.expected_trials(self._universe())
-        pending = [i for i in range(total) if i not in completed]
-        if not pending and header is None:
-            # Nothing to shard and no header to take the baseline from
-            # (e.g. a zero-trial strategy): the serial path establishes the
-            # baseline and returns the same (empty) result workers=1 would.
-            return self._run_serial(images, labels, header, completed)
-        shards = shard_indices(pending, self.workers)
+        gemm_before = GEMM_STATS.as_dict()
+        if cfg.profile:
+            PROFILER.enabled = True
+            PROFILER.reset()
+        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
+        book.merge_meta(baseline, platform.inferences_per_second())
+        sink("meta", None)
+        while not book.done:
+            for lease in book.due():
+                token = book.grant(lease)
+                pairs = [(index, trial_at(index)) for index in sorted(lease.remaining)]
+                for record in _records_for_pairs(
+                    platform, pairs, baseline, images, labels, cfg
+                ):
+                    for merged in book.merge([record]):
+                        sink("record", merged)
+                book.complete(*token)
+        stats = _worker_stats(platform)
+        stats["gemm"] = {
+            key: value - gemm_before.get(key, 0) for key, value in stats["gemm"].items()
+        }
+        sink("stats", stats)
 
-        baseline: float | None = None
-        ips: float | None = None
-        if header is not None:
-            baseline = header["baseline_accuracy"]
-            ips = header.get("emulated_inferences_per_second")
-        records: dict[int, TrialRecord] = dict(completed)
-
+    def _serve_pool(self, book, sink, images, labels) -> None:
+        """The ``workers>1`` transport: persistent worker processes."""
+        cfg = self.config
         # fork is cheap (the spec crosses the process boundary by page
         # sharing, not pickling) but only reliably safe on Linux; macOS
         # frameworks (Accelerate, libdispatch) are not fork-safe.
@@ -949,423 +1052,31 @@ class ParallelCampaignRunner:
         )
         ctx = mp.get_context(method)
         results: mp.Queue = ctx.Queue()
-        stats_parts: list[dict] = []
-        leases = [ShardLease(lease_id, shard) for lease_id, shard in enumerate(shards)]
-        header_written = header is not None
-        # Every resource needing parent-side reaping — the /dev/shm batch
-        # segment, the worker processes, the checkpoint writer — is
-        # allocated *inside* the try: workers release their attachment in a
-        # `finally`, but a worker killed mid-trial never runs it, so the
-        # parent's unlink below is the only thing standing between an
-        # abnormal exit and a leaked shared-memory segment.
-        shared = None
-        writer = None
         batch = None
 
-        def handle(kind: str, payload) -> None:
-            nonlocal baseline, ips, header_written
-            if kind == "meta":
-                worker_baseline, worker_ips = payload
-                if baseline is None:
-                    baseline, ips = worker_baseline, worker_ips
-                else:
-                    # Every worker must reproduce the exact same baseline —
-                    # this is the determinism invariant the records rely on.
-                    self._check_baseline(worker_baseline, baseline, "another worker")
-                if not header_written:
-                    self._write_header(writer, baseline, ips, len(labels))
-                    header_written = True
-            elif kind == "record":
-                records[payload.trial_index] = payload
-                self._write_record(writer, payload)
-                if cfg.log_every and len(records) % cfg.log_every == 0:
-                    logger.info("completed %d/%d trials", len(records), total)
-            elif kind == "stats":
-                stats_parts.append(payload)
-
-        def spawn(lease: ShardLease) -> tuple[object, tuple[int, int]]:
-            # A re-leased shard serves only what its dead worker left
-            # behind; records are keyed by index, so re-running a subset is
-            # byte-identical to running the full shard once.
-            token = (lease.lease_id, lease.attempt - 1)
+        def start(slot_id: int, epoch: int):
+            tasks = ctx.Queue()
             proc = ctx.Process(
-                target=_shard_worker,
-                args=(token, self.spec, self.strategy, cfg, batch,
-                      sorted(lease.remaining), results),
+                target=_round_worker,
+                args=((slot_id, epoch), self.spec, self.strategy, cfg, batch,
+                      tasks, results),
                 daemon=True,
             )
             proc.start()
-            return proc, token
+            return proc, tasks
 
-        def reap(lease: ShardLease, failed: bool) -> None:
-            terminate_process(lease.proc) if failed else lease.proc.join()
-
-        try:
-            batch, shared = self._make_batch(images, labels)
-            writer = self._open_checkpoint(fresh=header is None)
-            supervisor = LeaseSupervisor(
-                leases,
-                results=results,
-                spawn=spawn,
-                reap=reap,
-                handle=handle,
-                max_retries=cfg.max_shard_retries,
-                timeout=cfg.shard_timeout,
-                backoff=cfg.retry_backoff,
-                poison_policy=cfg.poison_policy,
-            )
-            recovery = supervisor.run()
-        finally:
-            for lease in leases:
-                terminate_process(lease.proc)
-            if writer is not None:
-                writer.close()
-            if shared is not None:
-                shared.unlink()
-
-        if baseline is None:
-            # No worker survived long enough to report a baseline (every
-            # shard quarantined before its meta message) and the header
-            # carried none either.
-            raise RuntimeError("campaign finished without establishing a baseline accuracy")
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=len(labels),
-            seed=cfg.seed,
-            emulated_inferences_per_second=ips,
-        )
-        result.records = [records[i] for i in sorted(records)]
-        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, len(leases))
-        result.recovery = self._recovery_dict(recovery)
-        return result
-
-    def _recovery_dict(self, recovery: RecoveryLog) -> dict:
-        """Recovery provenance for the result (observational, never identity)."""
-        out = recovery.to_dict()
-        if any(self._checkpoint_stats.values()):
-            out["checkpoint"] = dict(self._checkpoint_stats)
-        return out
-
-    # ------------------------------------------------------------------
-    # Adaptive (confidence-bounded) execution
-    # ------------------------------------------------------------------
-    def _adaptive_progress(
-        self, bounds: list[tuple[int, int]], records: dict[int, TrialRecord]
-    ) -> tuple[int, int, bool]:
-        """Replay the stopping rule over rounds already present in ``records``.
-
-        Returns ``(completed_rounds, stop_end, stopped)``: how many leading
-        rounds are fully evaluated, the trial-index bound of the campaign so
-        far, and whether the plan's stopping rule already fired.  Because
-        the rule is a pure function of the completed rounds' records, a
-        resumed campaign reaches the exact stopping round of an
-        uninterrupted one.
-        """
-        completed_rounds = 0
-        stop_end = 0
-        for start, end in bounds:
-            if not all(index in records for index in range(start, end)):
-                break
-            completed_rounds += 1
-            stop_end = end
-            round_records = [records[index] for index in range(end)]
-            if self.plan.should_stop(completed_rounds, round_records):
-                return completed_rounds, end, True
-        return completed_rounds, stop_end, False
-
-    def _adaptive_result(
-        self,
-        baseline: float,
-        ips: float | None,
-        num_images: int,
-        records: dict[int, TrialRecord],
-        budget: int,
-        rounds_completed: int,
-        stop_end: int,
-    ) -> CampaignResult:
-        """Assemble the campaign result of the rounds up to ``stop_end``."""
-        result = CampaignResult(
-            baseline_accuracy=baseline,
-            strategy=self.strategy.name,
-            num_images=num_images,
-            seed=self.config.seed,
-            emulated_inferences_per_second=ips,
-        )
-        result.records = [records[index] for index in range(stop_end)]
-        interval = self.plan.interval(result.records)
-        result.adaptive = {
-            "plan": self.plan.to_dict(),
-            "budget": budget,
-            "rounds_completed": rounds_completed,
-            "trials_evaluated": stop_end,
-            "stopped_early": stop_end < budget,
-            "final_half_width": interval.half_width if interval is not None else None,
-            "final_interval": interval.to_dict() if interval is not None else None,
-        }
-        return result
-
-    def _run_serial_adaptive(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        plan = self.plan
-        platform = self.platform if self.platform is not None else self.spec.build()
-        platform.reset_caches()
-        self._serial_stats_begin()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
-        if header is not None:
-            self._check_baseline(baseline, header["baseline_accuracy"], "the checkpoint header")
-        ips = platform.inferences_per_second()
-        budget = plan.budget(self.strategy.expected_trials(platform.universe))
-        bounds = plan.round_bounds(budget)
-        records = dict(completed)
-        writer = self._open_checkpoint(fresh=header is None)
-        try:
-            if header is None:
-                self._write_header(writer, baseline, ips, len(labels))
-            completed_rounds, stop_end, stopped = self._adaptive_progress(bounds, records)
-            rng = SeededRNG(cfg.seed)
-            for round_number in range(completed_rounds, len(bounds) if not stopped else 0):
-                start, end = bounds[round_number]
-                pairs = [
-                    (index, self.strategy.trial_at(platform.universe, rng, index))
-                    for index in range(start, end)
-                    if index not in records
-                ]
-                for record in _records_for_pairs(
-                    platform, pairs, baseline, images, labels, cfg
-                ):
-                    records[record.trial_index] = record
-                    self._write_record(writer, record)
-                completed_rounds = round_number + 1
-                stop_end = end
-                round_records = [records[index] for index in range(end)]
-                if cfg.log_every:
-                    interval = plan.interval(round_records)
-                    logger.info(
-                        "round %d (%d/%d trials): half-width %s (target %g)",
-                        completed_rounds,
-                        end,
-                        budget,
-                        "n/a" if interval is None else f"{interval.half_width:.4f}",
-                        plan.target_half_width,
-                    )
-                if plan.should_stop(completed_rounds, round_records):
-                    break
-        finally:
-            if writer is not None:
-                writer.close()
-        result = self._adaptive_result(
-            baseline, ips, len(labels), records, budget, completed_rounds, stop_end
-        )
-        result.runtime_stats = self._serial_stats_end(platform)
-        return result
-
-    def _run_parallel_adaptive(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        header: dict | None,
-        completed: dict[int, TrialRecord],
-    ) -> CampaignResult:
-        cfg = self.config
-        plan = self.plan
-        budget = plan.budget(self.strategy.expected_trials(self._universe()))
-        bounds = plan.round_bounds(budget)
-        records = dict(completed)
-        completed_rounds, stop_end, stopped = self._adaptive_progress(bounds, records)
-        if stopped or completed_rounds == len(bounds):
-            # The checkpoint alone decides the campaign (resume after a
-            # finished run): no trial needs evaluating, so don't pay for a
-            # worker pool — but the baseline must come from somewhere.
-            if header is None:
-                return self._run_serial_adaptive(images, labels, header, completed)
-            return self._adaptive_result(
-                header["baseline_accuracy"],
-                header.get("emulated_inferences_per_second"),
-                len(labels),
-                records,
-                budget,
-                completed_rounds,
-                stop_end,
-            )
-
-        baseline: float | None = None
-        ips: float | None = None
-        if header is not None:
-            baseline = header["baseline_accuracy"]
-            ips = header.get("emulated_inferences_per_second")
-
-        method = self.start_method or (
-            "fork"
-            if sys.platform == "linux" and "fork" in mp.get_all_start_methods()
-            else "spawn"
-        )
-        ctx = mp.get_context(method)
-        results: mp.Queue = ctx.Queue()
-        header_written = header is not None
-        stats_parts: list[dict] = []
-        slots = [_PoolSlot(slot_id) for slot_id in range(self.workers)]
-        recovery = RecoveryLog()
-        # Allocated inside the try for the same reason as _run_parallel:
-        # the parent's finally is the only reliable reaper of the shared
-        # batch segment when a worker exits abnormally.
+        pool = WorkerPool(self.workers, start=start, results=results,
+                          timeout=cfg.shard_timeout)
+        # The /dev/shm batch segment is allocated *inside* the try: workers
+        # release their attachment in a `finally`, but a worker killed
+        # mid-trial never runs it, so the unlink below is the only thing
+        # standing between an abnormal exit and a leaked segment.
         shared = None
-        writer = None
-        batch = None
-
-        def handle(kind: str, payload) -> None:
-            nonlocal baseline, ips, header_written
-            if kind == "meta":
-                worker_baseline, worker_ips = payload
-                if baseline is None:
-                    baseline, ips = worker_baseline, worker_ips
-                else:
-                    self._check_baseline(worker_baseline, baseline, "another worker")
-                if not header_written:
-                    self._write_header(writer, baseline, ips, len(labels))
-                    header_written = True
-            elif kind == "record":
-                records[payload.trial_index] = payload
-                self._write_record(writer, payload)
-            elif kind == "stats":
-                stats_parts.append(payload)
-
-        def spawn(lease: ShardLease) -> tuple[object, tuple[int, int]]:
-            # Lease ids are pool slot ids.  A healthy slot keeps its warm
-            # worker (platform already built) across rounds; a slot whose
-            # worker died or hung gets a fresh process under a bumped epoch,
-            # so the old worker's late lifecycle messages can never be
-            # mistaken for the new attempt's.
-            slot = slots[lease.lease_id]
-            if slot.proc is None or not slot.proc.is_alive():
-                slot.epoch += 1
-                slot.tasks = ctx.Queue()
-                slot.proc = ctx.Process(
-                    target=_round_worker,
-                    args=((slot.slot_id, slot.epoch), self.spec, self.strategy,
-                          cfg, batch, slot.tasks, results),
-                    daemon=True,
-                )
-                slot.proc.start()
-            slot.tasks.put(sorted(lease.remaining))
-            return slot.proc, (slot.slot_id, slot.epoch)
-
-        def reap(lease: ShardLease, failed: bool) -> None:
-            if failed:
-                # The slot's worker is unusable (dead, hung or erroring):
-                # stop it so the next attempt respawns under a new epoch.
-                terminate_process(slots[lease.lease_id].proc)
-            # failed=False: keep the persistent worker warm for later rounds.
-
         try:
             batch, shared = self._make_batch(images, labels)
-            writer = self._open_checkpoint(fresh=header is None)
-            for round_number in range(completed_rounds, len(bounds)):
-                start, end = bounds[round_number]
-                pending = [index for index in range(start, end) if index not in records]
-                if pending:
-                    shards = shard_indices(pending, self.workers)
-                    leases = [ShardLease(w, shard) for w, shard in enumerate(shards)]
-                    supervisor = LeaseSupervisor(
-                        leases,
-                        results=results,
-                        spawn=spawn,
-                        reap=reap,
-                        handle=handle,
-                        complete_kind="round-done",
-                        max_retries=cfg.max_shard_retries,
-                        timeout=cfg.shard_timeout,
-                        backoff=cfg.retry_backoff,
-                        poison_policy=cfg.poison_policy,
-                        recovery=recovery,
-                    )
-                    supervisor.run()
-                missing = [index for index in range(start, end) if index not in records]
-                if missing:
-                    # A quarantined poison shard left holes in this round.
-                    # The stopping rule is a pure function of *complete*
-                    # rounds, so the campaign ends at the last full one.
-                    logger.error(
-                        "round %d is missing %d trial(s) from poison shard(s); "
-                        "stopping the adaptive campaign after round %d",
-                        round_number + 1, len(missing), completed_rounds,
-                    )
-                    break
-                completed_rounds = round_number + 1
-                stop_end = end
-                round_records = [records[index] for index in range(end)]
-                if cfg.log_every:
-                    logger.info("completed round %d: %d/%d trials", completed_rounds, end, budget)
-                if plan.should_stop(completed_rounds, round_records):
-                    break
-            self._shutdown_pool(slots, results, stats_parts, handle)
+            pool.serve(book, sink)
+            pool.shutdown(book, sink)
         finally:
-            for slot in slots:
-                terminate_process(slot.proc)
-            if writer is not None:
-                writer.close()
+            pool.close()
             if shared is not None:
                 shared.unlink()
-
-        if baseline is None:
-            raise RuntimeError("campaign finished without establishing a baseline accuracy")
-        result = self._adaptive_result(
-            baseline, ips, len(labels), records, budget, completed_rounds, stop_end
-        )
-        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, self.workers)
-        result.recovery = self._recovery_dict(recovery)
-        return result
-
-    @staticmethod
-    def _shutdown_pool(
-        slots: list[_PoolSlot],
-        results: mp.Queue,
-        stats_parts: list[dict],
-        handle: Callable[[str, object], None],
-        deadline: float = 30.0,
-    ) -> None:
-        """Retire surviving pool workers, collecting their final stats.
-
-        Deadline-aware: a worker that dies or hangs *during shutdown*
-        forfeits its stats (they are observational) instead of stalling the
-        campaign — the old collector would block forever here.
-        """
-        waiting = set()
-        for slot in slots:
-            if slot.proc is not None and slot.proc.is_alive():
-                slot.tasks.put(None)
-                waiting.add(slot.slot_id)
-        deadline_at = time.monotonic() + deadline
-        while waiting and time.monotonic() < deadline_at:
-            try:
-                kind, token, payload = results.get(timeout=0.25)
-            except queue_module.Empty:
-                for slot in slots:
-                    if slot.slot_id in waiting and not slot.proc.is_alive():
-                        waiting.discard(slot.slot_id)
-                continue
-            slot_id, epoch = token
-            if slot_id >= len(slots) or epoch != slots[slot_id].epoch:
-                continue  # a terminated epoch's stragglers
-            if kind == "stats":
-                stats_parts.append(payload)
-            elif kind == "done":
-                waiting.discard(slot_id)
-                slots[slot_id].proc.join()
-            elif kind in ("record", "meta"):
-                # Late but valid data from the current epoch (deterministic,
-                # deduplicated by trial index downstream).
-                handle(kind, payload)
-        for slot in slots:
-            if slot.slot_id in waiting:  # pragma: no cover - shutdown stall
-                logger.warning(
-                    "adaptive worker %d did not retire within %.0fs; terminating",
-                    slot.slot_id, deadline,
-                )
-                terminate_process(slot.proc)

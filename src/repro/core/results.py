@@ -86,7 +86,7 @@ class CampaignResult:
     #: fixed-budget campaigns.
     adaptive: dict | None = None
     #: Execution statistics aggregated across the parent and every worker
-    #: process (GEMM kernel counters, clean-cache/tape hit rates, optional
+    #: process (GEMM kernel counters, tape hit rates, optional
     #: per-stage wall-time profile).  Purely observational: two runs with
     #: different worker counts produce identical records but different
     #: runtime stats, so these are excluded from record-level artifacts.
@@ -95,7 +95,7 @@ class CampaignResult:
     #: per axis) stamped by the producing runner/CLI; ``None`` for results
     #: built programmatically or loaded from pre-provenance artifacts.
     provenance: dict | None = None
-    #: What the lease supervisor healed while producing this result: lease
+    #: What the lease book healed while producing this result: lease
     #: attempts, reclaimed leases, dead/hung workers, poison shards, plus
     #: the corrupt/duplicate checkpoint lines collapsed on resume.  Like
     #: ``runtime_stats``, purely observational — recovery never changes

@@ -11,8 +11,8 @@ platform.  A *sweep* evaluates the cross product of four declarative axes —
 * **platforms** — MAC-array geometry and engine configuration,
 
 — as one :class:`ScenarioGrid` of independent scenarios.  Every scenario is
-compiled once (workers prime the clean-accumulator cache during their
-baseline pass) and executed as deterministic trial shards through
+compiled once (workers record the clean-activation tape during their baseline
+pass) and executed as deterministic trial shards through
 :class:`~repro.core.parallel.ParallelCampaignRunner`, so the merged sweep
 artifact is bit-identical for any worker count and survives kill + resume
 exactly like a single campaign does.
@@ -896,7 +896,7 @@ class SweepRunner:
     scenario under ``<sweep_dir>/scenarios/``); ``resume=True`` completes
     exactly the missing trials of a killed sweep.  Scenarios sharing a
     (model, platform) cell reuse one trained platform spec, and each worker
-    primes its clean-accumulator cache during the scenario's baseline pass.
+    records its clean-activation tape during the scenario's baseline pass.
 
     A custom ``resolver`` replaces the zoo lookup (e.g. in tests, where a
     tiny pre-trained platform spec stands in for the case-study model).

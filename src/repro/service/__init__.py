@@ -1,15 +1,15 @@
 """Fleet execution: a campaign coordinator service and worker node agents.
 
-The package extends the single-host lease supervision of
-:mod:`repro.core.supervisor` across the wire:
+The package drives the campaign scheduler of :mod:`repro.core.leasebook`
+across the wire:
 
 * :mod:`repro.service.protocol` — typed, validated JSON wire messages;
 * :mod:`repro.service.client` — HTTP client with bounded retry/timeout and
   seeded exponential backoff + jitter;
-* :mod:`repro.service.jobs` — the coordinator-side lease book: network
-  leases carry the same ``(lease_id, attempt)`` tokens as local shards,
-  missed heartbeats reclaim them with exponential backoff, and exhausted
-  retries escalate to the poison policy;
+* :mod:`repro.service.jobs` — the coordinator-side transport: one lease
+  book per scenario, so network leases carry the same ``(lease_id,
+  attempt)`` tokens as local shards, missed heartbeats reclaim them with
+  exponential backoff, and exhausted retries escalate to the poison policy;
 * :mod:`repro.service.coordinator` — the ``repro serve`` HTTP service
   (stdlib :class:`~http.server.ThreadingHTTPServer`; zero new deps);
 * :mod:`repro.service.worker` — the ``repro worker`` node agent: register,

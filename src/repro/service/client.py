@@ -7,7 +7,7 @@ failure semantics fleet recovery depends on:
 * a **timeout** on every request (a partitioned coordinator can never hang
   a node forever);
 * **bounded retries** with the same capped exponential backoff the lease
-  supervisor uses (:func:`repro.core.supervisor.backoff_delay`), plus a
+  book uses (:func:`repro.core.leasebook.backoff_delay`), plus a
   deterministic seeded jitter so a reconnecting fleet does not stampede;
 * a hard distinction between *transport* failures (connection refused,
   reset, timeout, 5xx, torn response — retried: the chaos plan's ``drop``
@@ -29,7 +29,7 @@ from http.client import HTTPException
 from urllib import error as urllib_error
 from urllib import request as urllib_request
 
-from repro.core.supervisor import backoff_delay
+from repro.core.leasebook import backoff_delay
 from repro.service.protocol import (
     BatchAck,
     CompleteAck,

@@ -214,7 +214,7 @@ class CampaignCoordinator:
         )
         logger.info(
             "job %s queued: %d scenario(s), %d lease(s)",
-            job_id, len(job.scenarios), len(job.leases),
+            job_id, len(job.scenarios), job.recovery.leases,
         )
         return job_id
 
@@ -264,6 +264,9 @@ class CampaignCoordinator:
     def _handle_post(self, handler: BaseHTTPRequestHandler) -> None:
         try:
             length = int(handler.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client closes.
+                raise ValueError(f"negative Content-Length {length}")
             body = handler.rfile.read(length)
             message = parse_message(json.loads(body.decode("utf-8")))
         except (WireError, ValueError, UnicodeDecodeError) as exc:
@@ -292,12 +295,14 @@ class CampaignCoordinator:
                 )
                 try:
                     self._dispatch(message)  # first delivery; reply comes below
-                except _BadRequest:
+                except ValueError:
                     pass
 
         try:
             reply = self._dispatch(message)
-        except _BadRequest as exc:
+        except ValueError as exc:
+            # _BadRequest, or a job rejecting the content of a well-formed
+            # message (unknown lease, malformed records): the client erred.
             self._reply(handler, 400, {"error": str(exc)})
             return
         except Exception as exc:  # noqa: BLE001 - must not kill the handler thread
@@ -387,18 +392,15 @@ class CampaignCoordinator:
         with self._lock:
             self._require_node(message.node_id)
             job = self._require_job(message.job_id)
-            try:
-                accepted, current = job.add_records(
-                    message.lease_id,
-                    message.attempt,
-                    message.scenario_index,
-                    message.records,
-                    baseline=message.baseline_accuracy,
-                    ips=message.inferences_per_second,
-                    num_images=message.num_images,
-                )
-            except ValueError as exc:
-                raise _BadRequest(str(exc)) from None
+            accepted, current = job.add_records(
+                message.lease_id,
+                message.attempt,
+                message.scenario_index,
+                message.records,
+                baseline=message.baseline_accuracy,
+                ips=message.inferences_per_second,
+                num_images=message.num_images,
+            )
         return BatchAck(accepted=accepted, current=current)
 
     def _on_heartbeat(self, message: Heartbeat) -> HeartbeatAck:

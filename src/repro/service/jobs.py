@@ -1,45 +1,39 @@
 """Coordinator-side job state: scenarios, network leases, merge, stopping.
 
-A :class:`FleetJob` is one sweep spec executed by the fleet.  It carries
-the same lease state machine as local execution — leases are
-:class:`~repro.core.supervisor.ShardLease` instances (WAITING → RUNNING →
-DONE, with WAITING backoff between reclaims and POISON after exhausted
-retries), tokens are ``(lease_id, attempt)``, and
-:func:`~repro.core.supervisor.backoff_delay` paces re-attempts — but the
-"worker" behind a lease is a remote node, progress is heartbeats and
-record batches instead of queue messages, and reclaim triggers on a missed
-heartbeat deadline or an explicit failure report instead of a dead child
-process.
+A :class:`FleetJob` is one sweep spec executed by the fleet, scheduled by
+one :class:`~repro.core.leasebook.LeaseBook` per scenario — the same book
+local execution uses, so leases, ``(lease_id, attempt)`` fencing, the
+index-keyed record merge, backoff, poison and adaptive round barriers
+behave identically whether a lease's worker is a local process or a
+remote node.  This module is the HTTP-facing transport: the "worker"
+behind a lease is a node, progress is heartbeats and record batches, and
+reclaim triggers on a missed heartbeat deadline or an explicit failure
+report.
 
-Determinism contract (the reason the merge below is a plain index-keyed
-dict): trials are pure functions of ``(seed, index)``, so
+Determinism contract: trials are pure functions of ``(seed, index)``, so
 
 * records are accepted from **any** attempt, even one already reclaimed —
   a batch that raced the reclaim carries exactly the bytes the re-run
   would produce;
 * identical duplicates (dup-delivery, re-leased overlap) collapse silently;
-* *conflicting* duplicates mean the invariant is broken and fail the whole
-  job loudly rather than merging garbage;
+* *conflicting* duplicates, or nodes disagreeing on the baseline, mean
+  the invariant is broken and fail the whole job loudly rather than
+  merging garbage;
 * the finished artifacts — per-scenario checkpoint JSONL and the merged
   ``sweep.jsonl`` — are byte-identical to a local ``--workers 1`` run of
   the same spec, which CI's fleet gate asserts with ``cmp``.
-
-Adaptive stopping happens at round barriers: the next round's leases open
-only once the current round is fully merged and the plan's
-``should_stop`` (a pure function of complete rounds) says to continue —
-the same rule, evaluated at the same points, as local execution.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.core.parallel import checkpoint_header_line, checkpoint_record_line
 from repro.core.results import CampaignResult, TrialRecord
-from repro.core.supervisor import LeaseState, RecoveryLog, ShardLease, backoff_delay
+from repro.core.leasebook import DeterminismError, LeaseBook, PoisonShardError, RecoveryLog
 from repro.core.sweep import (
     ExperimentSpec,
     FaultAxis,
@@ -107,45 +101,31 @@ def scenario_from_wire(data: dict) -> Scenario:
 
 
 def _chunk(indices: list[int], size: int) -> list[list[int]]:
-    """Contiguous shards of at most ``size`` trials (``[[]]`` when empty,
-    so even a zero-trial scenario gets one lease to fetch its baseline)."""
-    if not indices:
-        return [[]]
+    """Contiguous shards of at most ``size`` trials."""
     return [indices[start : start + size] for start in range(0, len(indices), size)]
 
 
 @dataclass
-class NetworkLease(ShardLease):
-    """A :class:`ShardLease` served by a remote node instead of a child
-    process (``proc`` stays ``None``; liveness is heartbeat recency)."""
-
-    scenario_index: int = 0
-    node: int | None = None
-
-
-@dataclass
 class _ScenarioState:
-    """Progress of one grid cell inside a fleet job."""
+    """One grid cell of a fleet job: its scenario and its lease book."""
 
     scenario: Scenario
     strategy_name: str
     total_trials: int
-    records: dict[int, TrialRecord] = field(default_factory=dict)
-    baseline: float | None = None
-    ips: float | None = None
+    book: LeaseBook
     num_images: int | None = None
-    #: Round bounds under an adaptive plan (``None`` = fixed budget).
-    bounds: list[tuple[int, int]] | None = None
-    completed_rounds: int = 0
-    #: Trial-index bound of the campaign so far (adaptive: last barrier).
-    stop_end: int = 0
-    #: Lease ids currently open (WAITING or RUNNING) for this scenario.
-    open_leases: set[int] = field(default_factory=set)
-    done: bool = False
+
+    @property
+    def records(self) -> dict[int, TrialRecord]:
+        return self.book.records
+
+    @property
+    def baseline(self) -> float | None:
+        return self.book.baseline
 
 
 class FleetJob:
-    """One sweep spec driven to completion by the fleet's lease book."""
+    """One sweep spec driven to completion by one lease book per scenario."""
 
     def __init__(
         self,
@@ -163,19 +143,9 @@ class FleetJob:
     ):
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if poison_policy not in ("raise", "quarantine"):
-            raise ValueError(
-                f"poison_policy must be 'raise' or 'quarantine', got {poison_policy!r}"
-            )
         self.job_id = job_id
         self.spec = spec
         self.artifacts_dir = Path(artifacts_dir)
-        self.shard_size = shard_size
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.poison_policy = poison_policy
         self.heartbeat_timeout = heartbeat_timeout
         self.fused_trials = fused_trials
         self.clock = clock
@@ -183,8 +153,11 @@ class FleetJob:
         self.error = ""
         self.recovery = RecoveryLog()
         self.plan = spec.adaptive
-        self.leases: dict[int, NetworkLease] = {}
-        self._next_lease_id = 0
+        #: Node holding each RUNNING lease (named in heartbeat-miss reports).
+        self._nodes: dict[int, int] = {}
+        #: Lease ids issued so far: ids are unique across the job, because
+        #: the wire names a lease by id alone.
+        self._issued = 0
         self.scenarios: list[_ScenarioState] = []
         for scenario in spec.grid():
             strategy = scenario.build_strategy()
@@ -192,84 +165,67 @@ class FleetJob:
                 scenario.platform.num_macs, scenario.platform.muls_per_mac
             )
             total = strategy.expected_trials(universe)
-            state = _ScenarioState(
-                scenario=scenario, strategy_name=strategy.name, total_trials=total
+            book = LeaseBook(
+                total,
+                plan=self.plan,
+                split=lambda indices: _chunk(indices, shard_size),
+                lease_id=self._issue_lease_id,
+                max_retries=max_retries,
+                backoff=backoff,
+                poison_policy=poison_policy,
+                clock=clock,
+                recovery=self.recovery,
+                tags={"job": job_id},
+                scenario=scenario.scenario_id,
             )
-            if self.plan is not None:
-                state.bounds = self.plan.round_bounds(self.plan.budget(total))
-            self.scenarios.append(state)
-        for index in range(len(self.scenarios)):
-            self._open_next(index)
-
-    # ------------------------------------------------------------------
-    # Lease opening
-    # ------------------------------------------------------------------
-    def _open_shards(self, scenario_index: int, indices: list[int]) -> None:
-        state = self.scenarios[scenario_index]
-        for shard in _chunk(indices, self.shard_size):
-            lease = NetworkLease(
-                self._next_lease_id, shard, scenario_index=scenario_index
+            self.scenarios.append(
+                _ScenarioState(scenario, strategy.name, total, book)
             )
-            self._next_lease_id += 1
-            self.leases[lease.lease_id] = lease
-            state.open_leases.add(lease.lease_id)
-            self.recovery.leases += 1
-
-    def _open_next(self, scenario_index: int) -> None:
-        """Open the scenario's next work unit (whole budget, or next round)."""
-        state = self.scenarios[scenario_index]
-        if state.bounds is None:
-            self._open_shards(scenario_index, list(range(state.total_trials)))
-            return
-        if state.completed_rounds >= len(state.bounds):
-            # A zero-round plan still needs one empty lease for the baseline.
-            if not state.bounds and not state.records and state.baseline is None:
-                self._open_shards(scenario_index, [])
-                return
-            self._finish_scenario(state)
-            return
-        start, end = state.bounds[state.completed_rounds]
-        self._open_shards(scenario_index, list(range(start, end)))
 
     # ------------------------------------------------------------------
     # Worker-facing transitions (call under the coordinator's lock)
     # ------------------------------------------------------------------
     def grant(self, node_id: int) -> LeaseGrant | None:
         """Lease the oldest due WAITING shard to ``node_id``, if any."""
-        now = self.clock()
-        for lease_id in sorted(self.leases):
-            lease = self.leases[lease_id]
-            if lease.state is not LeaseState.WAITING or now < lease.retry_at:
-                continue
-            lease.attempt += 1
-            self.recovery.attempts += 1
-            lease.token = (lease.lease_id, lease.attempt - 1)
-            lease.state = LeaseState.RUNNING
-            lease.node = node_id
-            lease.last_progress = now
-            state = self.scenarios[lease.scenario_index]
-            if self.state == JOB_QUEUED:
-                self.state = JOB_RUNNING
-            return LeaseGrant(
-                job_id=self.job_id,
-                scenario_index=lease.scenario_index,
-                scenario=scenario_to_wire(state.scenario),
-                lease_id=lease.lease_id,
-                attempt=lease.attempt - 1,
-                indices=tuple(sorted(lease.remaining)),
-                seed=self.spec.seed,
-                images=self.spec.images,
-                batch_size=self.spec.batch_size,
-                fused_trials=self.fused_trials,
-            )
-        return None
-
-    def _current(self, lease: NetworkLease | None, attempt: int) -> bool:
-        return (
-            lease is not None
-            and lease.state is LeaseState.RUNNING
-            and lease.token == (lease.lease_id, attempt)
+        due = [
+            (lease.lease_id, index, lease)
+            for index, state in enumerate(self.scenarios)
+            for lease in state.book.due()
+        ]
+        if not due:
+            return None
+        _, scenario_index, lease = min(due, key=lambda item: item[0])
+        state = self.scenarios[scenario_index]
+        _, attempt = state.book.grant(lease)
+        self._nodes[lease.lease_id] = node_id
+        if self.state == JOB_QUEUED:
+            self.state = JOB_RUNNING
+        return LeaseGrant(
+            job_id=self.job_id,
+            scenario_index=scenario_index,
+            scenario=scenario_to_wire(state.scenario),
+            lease_id=lease.lease_id,
+            attempt=attempt,
+            indices=tuple(sorted(lease.remaining)),
+            seed=self.spec.seed,
+            images=self.spec.images,
+            batch_size=self.spec.batch_size,
+            fused_trials=self.fused_trials,
         )
+
+    def _issue_lease_id(self, position: int) -> int:
+        self._issued += 1
+        return self._issued - 1
+
+    def _book_of(self, lease_id: int) -> LeaseBook | None:
+        """The book holding ``lease_id`` in its current round (``None`` for
+        a lease of a finished round); raises for an id never issued."""
+        if not 0 <= lease_id < self._issued:
+            raise ValueError(f"job {self.job_id} never issued lease {lease_id}")
+        for state in self.scenarios:
+            if lease_id in state.book.leases:
+                return state.book
+        return None
 
     def add_records(
         self,
@@ -286,6 +242,8 @@ class FleetJob:
 
         Idempotent by construction: replaying the same batch (dup-delivery,
         a retried POST whose first copy did land) merges to the same state.
+        A batch with any malformed record raises :class:`ValueError` and
+        merges nothing.
         """
         if not 0 <= scenario_index < len(self.scenarios):
             raise ValueError(
@@ -293,171 +251,79 @@ class FleetJob:
                 f"(0..{len(self.scenarios) - 1})"
             )
         state = self.scenarios[scenario_index]
-        if baseline is not None:
-            if state.baseline is None:
-                state.baseline, state.ips = baseline, ips
-            elif state.baseline != baseline:
-                self._fail_job(
-                    f"node-reported baseline {baseline!r} for scenario "
-                    f"{state.scenario.scenario_id} disagrees with "
-                    f"{state.baseline!r}; the platform or dataset is not "
-                    f"deterministic across nodes, so fleet records cannot "
-                    f"be trusted"
-                )
-                return 0, False
+        book = self._book_of(lease_id)
+        try:
+            records = [TrialRecord.from_dict(dict(data)) for data in record_dicts]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"malformed trial record on the wire: {exc}") from None
+        try:
+            accepted = len(state.book.merge(records))
+            if baseline is not None:
+                state.book.merge_meta(baseline, ips)
+        except DeterminismError as exc:
+            self._fail_job(str(exc))
+            return 0, False
         if num_images is not None and state.num_images is None:
             state.num_images = num_images
-        lease = self.leases.get(lease_id)
-        accepted = 0
-        for data in record_dicts:
-            try:
-                record = TrialRecord.from_dict(dict(data))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"malformed trial record on the wire: {exc}") from None
-            existing = state.records.get(record.trial_index)
-            if existing is None:
-                state.records[record.trial_index] = record
-                accepted += 1
-            elif existing != record:
-                self._fail_job(
-                    f"trial {record.trial_index} of scenario "
-                    f"{state.scenario.scenario_id} was reported twice with "
-                    f"different contents; trials are pure functions of "
-                    f"(seed, index), so conflicting duplicates mean the "
-                    f"fleet's records cannot be trusted"
-                )
-                return accepted, False
-            if lease is not None and lease.scenario_index == scenario_index:
-                lease.remaining.discard(record.trial_index)
-        current = self._current(lease, attempt)
-        if current:
-            lease.last_progress = self.clock()
-        return accepted, current
+        return accepted, book is not None and book.touch(lease_id, attempt)
 
     def heartbeat(self, lease_id: int, attempt: int) -> bool:
-        lease = self.leases.get(lease_id)
-        if not self._current(lease, attempt):
-            return False
-        lease.last_progress = self.clock()
-        return True
+        book = self._book_of(lease_id)
+        return book is not None and book.touch(lease_id, attempt)
 
     def complete(self, lease_id: int, attempt: int, ok: bool, error: str = "") -> bool:
-        lease = self.leases.get(lease_id)
-        if not self._current(lease, attempt):
+        book = self._book_of(lease_id)
+        if book is None or book.current(lease_id, attempt) is None:
             return False
-        if not ok:
-            self.recovery.worker_errors += 1
-            self._fail_lease(lease, f"node reported failure:\n{error}")
-            return True
-        if lease.remaining:
-            # Batches are merged before the completion is sent (the worker
-            # posts in order over one logical stream), so trials still
-            # unaccounted for were genuinely never delivered.
-            self._fail_lease(
-                lease,
-                f"node completed lease {lease.lease_id} with "
-                f"{len(lease.remaining)} trial(s) unaccounted for",
-            )
-            return True
-        lease.state = LeaseState.DONE
-        self._settle(lease)
-        TELEMETRY.event(
-            "lease.done", job=self.job_id, lease=lease.lease_id, attempt=lease.attempt
-        )
+        try:
+            if ok:
+                # Batches are merged before the completion is sent (the
+                # worker posts in order over one logical stream), so the
+                # book's unaccounted-trial check is sound here too.
+                book.complete(lease_id, attempt)
+            else:
+                book.fail(
+                    lease_id, attempt, f"node reported failure:\n{error}", "worker_errors"
+                )
+        except PoisonShardError as exc:
+            self._fail_job(str(exc))
+        self._maybe_finish_job()
         return True
 
     def check_timeouts(self) -> None:
         """Reclaim every RUNNING lease whose heartbeats went silent."""
         if self.state in (JOB_DONE, JOB_FAILED):
             return
-        now = self.clock()
-        for lease in list(self.leases.values()):
-            if lease.state is not LeaseState.RUNNING:
-                continue
-            silent = now - lease.last_progress
-            if silent > self.heartbeat_timeout:
-                self.recovery.hung_workers += 1
+        for state in self.scenarios:
+            for lease in state.book.silent(self.heartbeat_timeout):
+                node = self._nodes.get(lease.lease_id)
+                silent = self.clock() - lease.last_progress
                 TELEMETRY.event(
                     "heartbeat.miss",
                     job=self.job_id,
                     lease=lease.lease_id,
-                    node=lease.node,
+                    node=node,
                     silent_seconds=silent,
                 )
                 logger.warning(
                     "job %s lease %d: node %s silent for %.1fs (deadline %.1fs); reclaiming",
-                    self.job_id, lease.lease_id, lease.node, silent, self.heartbeat_timeout,
+                    self.job_id, lease.lease_id, node, silent, self.heartbeat_timeout,
                 )
-                self._fail_lease(
-                    lease,
-                    f"node {lease.node} missed the heartbeat deadline "
-                    f"({self.heartbeat_timeout}s) — dead, partitioned or hung",
-                )
+                try:
+                    state.book.fail(
+                        *lease.token,
+                        f"node {node} missed the heartbeat deadline "
+                        f"({self.heartbeat_timeout}s) — dead, partitioned or hung",
+                        "hung_workers",
+                    )
+                except PoisonShardError as exc:
+                    self._fail_job(str(exc))
+                    return
+        self._maybe_finish_job()
 
     # ------------------------------------------------------------------
-    # Failure / progression (mirrors LeaseSupervisor._fail)
+    # Job outcome
     # ------------------------------------------------------------------
-    def _fail_lease(self, lease: NetworkLease, reason: str) -> None:
-        lease.failures.append(reason)
-        lease.node = None
-        retries_used = lease.attempt - 1
-        if retries_used >= self.max_retries:
-            self._poison(lease)
-            return
-        self.recovery.reclaimed += 1
-        wait = backoff_delay(self.backoff, retries_used)
-        lease.state = LeaseState.WAITING
-        lease.retry_at = self.clock() + wait
-        TELEMETRY.event(
-            "lease.reclaim",
-            job=self.job_id,
-            lease=lease.lease_id,
-            attempt=lease.attempt,
-            remaining=len(lease.remaining),
-            reason=reason.splitlines()[0],
-            backoff_seconds=wait,
-        )
-        logger.warning(
-            "job %s lease %d failed (attempt %d/%d): %s; re-leasing in %.2fs",
-            self.job_id, lease.lease_id, lease.attempt, self.max_retries + 1,
-            reason.splitlines()[0], wait,
-        )
-
-    def _poison(self, lease: NetworkLease) -> None:
-        lease.state = LeaseState.POISON
-        self.recovery.poison.append(
-            {
-                "lease": lease.lease_id,
-                "scenario": self.scenarios[lease.scenario_index].scenario.scenario_id,
-                "indices": sorted(lease.indices),
-                "unfinished": sorted(lease.remaining),
-                "attempts": lease.attempt,
-                "failures": list(lease.failures),
-            }
-        )
-        TELEMETRY.event(
-            "lease.poison",
-            job=self.job_id,
-            lease=lease.lease_id,
-            attempts=lease.attempt,
-            unfinished=len(lease.remaining),
-        )
-        if self.poison_policy == "raise":
-            detail = lease.failures[-1] if lease.failures else "unknown failure"
-            self._fail_job(
-                f"lease {lease.lease_id} of scenario "
-                f"{self.scenarios[lease.scenario_index].scenario.scenario_id} "
-                f"failed {lease.attempt} attempt(s) "
-                f"({len(lease.remaining)} of {len(lease.indices)} trial(s) "
-                f"unfinished).  Last failure:\n{detail}"
-            )
-            return
-        logger.error(
-            "job %s lease %d quarantined as poison after %d attempt(s)",
-            self.job_id, lease.lease_id, lease.attempt,
-        )
-        self._settle(lease)
-
     def _fail_job(self, reason: str) -> None:
         if self.state in (JOB_DONE, JOB_FAILED):
             return
@@ -466,68 +332,10 @@ class FleetJob:
         TELEMETRY.event("job.failed", job=self.job_id, reason=reason.splitlines()[0])
         logger.error("job %s failed: %s", self.job_id, reason.splitlines()[0])
 
-    def _settle(self, lease: NetworkLease) -> None:
-        """A lease reached DONE/POISON: advance its scenario if its whole
-        work unit (budget or round) is settled."""
-        state = self.scenarios[lease.scenario_index]
-        state.open_leases.discard(lease.lease_id)
-        if state.open_leases or self.state == JOB_FAILED:
-            return
-        if state.bounds is None:
-            self._finish_scenario(state)
-        else:
-            self._round_barrier(lease.scenario_index)
-        self._maybe_finish_job()
-
-    def _round_barrier(self, scenario_index: int) -> None:
-        """All leases of the current adaptive round settled: apply the
-        stopping rule and open the next round, or end the scenario."""
-        state = self.scenarios[scenario_index]
-        if state.completed_rounds >= len(state.bounds):
-            # Zero-round plan: the only lease was the baseline fetch.
-            self._finish_scenario(state)
-            return
-        start, end = state.bounds[state.completed_rounds]
-        if any(index not in state.records for index in range(start, end)):
-            # Quarantined poison left holes: the stopping rule is a pure
-            # function of *complete* rounds, so the scenario ends at the
-            # last full barrier (exactly like local adaptive execution).
-            logger.error(
-                "job %s scenario %s: round %d has holes from poison lease(s); "
-                "stopping after round %d",
-                self.job_id, state.scenario.scenario_id,
-                state.completed_rounds + 1, state.completed_rounds,
-            )
-            self._finish_scenario(state)
-            return
-        state.completed_rounds += 1
-        state.stop_end = end
-        round_records = [state.records[index] for index in range(end)]
-        if (
-            self.plan.should_stop(state.completed_rounds, round_records)
-            or state.completed_rounds >= len(state.bounds)
-        ):
-            self._finish_scenario(state)
-            return
-        self._open_next(scenario_index)
-
-    def _finish_scenario(self, state: _ScenarioState) -> None:
-        if not state.done:
-            state.done = True
-            logger.info(
-                "job %s scenario %s complete: %d record(s)",
-                self.job_id, state.scenario.scenario_id, len(state.records),
-            )
-
     def _maybe_finish_job(self) -> None:
         if self.state in (JOB_DONE, JOB_FAILED):
             return
-        if any(not state.done for state in self.scenarios):
-            return
-        if any(
-            lease.state in (LeaseState.RUNNING, LeaseState.WAITING)
-            for lease in self.leases.values()
-        ):  # pragma: no cover - scenarios only finish once their leases settle
+        if any(not state.book.done for state in self.scenarios):
             return
         self.write_artifacts()
         self.state = JOB_DONE
@@ -555,7 +363,7 @@ class FleetJob:
                 total_trials=state.total_trials,
                 batch_size=self.spec.batch_size,
                 baseline_accuracy=state.baseline,
-                inferences_per_second=state.ips,
+                inferences_per_second=state.book.ips,
                 plan=self.plan.to_dict() if self.plan is not None else None,
             )
         ]
@@ -574,7 +382,7 @@ class FleetJob:
                     state.num_images if state.num_images is not None else self.spec.images
                 ),
                 seed=self.spec.seed,
-                emulated_inferences_per_second=state.ips,
+                emulated_inferences_per_second=state.book.ips,
             )
             result.records = [state.records[index] for index in sorted(state.records)]
             result.recovery = self.recovery.to_dict()
@@ -622,7 +430,7 @@ class FleetJob:
             job_id=self.job_id,
             state=self.state,
             scenarios_total=len(self.scenarios),
-            scenarios_done=sum(1 for state in self.scenarios if state.done),
+            scenarios_done=sum(1 for state in self.scenarios if state.book.done),
             trials_total=sum(state.total_trials for state in self.scenarios),
             trials_done=sum(len(state.records) for state in self.scenarios),
             leases=self.recovery.leases,

@@ -15,10 +15,9 @@ for every message type).
 Conventions
 -----------
 
-* ``attempt`` fields carry the **token attempt** — the same value a local
-  shard worker is tagged with (first service of a lease is attempt ``0``),
-  so the fleet lease book and :class:`repro.core.supervisor.ShardLease`
-  speak one dialect.
+* ``attempt`` fields carry the **token attempt** of a
+  :class:`repro.core.leasebook.ShardLease` (first service of a lease is
+  attempt ``0``), the same token every transport of the lease book uses.
 * Floats must be finite: JSON has no portable NaN/Inf, and a baseline of
   NaN would silently break the determinism cross-check.
 * Record payloads travel as the plain dicts of

@@ -1,7 +1,7 @@
 """The worker node agent: register, lease shards, evaluate, stream, beat.
 
 A :class:`WorkerAgent` is the fleet analogue of one local pool worker
-(:func:`repro.core.parallel._shard_worker`), with the wire in between:
+(:func:`repro.core.parallel._round_worker`), with the wire in between:
 
 * register with the coordinator (learning its heartbeat contract);
 * poll for a lease; a grant names a scenario, a ``(lease_id, attempt)``

@@ -9,8 +9,9 @@ delays) into real multi-worker campaigns and sweeps and require the exact
 records/artifacts of an undisturbed run every time, plus truthful recovery
 provenance in the result.
 
-The :class:`~repro.core.supervisor.LeaseSupervisor` state machine is also
-unit-tested directly with fake processes (retry/backoff/poison accounting,
+The process-pool transport (:class:`~repro.core.parallel.WorkerPool`
+driving a :class:`~repro.core.leasebook.LeaseBook`) is also unit-tested
+directly with fake processes (retry/backoff/poison accounting,
 stale-message policy, dead-worker draining) so failures localise.
 """
 
@@ -26,16 +27,11 @@ import pytest
 
 from repro.core.campaign import CampaignConfig
 from repro.core.chaos import KILL_EXIT_CODE, ChaosEvent, ChaosMonkey, ChaosPlan, load_plan
-from repro.core.parallel import ParallelCampaignRunner, load_checkpoint
+from repro.core.leasebook import LeaseBook, LeaseState, PoisonShardError
+from repro.core.parallel import ParallelCampaignRunner, WorkerPool, load_checkpoint
 from repro.core.results import CampaignResult
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.strategies import RandomMultipliers
-from repro.core.supervisor import (
-    LeaseState,
-    LeaseSupervisor,
-    PoisonShardError,
-    ShardLease,
-)
 from repro.core.sweep import ExperimentSpec, SweepRunner
 from repro.report.model import build_report
 
@@ -160,7 +156,7 @@ class TestChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# Supervisor state machine (fake processes, real queue)
+# Pool transport over the lease book (fake processes, real queue)
 # ----------------------------------------------------------------------
 class FakeProc:
     def __init__(self, alive=True, exitcode=None):
@@ -179,41 +175,47 @@ class FakeProc:
         pass
 
 
+class FakeTasks:
+    def put(self, indices):
+        pass
+
+
 def _record(token, index):
     return ("record", token, SimpleNamespace(trial_index=index))
 
 
 class TestLeaseSupervisor:
-    def _supervise(self, script, indices=(0, 1), **kwargs):
+    def _supervise(self, script, indices=(0, 1), timeout=None, **kwargs):
         """Run one lease whose per-attempt behaviour is scripted.
 
-        ``script[k] -> (proc, messages)`` describes attempt ``k`` (0-based):
-        the fake worker process and the messages it enqueues.
+        ``script[k] -> (proc, messages)`` describes slot epoch ``k`` (the
+        lease's attempt ``k``, 0-based): the fake worker process and the
+        messages it enqueues.
         """
         results = queue.Queue()
-        lease = ShardLease(0, list(indices))
+        book = LeaseBook(len(indices), backoff=0.0, **kwargs)
+        lease = book.leases[0]
         handled = []
 
-        def spawn(l):
-            token = (l.lease_id, l.attempt - 1)
-            proc, messages = script[l.attempt - 1](token, l)
+        def start(slot, epoch):
+            proc, messages = script[epoch]((slot, epoch), lease)
             for message in messages:
                 results.put(message)
-            return proc, token
+            return proc, FakeTasks()
 
-        supervisor = LeaseSupervisor(
-            [lease], results=results, spawn=spawn,
-            reap=lambda l, failed: None,
-            handle=lambda kind, payload: handled.append((kind, payload)),
-            backoff=0.0, **kwargs,
-        )
-        return lease, handled, supervisor
+        pool = WorkerPool(1, start=start, results=results, timeout=timeout)
+
+        def run():
+            pool.serve(book, lambda kind, payload: handled.append((kind, payload)))
+            return book.recovery
+
+        return lease, handled, SimpleNamespace(run=run, recovery=book.recovery)
 
     def test_worker_error_is_retried_then_succeeds(self):
         script = [
             lambda token, l: (FakeProc(), [("error", token, "boom traceback")]),
             lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("done", token, None)]),
+                              + [("round-done", token, None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -228,7 +230,7 @@ class TestLeaseSupervisor:
         script = [
             lambda token, l: (FakeProc(alive=False, exitcode=0),
                               [_record(token, i) for i in sorted(l.remaining)]
-                              + [("done", token, None)]),
+                              + [("round-done", token, None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -240,7 +242,7 @@ class TestLeaseSupervisor:
             lambda token, l: (FakeProc(alive=False, exitcode=KILL_EXIT_CODE),
                               [_record(token, 0)]),
             lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("done", token, None)]),
+                              + [("round-done", token, None)]),
         ]
         lease, handled, sup = self._supervise(script, indices=(0, 1, 2))
         log = sup.run()
@@ -252,9 +254,9 @@ class TestLeaseSupervisor:
 
     def test_completion_with_unaccounted_trials_is_a_failure(self):
         script = [
-            lambda token, l: (FakeProc(), [("done", token, None)]),
+            lambda token, l: (FakeProc(), [("round-done", token, None)]),
             lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("done", token, None)]),
+                              + [("round-done", token, None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -288,10 +290,10 @@ class TestLeaseSupervisor:
         def second_attempt(token, l):
             stale = (0, 0)
             return FakeProc(), [
-                ("done", stale, None),          # ignored: stale lifecycle
+                ("round-done", stale, None),    # ignored: stale lifecycle
                 _record(stale, 0),              # accepted: stale record
                 _record(token, 1),
-                ("done", token, None),
+                ("round-done", token, None),
             ]
 
         script = [lambda token, l: (FakeProc(alive=True), []), second_attempt]
@@ -302,19 +304,18 @@ class TestLeaseSupervisor:
         assert [p.trial_index for k, p in handled if k == "record"] == [0, 1]
 
     def test_constructor_validation(self):
-        results = queue.Queue()
-        kwargs = dict(results=results, spawn=lambda l: (FakeProc(), (0, 0)),
-                      reap=lambda l, f: None, handle=lambda k, p: None)
+        kwargs = dict(start=lambda slot, epoch: (FakeProc(), FakeTasks()),
+                      results=queue.Queue())
         with pytest.raises(ValueError, match="max_retries"):
-            LeaseSupervisor([ShardLease(0, [0])], max_retries=-1, **kwargs)
+            LeaseBook(1, max_retries=-1)
         with pytest.raises(ValueError, match="timeout"):
-            LeaseSupervisor([ShardLease(0, [0])], timeout=0.0, **kwargs)
+            WorkerPool(1, timeout=0.0, **kwargs)
         with pytest.raises(ValueError, match="backoff"):
-            LeaseSupervisor([ShardLease(0, [0])], backoff=-0.1, **kwargs)
+            LeaseBook(1, backoff=-0.1)
         with pytest.raises(ValueError, match="poison_policy"):
-            LeaseSupervisor([ShardLease(0, [0])], poison_policy="retry", **kwargs)
+            LeaseBook(1, poison_policy="retry")
         with pytest.raises(ValueError, match="unique"):
-            LeaseSupervisor([ShardLease(0, [0]), ShardLease(0, [1])], **kwargs)
+            LeaseBook(2, split=lambda indices: [[0], [1]], lease_id=lambda position: 0)
 
 
 # ----------------------------------------------------------------------

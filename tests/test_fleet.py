@@ -15,11 +15,15 @@ partitions are manufactured server-side by the network chaos engine.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chaos import ChaosEvent, ChaosPlan, NetworkChaosPlan, NetworkEvent
 from repro.core.results import TrialRecord
@@ -403,6 +407,26 @@ class TestFleetJobLeaseBook:
         result = json.loads((tmp_path / "job" / "result.json").read_text())
         assert result["scenarios"][0]["records"] == 0
 
+    @pytest.mark.parametrize("batch", [
+        [record_dict(10**6)],
+        [record_dict(-3)],
+        [dict(record_dict(1), trial_index="1")],
+        [dict(record_dict(1), trial_index=True)],
+        [record_dict(0), {"trial_index": 1}],  # valid, then malformed
+        [record_dict(0), record_dict(2)],  # valid, then past the 2-trial scenario
+    ])
+    def test_malformed_batch_merges_nothing(self, tmp_path, batch):
+        job, _ = make_job(tmp_path)
+        grant = job.grant(node_id=0)
+        before = job.status()
+        with pytest.raises(ValueError):
+            job.add_records(grant.lease_id, grant.attempt, grant.scenario_index,
+                            batch, baseline=0.9)
+        assert job.status() == before
+        state = job.scenarios[grant.scenario_index]
+        assert state.records == {} and state.baseline is None
+        assert state.book.leases[grant.lease_id].remaining == set(grant.indices)
+
     def test_scenario_wire_round_trip(self):
         # Wire form is a fixed point: to_dict() normalises implicit axis
         # defaults into explicit params, so compare wire-to-wire rather
@@ -414,3 +438,113 @@ class TestFleetJobLeaseBook:
             assert rebuilt.scenario_id == scenario.scenario_id
             assert rebuilt.cell == scenario.cell
             assert scenario_to_wire(rebuilt) == wire
+
+
+# ----------------------------------------------------------------------
+# Coordinator POST handler under hostile input (live HTTP, fuzzed)
+# ----------------------------------------------------------------------
+#: Valid message templates for the running lease of the fuzz fixture; the
+#: fuzzer breaks exactly one thing about each.
+FUZZ_TEMPLATES = {
+    "record-batch": {"type": "record-batch", "node_id": 0, "job_id": "job-0000",
+                     "lease_id": 0, "attempt": 0, "scenario_index": 0, "records": []},
+    "heartbeat": {"type": "heartbeat", "node_id": 0, "job_id": "job-0000",
+                  "lease_id": 0, "attempt": 0},
+    "lease-complete": {"type": "lease-complete", "node_id": 0, "job_id": "job-0000",
+                       "lease_id": 0, "attempt": 0, "ok": True},
+}
+
+_not_int = st.one_of(st.text(max_size=4), st.floats(allow_nan=False), st.booleans(),
+                     st.none(), st.lists(st.integers(), max_size=2))
+_not_str = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+
+
+def _with(kind, **changes):
+    return json.dumps({**FUZZ_TEMPLATES[kind], **changes}).encode()
+
+
+_bad_bodies = st.one_of(
+    # not JSON, truncated JSON, JSON that is not an object
+    st.binary(max_size=64).filter(lambda b: not b.strip().startswith(b"{")),
+    st.sampled_from(sorted(FUZZ_TEMPLATES)).flatmap(
+        lambda kind: st.integers(1, len(_with(kind)) - 1).map(lambda n: _with(kind)[:n])
+    ),
+    st.one_of(st.integers(), st.text(max_size=8), st.lists(st.integers(), max_size=3))
+    .map(lambda value: json.dumps(value).encode()),
+    # wrong field types
+    st.tuples(
+        st.sampled_from(sorted(FUZZ_TEMPLATES)),
+        st.sampled_from(["node_id", "lease_id", "attempt"]),
+        _not_int,
+    ).map(lambda t: _with(t[0], **{t[1]: t[2]})),
+    st.sampled_from(sorted(FUZZ_TEMPLATES)).flatmap(
+        lambda kind: _not_str.map(lambda value: _with(kind, job_id=value))
+    ),
+    # unknown job ids, unknown lease ids, unregistered nodes
+    st.sampled_from(sorted(FUZZ_TEMPLATES)).flatmap(
+        lambda kind: st.text(min_size=1, max_size=8)
+        .filter(lambda job_id: job_id != "job-0000")
+        .map(lambda job_id: _with(kind, job_id=job_id))
+    ),
+    st.tuples(st.sampled_from(sorted(FUZZ_TEMPLATES)), st.integers(2, 10**6))
+    .map(lambda t: _with(t[0], lease_id=t[1])),
+    st.tuples(st.sampled_from(sorted(FUZZ_TEMPLATES)), st.integers(1, 10**6))
+    .map(lambda t: _with(t[0], node_id=t[1])),
+    # out-of-range scenario index, and the malformed record batches
+    st.integers(2, 10**6).map(lambda i: _with("record-batch", scenario_index=i)),
+    st.sampled_from([
+        [record_dict(10**6)],
+        [record_dict(-3)],
+        [dict(record_dict(1), trial_index="1")],
+        [record_dict(0), {"trial_index": 1}],
+        [record_dict(0), record_dict(2)],
+    ]).map(lambda records: _with("record-batch", records=records, baseline_accuracy=0.9)),
+)
+
+
+def _post(coordinator, body: bytes) -> int:
+    connection = http.client.HTTPConnection(coordinator.host, coordinator.port, timeout=5.0)
+    try:
+        connection.request("POST", "/fuzz", body=body,
+                           headers={"Content-Type": "application/json"})
+        return connection.getresponse().status
+    finally:
+        connection.close()
+
+
+class TestCoordinatorFuzz:
+    @pytest.fixture
+    def live(self, tmp_path):
+        """A coordinator with one registered node holding lease 0 of job-0000
+        (deadlines far away, so nothing changes unless a request changes it)."""
+        coordinator = make_coordinator(tmp_path, heartbeat_timeout=600.0)
+        client = CoordinatorClient(coordinator.url, timeout=5.0, retries=2, backoff=0.05)
+        node = client.register("fuzz").node_id
+        job_id = client.submit_job(dict(GOLDEN_SPEC)).job_id
+        grant = client.request_lease(node)
+        assert (node, job_id, grant.lease_id, grant.attempt) == (0, "job-0000", 0, 0)
+        try:
+            yield coordinator, coordinator.jobs[job_id]
+        finally:
+            coordinator.shutdown()
+
+    def test_hostile_posts_get_4xx_and_change_nothing(self, live):
+        coordinator, job = live
+        before = job.status()
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(body=_bad_bodies)
+        def check(body):
+            assert 400 <= _post(coordinator, body) < 500
+            assert coordinator._lock.acquire(timeout=5.0)
+            coordinator._lock.release()
+            assert job.status() == before
+
+        check()
+
+    def test_negative_content_length_is_rejected_without_reading(self, live):
+        coordinator, job = live
+        with socket.create_connection((coordinator.host, coordinator.port), timeout=3.0) as sock:
+            sock.sendall(b"POST /records HTTP/1.0\r\nContent-Length: -1\r\n\r\n")
+            reply = sock.recv(64)
+        assert reply.startswith(b"HTTP/1.0 400")

@@ -160,16 +160,16 @@ class TestWorkerCrashReapsSharedMemory:
 
         monkeypatch.setattr(shm.SharedBatch, "create", classmethod(recording_create))
 
-        real_worker = parallel._shard_worker
+        real_worker = parallel._round_worker
 
-        def killing_worker(token, spec, strategy, config, batch, indices, results):
+        def killing_worker(token, spec, strategy, config, batch, tasks, results):
             if token == (0, 0):
                 # die without unwinding: no finally, no close(), no nothing
                 os.kill(os.getpid(), signal.SIGKILL)
-            real_worker(token, spec, strategy, config, batch, indices, results)
+            real_worker(token, spec, strategy, config, batch, tasks, results)
 
         # fork inherits the patched module global in the children
-        monkeypatch.setattr(parallel, "_shard_worker", killing_worker)
+        monkeypatch.setattr(parallel, "_round_worker", killing_worker)
 
         # max_shard_retries=0 keeps this fail-fast: the reaping ``finally``
         # must run even when the supervisor gives up on the shard.
