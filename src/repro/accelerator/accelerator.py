@@ -61,12 +61,16 @@ class NVDLAAccelerator:
         self.geometry = geometry
         rng = np.random.default_rng(seed)
         if engine == "vectorised":
-            tape = CleanForwardTape(tape_bytes) if tape_bytes > 0 else None
-            self.engine = VectorisedEngine(geometry, rng=rng, tape=tape)
+            self.engine = VectorisedEngine(geometry, rng=rng)
         elif engine == "scalar":
             self.engine = ScalarReferenceEngine(geometry, rng=rng)
         else:
             raise ValueError(f"unknown engine {engine!r}; use 'vectorised' or 'scalar'")
+        #: The clean-activation tape, if one is armed; the op loop decides
+        #: every use of it and keeps its layer hit/miss counters.
+        self.tape = (
+            CleanForwardTape(tape_bytes) if engine == "vectorised" and tape_bytes > 0 else None
+        )
         self.sdp = SDP()
         self.pdp = PDP()
         self.csb = ConfigSpaceBus()
@@ -105,11 +109,6 @@ class NVDLAAccelerator:
     # ------------------------------------------------------------------
     # Clean-activation tape lifecycle
     # ------------------------------------------------------------------
-    @property
-    def tape(self) -> CleanForwardTape | None:
-        """The engine's clean-activation tape, if one is armed."""
-        return getattr(self.engine, "tape", None)
-
     def reset_caches(self) -> None:
         """Drop the taped clean forward (e.g. between unrelated campaigns)."""
         tape = self.tape
@@ -242,16 +241,17 @@ class NVDLAAccelerator:
         *stack* of per-trial arrays ``(G*N, ...)``; with one configuration
         both are that trial's own array.
 
-        * a conv/FC op on a clean input evaluates the clean GEMM once (from
-          the tape when its input is the taped one) and applies each trial's
-          correction term to its slice of the accumulator stack;
-        * a conv/FC op on diverged inputs runs **one** stacked im2col + GEMM
-          for the whole group instead of G per-trial passes;
-        * non-GEMM ops carry no fault site: on clean inputs they are
-          skipped when the tape holds their output, or run once; on stacks
-          they run once over the whole stack (requant, pooling and additions
-          are per-sample, so slices equal the per-trial results bit for
-          bit);
+        * an op on the taped clean inputs at which no fault is live is
+          skipped: its output *is* the taped output.  Non-GEMM ops carry no
+          fault site; a conv/FC op is idle when no configuration arms a
+          datapath fault and no memory flip dwells at its GEMM index;
+        * a conv/FC op on the taped input with a live datapath fault reuses
+          the taped GEMM parts and applies each trial's correction term to
+          its slice of the accumulator stack; on diverged inputs it runs
+          **one** stacked im2col + GEMM for the whole group;
+        * any other op runs once, on the clean input or over the whole
+          stack (requant, pooling and additions are per-sample, so slices
+          equal the per-trial results bit for bit);
         * when every trial's output of an op equals the taped clean output
           (all faults masked so far), the state collapses back to clean and
           the rest of the network is skipped by identity.
@@ -288,6 +288,7 @@ class NVDLAAccelerator:
         # order and resets for every inference, so dwell windows are
         # invariant to how the evaluation loop chunks the batch.
         gemm_index = 0
+        datapath_live = any(config.datapath_config().enabled for config in configs)
         for op in loadable.ops:
             node = model.node(op.name)
             in_states = [states[src] for src in op.inputs]
@@ -295,8 +296,28 @@ class NVDLAAccelerator:
             all_clean = all(kind == "clean" for kind, _ in in_states)
             entry = segment.entry(op.name) if replaying else None
             self._program_op(op, node)
+            taped = (
+                entry is not None
+                and all_clean
+                and all(arrays_match(x, ref) for x, ref in zip(inputs, entry.inputs))
+            )
+            gemm = isinstance(op, (ConvOp, FullyConnectedOp))
+            if gemm:
+                # Memory flips dwelling at this GEMM change its staged
+                # operands, so its taped parts no longer hold.
+                taped = taped and not any(
+                    any(config.active_memory_flips(gemm_index)) for config in configs
+                )
+                exec_index, gemm_index = gemm_index, gemm_index + 1
+                if taped:
+                    tape.layer_hits += 1
+                elif tape is not None and not recording:
+                    tape.layer_misses += 1
+            if taped and not (gemm and datapath_live):
+                states[op.name] = ("clean", entry.output)
+                continue
 
-            if isinstance(op, (ConvOp, FullyConnectedOp)):
+            if gemm:
                 accumulate = (
                     self.engine.conv_accumulate_fused
                     if isinstance(op, ConvOp)
@@ -304,29 +325,19 @@ class NVDLAAccelerator:
                 )
                 if not all_clean:
                     source = {"x_stack": inputs[0]}
-                elif (
-                    entry is not None
-                    and entry.acc is not None
-                    and arrays_match(inputs[0], entry.inputs[0])
-                ):
+                elif taped:
                     source = {"clean_entry": entry}
                 else:
                     source = {"x_clean": inputs[0]}
                 acc = accumulate(
-                    node, configs, per_trial, exec_index=gemm_index,
+                    node, configs, per_trial, exec_index=exec_index,
                     record=segment if recording else None, **source,
                 )
-                gemm_index += 1
                 start = PROFILER.tick()
                 out = self.sdp.conv_post_owned(acc, node, channel_axis=1)
                 PROFILER.tock("requant", start)
                 state = self._collapsed(out, entry, groups, per_trial)
             elif all_clean:
-                if entry is not None and all(
-                    arrays_match(x, ref) for x, ref in zip(inputs, entry.inputs)
-                ):
-                    states[op.name] = ("clean", entry.output)
-                    continue
                 out = self._run_simple_op(op, node, inputs)
                 state = ("clean", out)
             else:

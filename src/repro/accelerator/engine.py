@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
-from repro.accelerator.tape import CleanForwardTape, TapeOpEntry, TapeSegment, arrays_match
+from repro.accelerator.tape import TapeOpEntry, TapeSegment, arrays_match
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import FaultModel, flip_int8_bytes
 from repro.faults.sites import FaultSite
@@ -87,13 +87,9 @@ class VectorisedEngine:
         self,
         geometry: ArrayGeometry = PAPER_GEOMETRY,
         rng: np.random.Generator | None = None,
-        tape: CleanForwardTape | None = None,
     ):
         self.geometry = geometry
         self.rng = rng or np.random.default_rng(0)
-        #: Optional clean-activation tape (owned by the accelerator); the
-        #: engine only keeps its layer hit/miss counters.
-        self.tape = tape
 
     # ------------------------------------------------------------------
     # Layer evaluation (shared by conv and FC, one or many configurations)
@@ -108,20 +104,20 @@ class VectorisedEngine:
     ) -> tuple[np.ndarray, np.ndarray, bool]:
         """``(cols, clean acc, acc owned)`` of one layer evaluation.
 
-        There are three outcomes.  A tape hit (``clean_entry``) serves the
-        taped parts without any compute.  The baseline pass (``record``)
-        computes the clean GEMM and stashes it into the segment being
-        recorded.  Anything else recomputes: one GEMM for a shared input,
-        or one stacked GEMM for a group of diverged trials.
+        There are three outcomes.  Taped parts (``clean_entry``, handed
+        over by the op loop when a live datapath fault needs the clean
+        GEMM of the taped input) are served without any compute.  The
+        baseline pass (``record``) computes the clean GEMM and stashes it
+        into the segment being recorded.  Anything else recomputes: one
+        GEMM for a shared input, or one stacked GEMM for a group of
+        diverged trials.  An op with no live fault never gets here: the op
+        loop serves its taped output outright.
 
         The ``owned`` flag tells the caller whether the accumulator is a
         freshly computed buffer it may mutate in place, or taped state that
         fault corrections must copy first.
         """
-        tape = self.tape
         if clean_entry is not None:
-            if tape is not None:
-                tape.layer_hits += 1
             return clean_entry.cols, clean_entry.acc, False
         start = PROFILER.tick()
         cols = make_cols()
@@ -133,8 +129,6 @@ class VectorisedEngine:
             # accelerator records the op: treat it as shared already.
             return cols, acc, False
         PROFILER.tock("suffix_forward", start)
-        if tape is not None:
-            tape.layer_misses += 1
         return cols, acc, True
 
     def _accumulate(
@@ -249,32 +243,26 @@ class VectorisedEngine:
     def conv_accumulate(
         self,
         x_q: np.ndarray,
-        node: QConv,
+        node: QConv | QLinear,
         config: InjectionConfig | None = None,
         exec_index: int = 0,
     ) -> np.ndarray:
-        """Raw accumulator of a convolution (no bias / requant), int64 NCHW.
+        """Raw accumulator of one layer (no bias / requant), int64.
 
-        ``exec_index`` is the op's per-inference GEMM execution index — the
-        clock that memory-resident faults' dwell windows are defined on.
+        Returns ``(N, OC, OH, OW)`` for a convolution and ``(N, OUT)`` for a
+        fully-connected layer.  ``exec_index`` is the op's per-inference
+        GEMM execution index — the clock that memory-resident faults' dwell
+        windows are defined on.
         """
         config = config or InjectionConfig.fault_free()
         return self._accumulate(node, [config], len(x_q), None, x_q, None, exec_index, None)
 
-    def linear_accumulate(
-        self,
-        x_q: np.ndarray,
-        node: QLinear,
-        config: InjectionConfig | None = None,
-        exec_index: int = 0,
-    ) -> np.ndarray:
-        """Raw accumulator of a fully-connected layer, int64 of shape (N, OUT)."""
-        config = config or InjectionConfig.fault_free()
-        return self._accumulate(node, [config], len(x_q), None, x_q, None, exec_index, None)
+    #: The fully-connected form of :meth:`conv_accumulate` (same body).
+    linear_accumulate = conv_accumulate
 
     def conv_accumulate_fused(
         self,
-        node: QConv,
+        node: QConv | QLinear,
         configs: list[InjectionConfig],
         per_trial: int,
         x_stack: np.ndarray | None = None,
@@ -283,7 +271,7 @@ class VectorisedEngine:
         exec_index: int = 0,
         record: TapeSegment | None = None,
     ) -> np.ndarray:
-        """Convolution accumulators of ``len(configs)`` trials in one pass.
+        """Accumulators of ``len(configs)`` trials of one layer in one pass.
 
         See :meth:`_accumulate` for the input forms; ``record`` is the tape
         segment the fault-free baseline pass is recording.  The stack is
@@ -294,25 +282,8 @@ class VectorisedEngine:
             node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record
         )
 
-    def linear_accumulate_fused(
-        self,
-        node: QLinear,
-        configs: list[InjectionConfig],
-        per_trial: int,
-        x_stack: np.ndarray | None = None,
-        x_clean: np.ndarray | None = None,
-        clean_entry: TapeOpEntry | None = None,
-        exec_index: int = 0,
-        record: TapeSegment | None = None,
-    ) -> np.ndarray:
-        """Fully-connected accumulators of ``len(configs)`` trials at once.
-
-        Same contract as :meth:`conv_accumulate_fused`; returns the stack
-        ``(G*N, OUT)``.
-        """
-        return self._accumulate(
-            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record
-        )
+    #: The fully-connected form of :meth:`conv_accumulate_fused`.
+    linear_accumulate_fused = conv_accumulate_fused
 
     def _staged_operands(
         self,

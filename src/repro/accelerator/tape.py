@@ -12,11 +12,13 @@ layers — the im2col buffer and the raw clean accumulator.
 With the tape armed, a trial does **delta propagation** instead of a full
 re-execution:
 
-* a conv/FC layer whose input still equals the clean input skips im2col and
-  the GEMM entirely; the faulty accumulator is ``taped clean accumulator +
-  correction term`` (the correction is the only per-trial work);
-* a non-GEMM op (pool, residual add, global average) whose inputs equal the
-  clean inputs is skipped outright — its output *is* the taped output;
+* an op whose inputs equal the clean inputs and at which no fault is live
+  (any non-GEMM op; a conv/FC op outside every dwell window with no
+  datapath fault armed) is skipped outright — its output *is* the taped
+  output;
+* a conv/FC layer with a live datapath fault on the clean input skips
+  im2col and the GEMM; the faulty accumulator is ``taped clean accumulator
+  + correction term`` (the correction and requant are the per-trial work);
 * an op whose output comes out byte-identical to the taped clean output
   (a masked fault) hands the *taped object* downstream, so everything after
   the re-convergence point is skipped by pointer identity alone.
@@ -190,8 +192,9 @@ class CleanForwardTape:
         self.recording = False
         self.hits = 0
         self.misses = 0
-        #: Layer-level counters maintained by the engine: GEMMs served from
-        #: the tape vs recomputed because the trial diverged upstream.
+        #: Layer-level counters kept by the accelerator's op loop: GEMMs
+        #: served from the tape vs recomputed (diverged input or a
+        #: dwelling memory flip).
         self.layer_hits = 0
         self.layer_misses = 0
         #: Recorded segments the byte budget could not keep (oversized or

@@ -60,6 +60,14 @@ logger = get_logger(__name__)
 #: (covered by kill/partition chaos), not duplicate delivery.
 _IDEMPOTENT_TYPES = (RecordBatch, Heartbeat, LeaseComplete)
 
+#: Largest POST body the coordinator reads; a longer ``Content-Length`` is
+#: refused with 413 before any byte of the body is read.  The largest
+#: legitimate bodies are record batches of a few KiB (16 records of a few
+#: hundred bytes at most) and job specs of a few hundred bytes, so the cap
+#: sits well over 100x above them while bounding what one request can make
+#: the coordinator buffer.
+MAX_BODY_BYTES = 4 << 20
+
 
 class _BadRequest(ValueError):
     """Protocol-level rejection; becomes a 400 (the client will not retry)."""
@@ -267,6 +275,11 @@ class CampaignCoordinator:
             if length < 0:
                 # rfile.read(-1) would block until the client closes.
                 raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                self._reply(handler, 413, {
+                    "error": f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+                })
+                return
             body = handler.rfile.read(length)
             message = parse_message(json.loads(body.decode("utf-8")))
         except (WireError, ValueError, UnicodeDecodeError) as exc:

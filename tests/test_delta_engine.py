@@ -22,6 +22,7 @@ from repro.accelerator.accelerator import NVDLAAccelerator
 from repro.accelerator.engine import VectorisedEngine, config_fusable
 from repro.accelerator.geometry import PAPER_GEOMETRY
 from repro.accelerator.tape import CleanForwardTape, TapeSegment, arrays_match
+from repro.compiler.ops import ConvOp, FullyConnectedOp
 from repro.core import platform as platform_module
 from repro.core.platform import EmulationPlatform, PlatformConfig
 from repro.faults.injector import InjectionConfig
@@ -283,6 +284,16 @@ class TestPlatformDeltaEquivalence:
         assert stats["layer_hits"] >= 2  # at least the stem conv per chunk
 
 
+def _taped_accelerator(loadable, images) -> NVDLAAccelerator:
+    """A vectorised accelerator whose tape holds the clean forward of
+    ``images`` under the chunk key ``(0, len(images))``."""
+    accelerator = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=1 << 20)
+    accelerator.tape.start_recording()
+    accelerator.execute(loadable, images, chunk_key=(0, len(images)))
+    accelerator.tape.finish_recording()
+    return accelerator
+
+
 #: Configurations only a one-config pass may arm: memory faults corrupt
 #: the staged operands a fused group shares, and transient pulses draw from
 #: the engine's RNG stream.
@@ -312,14 +323,7 @@ class TestOneOpLoop:
         loadable = tiny_platform.loadable
         images = tiny_dataset.test_images[:2]
         chunk = (0, len(images))
-        fused, armed = (
-            NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=1 << 20)
-            for _ in range(2)
-        )
-        for accelerator in (fused, armed):
-            accelerator.tape.start_recording()
-            accelerator.execute(loadable, images, chunk_key=chunk)
-            accelerator.tape.finish_recording()
+        fused, armed = (_taped_accelerator(loadable, images) for _ in range(2))
         got = fused.execute_fused(loadable, images, [config], chunk_key=chunk)
         armed.set_injection_config(config)
         want = armed.execute(loadable, images, chunk_key=chunk)
@@ -328,6 +332,156 @@ class TestOneOpLoop:
             scalar = NVDLAAccelerator(engine="scalar", seed=3)
             scalar.set_injection_config(config)
             np.testing.assert_array_equal(got, scalar.execute(loadable, images))
+
+
+def _gemm_ops(loadable) -> list:
+    return [op for op in loadable.ops if isinstance(op, (ConvOp, FullyConnectedOp))]
+
+
+def _gemm_names(loadable) -> list[str]:
+    return [op.name for op in _gemm_ops(loadable)]
+
+
+def _log_gemm_work(monkeypatch, accelerator) -> tuple[list[str], list[str]]:
+    """Log the node of every engine accumulate and SDP requant call."""
+    engine_calls, requant_calls = [], []
+    engine = accelerator.engine
+    for name in ("conv_accumulate_fused", "linear_accumulate_fused"):
+        monkeypatch.setattr(engine, name, lambda node, *a, _f=getattr(engine, name), **k: (
+            engine_calls.append(node.name) or _f(node, *a, **k)
+        ))
+    post = accelerator.sdp.conv_post_owned
+    monkeypatch.setattr(accelerator.sdp, "conv_post_owned", lambda acc, node, **k: (
+        requant_calls.append(node.name) or post(acc, node, **k)
+    ))
+    return engine_calls, requant_calls
+
+
+def _expected_layer_hits(loadable, config, activations, segment) -> tuple[int, int]:
+    """``(hits, misses)`` of one trial under the tape's layer-hit rule: a
+    GEMM is a hit when its input equals the taped clean input and no memory
+    flip dwells at it (its staged operands are the taped ones)."""
+    hits = misses = 0
+    for index, op in enumerate(_gemm_ops(loadable)):
+        hit = np.array_equal(
+            activations[op.inputs[0]], segment.entry(op.name).inputs[0]
+        ) and not any(config.active_memory_flips(index))
+        hits, misses = hits + hit, misses + (not hit)
+    return hits, misses
+
+
+class TestIdleOpSkip:
+    """An op on the taped clean input at which no fault is live is served
+    from the tape outright: no accumulate, no saturation, no requant."""
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda start: InjectionConfig.uniform(
+                [MemorySite("weight", 5, 6)], WeightBitFlip(dwell_start=start, dwell=2)
+            ),
+            lambda start: InjectionConfig.uniform(
+                [MemorySite("activation", 30, 3)], ActivationBitFlip(dwell_start=start)
+            ),
+        ],
+        ids=["weight-bitflip", "activation-bitflip"],
+    )
+    def test_ops_before_the_dwell_window_are_replayed(
+        self, tiny_platform, tiny_dataset, make_config, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        gemms = _gemm_names(loadable)
+        taped = _taped_accelerator(loadable, images)
+        segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
+        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
+        want_hits = want_misses = 0
+        for start in range(len(gemms)):
+            config = make_config(start)
+            taped.set_injection_config(config)
+            reference.set_injection_config(config)
+            engine_calls.clear()
+            requant_calls.clear()
+            hits_before = taped.tape.layer_hits
+            logits, activations = taped.execute(
+                loadable, images, return_activations=True, chunk_key=(0, 2)
+            )
+            np.testing.assert_array_equal(logits, reference.execute(loadable, images))
+            assert not set(gemms[:start]) & set(engine_calls + requant_calls)
+            assert taped.tape.layer_hits - hits_before >= start
+            hits, misses = _expected_layer_hits(loadable, config, activations, segment)
+            want_hits, want_misses = want_hits + hits, want_misses + misses
+        stats = taped.tape.stats()
+        assert (stats["layer_hits"], stats["layer_misses"]) == (want_hits, want_misses)
+        assert stats["layer_hit_rate"] == want_hits / (want_hits + want_misses)
+        # The scalar oracle, at a dwell start on a downsample branch.
+        start = gemms.index("layer2.block0.downsample.conv")
+        scalar = NVDLAAccelerator(engine="scalar", seed=3)
+        scalar.set_injection_config(make_config(start))
+        taped.set_injection_config(make_config(start))
+        np.testing.assert_array_equal(
+            taped.execute(loadable, images, chunk_key=(0, 2)), scalar.execute(loadable, images)
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            InjectionConfig.single(FaultSite(1, 2), StuckAtZero()),
+            InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
+        ],
+        ids=lambda c: c.describe(),
+    )
+    def test_live_datapath_fault_never_skips(
+        self, tiny_platform, tiny_dataset, config, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        taped = _taped_accelerator(loadable, images)
+        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
+        for accelerator in (taped, reference):
+            accelerator.set_injection_config(config)
+        logits = taped.execute(loadable, images, chunk_key=(0, 2))
+        np.testing.assert_array_equal(logits, reference.execute(loadable, images))
+        assert engine_calls == requant_calls == _gemm_names(loadable)
+        # Same draws in the same order as the tape-less engine.
+        assert taped.engine.rng.bit_generator.state == reference.engine.rng.bit_generator.state
+
+    def test_wrong_surface_memory_model_raises_at_first_gemm(
+        self, tiny_platform, tiny_dataset, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        taped = _taped_accelerator(loadable, images)
+        engine_calls, _ = _log_gemm_work(monkeypatch, taped)
+        indices = []
+        original = InjectionConfig.active_memory_flips
+        monkeypatch.setattr(
+            InjectionConfig, "active_memory_flips",
+            lambda self, index: indices.append(index) or original(self, index),
+        )
+        # Dwelling from GEMM 5, so GEMM 0 is otherwise idle.
+        taped.set_injection_config(
+            InjectionConfig.single(MemorySite("activation", 30, 3), WeightBitFlip(dwell_start=5))
+        )
+        with pytest.raises(ValueError, match="surface but is armed at site"):
+            taped.execute(loadable, images, chunk_key=(0, 2))
+        assert indices == [0]
+        assert engine_calls == []
+
+    def test_fault_free_replay_makes_no_engine_call(
+        self, tiny_platform, tiny_dataset, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        taped = _taped_accelerator(loadable, images)
+        engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
+        logits = taped.execute(loadable, images, chunk_key=(0, 2))
+        assert engine_calls == requant_calls == []
+        assert taped.tape.stats()["layer_hits"] == len(_gemm_names(loadable))
+        segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
+        assert logits is segment.entry(loadable.model.output_name).output
 
 
 # ----------------------------------------------------------------------

@@ -548,3 +548,12 @@ class TestCoordinatorFuzz:
             sock.sendall(b"POST /records HTTP/1.0\r\nContent-Length: -1\r\n\r\n")
             reply = sock.recv(64)
         assert reply.startswith(b"HTTP/1.0 400")
+
+    def test_oversized_content_length_is_refused_without_reading(self, live):
+        coordinator, job = live
+        before = job.status()
+        with socket.create_connection((coordinator.host, coordinator.port), timeout=3.0) as sock:
+            sock.sendall(b"POST /records HTTP/1.0\r\nContent-Length: 1099511627776\r\n\r\n")
+            reply = sock.recv(64)
+        assert reply.startswith(b"HTTP/1.0 413")
+        assert job.status() == before
