@@ -10,10 +10,13 @@ pass (batch 48, the zoo case-study platform) two ways:
 
 Logits must be **bit-identical** across both (the exactness claim),
 and the BLAS path must be at least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x)
-faster end-to-end.  Results are written as a text table and as
-``benchmarks/out/gemm_backends.json`` for the perf trajectory; CI runs the
-benchmark in smoke mode (``REPRO_BENCH_SMOKE=1``: a tiny model, relaxed
-floor) and uploads the JSON artifact.
+faster end-to-end.  Synthetic GEMMs deeper than one certified float32 SGEMM
+(:data:`DEEP_GEMMS`, which the smoke model never reaches) are timed per
+backend too, and each must equal the int64 result while the default
+backend serves it from the float32 tier (split-K).  Results are written as
+a text table and as ``benchmarks/out/gemm_backends.json`` for the perf
+trajectory; CI runs the benchmark in smoke mode (``REPRO_BENCH_SMOKE=1``: a
+tiny model, relaxed floor) and uploads the JSON artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.runtime.gemm import GEMM_STATS, gemm_backend
+from repro.runtime.gemm import GEMM_STATS, exact_matmul, gemm_backend
 from repro.utils.tabulate import format_table
 from repro.zoo import CaseStudySpec, build_case_study_platform
 
@@ -42,6 +45,17 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "0.0" if SMOKE els
 
 REPS = 1 if SMOKE else 3
 
+#: Split-K rows: ``(O, R) x (N, R, P)`` int8 GEMMs deeper than the 1023
+#: terms one float32 SGEMM certifies — the case study's layer-4 3x3 conv at
+#: batch 48, and a full-width (IC 512) layer-4 conv at batch 8.
+DEEP_GEMMS = {
+    "layer4-1152": ((128, 1152), (48, 1152, 16)),
+    "depth-4608": ((512, 4608), (8, 4608, 16)),
+}
+
+#: Tier counter -> tier name.
+TIERS = {"float32_calls": "float32", "float64_calls": "float64", "int64_calls": "int64"}
+
 
 def _timed_forward(platform, images, reps: int):
     """Best-of-``reps`` wall-clock of one forward pass, plus its logits."""
@@ -54,6 +68,44 @@ def _timed_forward(platform, images, reps: int):
         wall = time.perf_counter() - start
         best = min(best, wall)
     return best, np.asarray(logits)
+
+
+def _deep_gemm_rows() -> dict[str, dict[str, dict]]:
+    """Tier and best-of-``REPS`` ms per backend of every deep GEMM.
+
+    Hard gate: every backend's result equals the int64 contraction, and
+    the default backend keeps the GEMM on float32.
+    """
+    rng = np.random.default_rng(0)
+    rows = {}
+    for name, (w_shape, cols_shape) in DEEP_GEMMS.items():
+        for fill in ("min", "random"):
+            if fill == "min":
+                w = np.full(w_shape, -128, dtype=np.int8)
+                cols = np.full(cols_shape, -128, dtype=np.int8)
+            else:
+                w = rng.integers(-128, 128, size=w_shape).astype(np.int8)
+                cols = rng.integers(-128, 128, size=cols_shape).astype(np.int8)
+            row, results = {}, {}
+            for backend in ("int64", "float64", "auto"):
+                with gemm_backend(backend):
+                    best = float("inf")
+                    for _ in range(REPS):
+                        GEMM_STATS.reset()
+                        start = time.perf_counter()
+                        results[backend] = exact_matmul(w, cols)
+                        best = min(best, time.perf_counter() - start)
+                    stats = GEMM_STATS.as_dict()
+                    tier = next(TIERS[key] for key in TIERS if stats[key])
+                row[backend] = {"tier": tier, "ms": best * 1e3}
+            label = f"{name}/{fill}"
+            for backend in ("float64", "auto"):
+                np.testing.assert_array_equal(
+                    results[backend], results["int64"], err_msg=f"{label}: {backend} != int64"
+                )
+            assert row["auto"]["tier"] == "float32", f"{label}: auto took {row['auto']['tier']}"
+            rows[label] = row
+    return rows
 
 
 def test_gemm_backend_speedup():
@@ -80,6 +132,8 @@ def test_gemm_backend_speedup():
     # Correctness before speed: the exactness argument says bit-identical.
     np.testing.assert_array_equal(logits["int64"], logits["blas"])
 
+    deep = _deep_gemm_rows()
+
     speedup_blas = walls["int64"] / walls["blas"]
     rows = [
         ["int64-einsum (seed)", f"{walls['int64'] * 1e3:.1f}", f"{BATCH / walls['int64']:.1f}", "1.00x"],
@@ -93,7 +147,15 @@ def test_gemm_backend_speedup():
         f"({geometry.num_macs}x{geometry.muls_per_mac} array"
         f"{', smoke' if SMOKE else ''}): logits bit-identical across backends",
     )
-    write_report("gemm_backends.txt", text)
+    deep_text = format_table(
+        ["GEMM", *(f"{b} tier / ms" for b in ("int64", "float64", "auto"))],
+        [
+            [label, *(f"{r['tier']} / {r['ms']:.1f}" for r in row.values())]
+            for label, row in deep.items()
+        ],
+        title="Deep int8 GEMMs (depth > 1023): every backend equals int64",
+    )
+    write_report("gemm_backends.txt", text + "\n\n" + deep_text)
     write_json(
         "gemm_backends.json",
         {
@@ -114,6 +176,7 @@ def test_gemm_backend_speedup():
                 }
                 for backend in walls
             },
+            "deep_gemms": deep,
             "speedup_blas_vs_int64": speedup_blas,
             "bit_identical": True,
             "min_speedup_required": MIN_SPEEDUP,

@@ -35,9 +35,12 @@ Fast math
 ---------
 The clean accumulator is computed by the shared exact integer GEMM core
 (:mod:`repro.runtime.gemm`): im2col keeps the int8 patches narrow all the
-way to the GEMM boundary and the contraction runs on BLAS float kernels
+way to the GEMM boundary and the contraction runs on BLAS float32 kernels
 whose exactness is certified by an overflow bound — bit-identical to the
-original int64 einsum, several times faster.
+original int64 einsum, several times faster.  A layer deeper than one
+certified SGEMM (``IC * K**2`` > 1023 for int8, e.g. every layer-4 3x3 conv)
+is split along K into chunks that are each certified on their own, and the
+chunk results are summed in int64.
 """
 
 from __future__ import annotations

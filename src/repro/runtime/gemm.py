@@ -24,12 +24,22 @@ on the float BLAS kernels **without losing a single bit**:
   to int64 is lossless.
 
 For int8 x int8 operands the products are at most ``128 * 128 = 2**14``, so
-float32 SGEMM is exact up to an accumulation depth of 1023 (``IC * K**2``;
-most layers of the case-study model) and float64 DGEMM up to a depth of
-2**39 — the deepest 3x3 ResNet-18 layers (depth up to 4608 at full width)
-land there, still far inside the exact range.  When the bound cannot be
-certified the implementation transparently falls back to the original int64
-contraction, so :func:`exact_matmul` is *always* bit-exact.
+one float32 SGEMM is exact up to an accumulation depth of 1023 (``IC * K**2``;
+most layers of the case-study model).  Deeper contractions of two narrow
+operands (8-bit, or bool with up to 16-bit) are **split along K**: the
+contraction is cut into chunks no deeper than
+``(2**24 - 1) // (max|w| * max|x|)`` (1023 for int8 x int8), each chunk runs
+as one float32 SGEMM that the argument above certifies on its own, and the
+chunk results are summed in int64, where nothing can round.  The deepest
+3x3 ResNet-18 layers (depth 1152 in the case study, 4608 at full width)
+therefore stay on float32.  Float64 DGEMM, exact up to a bound of 2**53,
+is left to operands whose single products reach 2**24 (int16 x int16), to
+8-bit x 16-bit pairs (whose 2-3 term chunks would be slower than one DGEMM)
+and to wide buffers (int64 with a data-dependent bound); no call site in
+``src/`` produces any of them on the case-study platform.  When the bound
+cannot be certified at all the implementation transparently falls back to
+the original int64 contraction, so :func:`exact_matmul` is *always*
+bit-exact.
 
 The backend can be forced (for benchmarking and differential testing) with
 :func:`set_gemm_backend`, the :func:`gemm_backend` context manager or the
@@ -63,6 +73,13 @@ _DTYPE_BOUNDS = {
     np.dtype(np.int16): 1 << 15,
     np.dtype(np.uint16): (1 << 16) - 1,
 }
+
+#: Shallowest K-chunk worth a split-K float32 GEMM.  Narrow pairs certify
+#: chunks of either >= 256 terms (8-bit x 8-bit, bool x anything) or <= 3
+#: (8-bit x 16-bit); the latter would split into hundreds of tiny SGEMMs,
+#: slower than the one float64 DGEMM they keep (at the case study's
+#: layer-4 shape, split-K only beats DGEMM from chunks of ~32 terms up).
+_MIN_CHUNK_DEPTH = 64
 
 
 @dataclass
@@ -164,13 +181,30 @@ def _int64_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a64, b64)
 
 
-def _resolve_backend(bound: int) -> str:
+def _float32_chunk_depth(a: np.ndarray, b: np.ndarray) -> int:
+    """Deepest K-chunk one float32 GEMM certifies for narrow ``a`` and ``b``.
+
+    Zero unless both dtypes are narrow, i.e. bounded without a data pass.
+    """
+    a_bound = _DTYPE_BOUNDS.get(a.dtype)
+    b_bound = _DTYPE_BOUNDS.get(b.dtype)
+    if a_bound is None or b_bound is None:
+        return 0
+    return (FLOAT32_EXACT_BOUND - 1) // (a_bound * b_bound)
+
+
+def _resolve_backend(bound: int, chunk_depth: int) -> str:
     """Map the requested float/auto backend + exactness bound to a safe kernel.
 
-    (A forced ``int64`` backend short-circuits before the bound is computed.)
+    ``float32`` includes split-K: a contraction too deep for one certified
+    SGEMM still stays on float32 when its narrow operands certify chunks
+    of at least ``_MIN_CHUNK_DEPTH``.  (A forced ``int64`` backend
+    short-circuits before the bound is computed.)
     """
     requested = _backend
-    if bound < FLOAT32_EXACT_BOUND and requested in ("auto", "float32"):
+    if requested in ("auto", "float32") and (
+        bound < FLOAT32_EXACT_BOUND or chunk_depth >= _MIN_CHUNK_DEPTH
+    ):
         return "float32"
     if bound < FLOAT64_EXACT_BOUND:
         if requested == "float32":
@@ -178,6 +212,33 @@ def _resolve_backend(bound: int) -> str:
         return "float64"
     GEMM_STATS.bound_fallbacks += 1
     return "int64"
+
+
+def _split_k_matmul(a: np.ndarray, b: np.ndarray, chunk_depth: int) -> np.ndarray:
+    """``a @ b`` as float32 GEMMs over K-chunks no deeper than ``chunk_depth``.
+
+    Each chunk's partial sums stay below 2**24, so each SGEMM is exact on
+    its own, and the chunks are summed in int64.  The conv layout
+    ``(O, R) x (N, R, P)`` runs one flat ``(O, R) @ (R, N*P)`` GEMM per
+    chunk instead of N batched ones.
+    """
+    depth = a.shape[-1]
+    chunks = -(-depth // chunk_depth)
+    step = -(-depth // chunks)  # balanced chunks, each <= chunk_depth
+    conv = a.ndim == 2 and b.ndim == 3
+    if conv:
+        n, _, p = b.shape
+        b32 = b.transpose(1, 0, 2).astype(np.float32, order="C").reshape(depth, n * p)
+    else:
+        b32 = b.astype(np.float32)
+    a32 = a.astype(np.float32)
+    acc = 0
+    for k in range(0, depth, step):
+        b_chunk = b32[k:k + step] if b32.ndim == 1 else b32[..., k:k + step, :]
+        acc += np.matmul(a32[..., k:k + step], b_chunk).astype(np.int64)
+    if conv:
+        return np.ascontiguousarray(acc.reshape(-1, n, p).transpose(1, 0, 2))
+    return acc
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,9 +265,14 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # full min/max scan only to have the result discarded).
         GEMM_STATS.int64_calls += 1
         return _int64_matmul(a, b)
-    kernel = _resolve_backend(accumulation_bound(a, b))
+    bound = accumulation_bound(a, b)
+    chunk_depth = _float32_chunk_depth(a, b)
+    kernel = _resolve_backend(bound, chunk_depth)
     if kernel == "float32":
+        # One call, however many chunks: the tier counters count calls.
         GEMM_STATS.float32_calls += 1
+        if bound >= FLOAT32_EXACT_BOUND:
+            return _split_k_matmul(a, b, chunk_depth)
         # All products and partial sums are integers < 2**24, so SGEMM is
         # exact and the int64 cast truncates nothing.
         return np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.int64)

@@ -24,6 +24,7 @@ from repro.faults.models import (
     TransientCycleFault,
 )
 from repro.faults.sites import FaultSite, FaultUniverse
+from repro.runtime.gemm import GEMM_STATS
 from repro.utils.bitops import PARTIAL_SUM_WIDTH
 
 from tests.conftest import make_qconv, make_qlinear, random_int8
@@ -422,6 +423,37 @@ class TestFaultEffectProperties:
             x, node, InjectionConfig.uniform([site_a, site_b], ConstantValue(3))
         )
         np.testing.assert_array_equal(both - clean, (only_a - clean) + (only_b - clean))
+
+
+class TestDeepContractionEquivalence:
+    """3x3 convs deeper than one certified float32 GEMM (depth IC * 9 > 1023).
+
+    The case-study layer-4 convs (IC 128, depth 1152) and full-width ones
+    (IC 512, depth 4608) run the clean GEMM as split-K float32.  The scalar
+    engine never calls the GEMM core, so it is an independent oracle.
+    """
+
+    CONFIGS = {
+        "fault-free": InjectionConfig.fault_free(),
+        "stuck-at": InjectionConfig.single(FaultSite(3, 5), StuckAtZero()),
+        "bitflip": InjectionConfig.single(FaultSite(6, 2), BitFlip(6)),
+    }
+
+    @pytest.mark.parametrize("operands", ["random", "near-extreme"])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("in_channels", [128, 512])
+    def test_vectorised_matches_scalar(self, in_channels, config, operands):
+        node, x = conv_case(in_channels, 8, 3, 1, 1, 3, seed=in_channels)
+        if operands == "near-extreme":
+            # Interior sums reach ~depth * 2**14 > 2**24 with mixed parity:
+            # a float32 GEMM over the whole depth would round them.
+            node.weight[:] = -127
+            x = np.where(np.random.default_rng(1).random(x.shape) < 0.5, 127, 126).astype(np.int8)
+        GEMM_STATS.reset()
+        vec = VectorisedEngine(PAPER_GEOMETRY).conv_accumulate(x, node, self.CONFIGS[config])
+        assert GEMM_STATS.float64_calls == 0
+        ref = ScalarReferenceEngine(PAPER_GEOMETRY).conv_accumulate(x, node, self.CONFIGS[config])
+        np.testing.assert_array_equal(vec, ref)
 
 
 class TestAcceleratorVsCPUBackend:

@@ -5,7 +5,7 @@ through float BLAS kernels whenever an overflow bound certifies that every
 partial sum is exactly representable.  These tests pin the load-bearing
 claim — *bit-identical to the int64 einsum reference, always* — across
 random shapes and dtypes, at the worst-case operand magnitudes, on the tier
-boundaries, and through the forced-fallback path.
+and split-K chunk boundaries, and through the forced-fallback path.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.runtime.gemm import (
     FLOAT32_EXACT_BOUND,
     FLOAT64_EXACT_BOUND,
     GEMM_STATS,
+    _int64_matmul,
     accumulation_bound,
     exact_matmul,
     gemm_backend,
@@ -73,15 +74,17 @@ class TestExactMatmulProperty:
         np.testing.assert_array_equal(result, np.full((2, 4, 5), depth * 16384, dtype=np.int64))
 
     def test_worst_case_magnitudes_float64_tier(self):
-        # One more accumulation step crosses into the float64 tier; the
-        # result (2**24) is exactly the first integer float32 cannot hold +0.
+        # One more accumulation step crosses the single-SGEMM bound (the
+        # result, 2**24, is exactly the first integer float32 cannot hold +0).
+        # Two int8 operands still certify 1023-deep chunks, so split-K keeps
+        # the call on float32: the float64 tier is left to wide operands.
         depth = 1024
         w = np.full((3, depth), -128, dtype=np.int8)
         cols = np.full((1, depth, 3), -128, dtype=np.int8)
         assert FLOAT32_EXACT_BOUND <= accumulation_bound(w, cols) < FLOAT64_EXACT_BOUND
         GEMM_STATS.reset()
         result = exact_matmul(w, cols)
-        assert GEMM_STATS.float64_calls == 1
+        assert GEMM_STATS.float32_calls == 1
         np.testing.assert_array_equal(result, np.full((1, 3, 3), depth * 16384, dtype=np.int64))
 
     def test_int16_extremes_use_float64(self):
@@ -130,6 +133,148 @@ class TestExactMatmulProperty:
             exact_matmul(np.zeros((2, 3), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
 
 
+#: Contraction depths around the int8 x int8 chunk limit (1023): the last
+#: single-SGEMM depth, one and two chunks' edges, and full-width layer 4.
+SPLIT_DEPTHS = [1023, 1024, 2046, 2047, 2048, 4608]
+
+#: Narrow operand pairs that certify split-K chunks (chunk depth in brackets):
+#: int8 x int8 (1023), uint8 x uint8 (258), int8 x uint8 (514),
+#: bool x int16 (511) and bool x uint16 (256).
+SPLIT_DTYPES = [
+    (np.int8, np.int8),
+    (np.uint8, np.uint8),
+    (np.int8, np.uint8),
+    (np.bool_, np.int16),
+    (np.uint16, np.bool_),
+]
+
+
+def _operand(rng, shape, dtype, fill):
+    """Random values, or every element at the dtype's largest magnitude."""
+    if dtype is np.bool_:
+        return np.ones(shape, dtype=bool) if fill == "extreme" else rng.random(shape) < 0.5
+    info = np.iinfo(dtype)
+    if fill == "extreme":
+        return np.full(shape, info.min if info.min else info.max, dtype=dtype)
+    return rng.integers(info.min, info.max + 1, size=shape).astype(dtype)
+
+
+def _assert_split_k_exact(a, b):
+    """``exact_matmul`` equals the int64 oracle, served by one float32 call."""
+    GEMM_STATS.reset()
+    result = exact_matmul(a, b)
+    np.testing.assert_array_equal(result, _int64_matmul(a, b))
+    assert result.dtype == np.int64
+    assert GEMM_STATS.as_dict() == {
+        "float32_calls": 1, "float64_calls": 0, "int64_calls": 0, "bound_fallbacks": 0,
+    }
+    return result
+
+
+class TestSplitK:
+    """Contractions too deep for one certified SGEMM, split along K."""
+
+    @pytest.mark.parametrize("fill", ["extreme", "random"])
+    @pytest.mark.parametrize("depth", SPLIT_DEPTHS)
+    def test_conv_layout_int8(self, depth, fill):
+        rng = np.random.default_rng(depth)
+        w = _operand(rng, (5, depth), np.int8, fill)
+        cols = _operand(rng, (3, depth, 4), np.int8, fill)
+        result = _assert_split_k_exact(w, cols)
+        assert result.flags.c_contiguous
+        if fill == "extreme":
+            np.testing.assert_array_equal(result, np.full((3, 5, 4), depth << 14))
+
+    @pytest.mark.parametrize("depth", SPLIT_DEPTHS)
+    def test_odd_sum_above_float32_range(self, depth):
+        # Worst-case magnitudes plus one odd product: above 2**24 the total
+        # is not a float32 value, so any chunk that overran would round it.
+        w = np.full((2, depth), -128, dtype=np.int8)
+        cols = np.full((1, depth, 3), -128, dtype=np.int8)
+        w[:, depth // 2] = -127
+        cols[:, depth // 2, :] = 127
+        expected = (depth - 1) * (1 << 14) - 127 * 127
+        np.testing.assert_array_equal(_assert_split_k_exact(w, cols), expected)
+
+    @pytest.mark.parametrize("fill", ["extreme", "random"])
+    @pytest.mark.parametrize("depth", SPLIT_DEPTHS)
+    def test_fc_layout_int8(self, depth, fill):
+        # The FC call site passes the transposed weight view: (N, F) x (F, O).
+        rng = np.random.default_rng(depth + 1)
+        x = _operand(rng, (4, depth), np.int8, fill)
+        weight = _operand(rng, (6, depth), np.int8, fill)
+        _assert_split_k_exact(x, weight.T)
+
+    @pytest.mark.parametrize("depth", SPLIT_DEPTHS)
+    def test_non_contiguous_operand_views(self, depth):
+        # The shapes _site_correction gathers: fancy-indexed weight rows and
+        # cols[:, rows, :], plus plainly strided views of both operands.
+        rng = np.random.default_rng(depth + 2)
+        w_mat = _operand(rng, (16, 2 * depth), np.int8, "random")
+        cols = _operand(rng, (2, 2 * depth, 5), np.int8, "random")
+        rows = rng.permutation(2 * depth)[:depth]
+        oc_sel = np.arange(1, 16, 4)
+        _assert_split_k_exact(w_mat[np.ix_(oc_sel, rows)], cols[:, rows, :])
+        _assert_split_k_exact(w_mat[::3, ::2], cols[:, 1::2, ::2])
+
+    @pytest.mark.parametrize(
+        "dtypes", SPLIT_DTYPES, ids=lambda d: f"{d[0].__name__}-{d[1].__name__}"
+    )
+    @pytest.mark.parametrize("fill", ["extreme", "random"])
+    def test_narrow_dtype_pairs(self, dtypes, fill):
+        rng = np.random.default_rng(7)
+        depth = 2048
+        a = _operand(rng, (3, depth), dtypes[0], fill)
+        b = _operand(rng, (2, depth, 3), dtypes[1], fill)
+        assert accumulation_bound(a, b) >= FLOAT32_EXACT_BOUND
+        _assert_split_k_exact(a, b)
+        _assert_split_k_exact(b[0].T, a.T)  # 2-D layout, dtypes swapped
+
+    def test_vector_and_batched_operands(self):
+        rng = np.random.default_rng(8)
+        a = _operand(rng, (2, 3, 2047), np.int8, "random")
+        b = _operand(rng, (2, 2047, 4), np.int8, "random")
+        _assert_split_k_exact(a, b)
+        _assert_split_k_exact(a[0, 0], b[0, :, 0])
+
+    @given(
+        depth=st.integers(min_value=1000, max_value=4700),
+        dtypes=st.sampled_from(SPLIT_DTYPES),
+        layout=st.sampled_from(["conv", "fc"]),
+        fill=st.sampled_from(["extreme", "random"]),
+        o=st.integers(min_value=1, max_value=6),
+        p=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_k_bit_identical_to_int64(self, depth, dtypes, layout, fill, o, p, seed):
+        rng = np.random.default_rng(seed)
+        a = _operand(rng, (o, depth), dtypes[0], fill)
+        b_shape = (2, depth, p) if layout == "conv" else (depth, p)
+        b = _operand(rng, b_shape, dtypes[1], fill)
+        GEMM_STATS.reset()
+        np.testing.assert_array_equal(exact_matmul(a, b), _int64_matmul(a, b))
+        assert GEMM_STATS.float32_calls == 1 and GEMM_STATS.float64_calls == 0
+
+    def test_forced_float64_keeps_dgemm(self):
+        w = np.full((2, 1152), -128, dtype=np.int8)
+        cols = np.full((1, 1152, 2), -128, dtype=np.int8)
+        GEMM_STATS.reset()
+        with gemm_backend("float64"):
+            result = exact_matmul(w, cols)
+        assert GEMM_STATS.float64_calls == 1 and GEMM_STATS.float32_calls == 0
+        np.testing.assert_array_equal(result, np.full((1, 2, 2), 1152 << 14))
+
+    def test_eight_by_sixteen_bit_pairs_keep_dgemm(self):
+        # int8 x int16 certifies chunks of only 3 terms: not worth a split.
+        rng = np.random.default_rng(9)
+        a = _operand(rng, (3, 1024), np.int8, "random")
+        b = _operand(rng, (1024, 2), np.int16, "random")
+        GEMM_STATS.reset()
+        np.testing.assert_array_equal(exact_matmul(a, b), _int64_matmul(a, b))
+        assert GEMM_STATS.float64_calls == 1 and GEMM_STATS.bound_fallbacks == 0
+
+
 class TestBackendSelection:
     def test_forced_int64_backend_is_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -141,16 +286,26 @@ class TestBackendSelection:
         np.testing.assert_array_equal(auto, forced)
 
     def test_forced_float32_never_returns_inexact_results(self):
-        # A float32 request that the bound cannot certify must widen, not lie.
+        # Too deep for one SGEMM, but int8 x int8 certifies 1023-deep
+        # chunks: split-K serves the float32 request exactly.
         depth = 4096  # bound = depth * 2**14 = 2**26 >= FLOAT32_EXACT_BOUND
         w = np.full((2, depth), -128, dtype=np.int8)
         cols = np.full((1, depth, 2), -128, dtype=np.int8)
         GEMM_STATS.reset()
         with gemm_backend("float32"):
             result = exact_matmul(w, cols)
+        assert GEMM_STATS.float32_calls == 1
+        np.testing.assert_array_equal(result, np.full((1, 2, 2), depth * 16384, dtype=np.int64))
+        # A float32 request that no chunk can certify (a single int16 x
+        # int16 product reaches 2**30) must widen, not lie.
+        w16 = np.full((2, 1), np.iinfo(np.int16).min, dtype=np.int16)
+        cols16 = np.full((1, 1, 2), np.iinfo(np.int16).min, dtype=np.int16)
+        GEMM_STATS.reset()
+        with gemm_backend("float32"):
+            result = exact_matmul(w16, cols16)
         assert GEMM_STATS.float64_calls == 1
         assert GEMM_STATS.bound_fallbacks == 1
-        np.testing.assert_array_equal(result, np.full((1, 2, 2), depth * 16384, dtype=np.int64))
+        np.testing.assert_array_equal(result, np.full((1, 2, 2), 1 << 30, dtype=np.int64))
 
     def test_backend_context_restores_previous(self):
         before = get_gemm_backend()
