@@ -1,51 +1,54 @@
-"""Per-trial campaign throughput: delta-propagation engine vs full forwards.
+"""Per-trial campaign throughput of the delta engine, with a full-forward oracle.
 
-The delta-propagation trial engine (clean-activation tape, suffix-only
-re-execution, in-place SDP chain, fused multi-trial corrections) exists for
-one number: how many fault-injection trials per second a campaign sustains.
-This benchmark runs the 40-trial scaling campaign (Fig. 2 style: one
-injected value, four fault counts, ten random subsets each — the geometry
-of ``bench_parallel_scaling``) through two execution paths on the same
-trained case-study platform:
+The delta-propagation trial engine (clean-activation tape, idle-op replay,
+dirty-region suffix re-execution, fused multi-trial corrections) exists for
+one number: how many fault-injection trials per second a campaign
+sustains.  Every regime below runs one campaign through two execution paths
+on the same trained case-study platform:
 
 * ``full_forward`` — the tape-less reference platform (``tape_bytes=0``),
   one trial per engine pass: every trial re-executes the whole network;
 * ``delta``        — clean-activation tape + automatic fused grouping (the
   defaults).
 
-Both paths run the same op loop and SDP chain, so the ratio measures what
-the tape and fusion save over a full forward per trial.
+Records must be **bit-identical** between the two paths in every regime
+(hard gate).  Three regimes are measured, because the engine's levers
+differ by workload:
 
-Two regimes are measured, because the engine's levers differ by workload:
+* **scaling-48** (multiplier faults, 48 images; 1 value x 4 fault counts x
+  10 subsets): persistent whole-array faults are live at every conv, so the
+  tape can skip at most the stem and the delta path is a full forward.
+  Its gate is an absolute trials/s floor on the delta path.
+* **small-batch-8** (the same campaign at 8 images): per-trial dispatch
+  overhead dominates and fused groups show their gain; also an absolute
+  trials/s floor.
+* **memory-48** (48 images): the three memory-fault families of the
+  ``fleet-mem-48`` perfbench workload — activation flips dwelling at
+  GEMM 5 and GEMM 15 and a weight flip at GEMM 12 held for two GEMMs,
+  1-2 sites each.  The suffix after a flip differs from the tape at a few
+  output positions, so idle-op replay and dirty-region re-execution give
+  the delta path a real edge; its gate is a delta / full-forward ratio
+  floor.
 
-* **scaling-48** (48-image batches): persistent whole-array faults perturb
-  30–90 % of every downstream activation, so suffix skipping only covers
-  the clean prefix and the win comes from the tape (no GEMM at clean-input
-  layers).  The speedup
-  here is bounded by the irreducible suffix recomputation — the ISSUE's
-  3x aspiration assumed suffix-proportional trial cost, which dense
-  divergence defeats; the measured ratio travels in the JSON artifact so
-  the trajectory is tracked honestly.
-* **small-batch-8** (8-image batches): per-trial dispatch overhead
-  dominates, the fused stack stays cache-resident, and grouped evaluation
-  shows its intended gain.
-
-Records must be **bit-identical** between the paths in both regimes (hard
-gate), and each regime's speedup must clear its floor
-(``REPRO_BENCH_MIN_TRIAL_SPEEDUP`` / ``REPRO_BENCH_MIN_FUSED_SPEEDUP``).
-Timings are interleaved and best-of-``REPS`` to tame single-core noise.
+Each regime takes ``SAMPLES`` interleaved (full forward, delta) campaign
+pairs and gates on the median.  The floors were calibrated on a 2-vCPU
+x86_64 VM (OpenBLAS 0.3.31, smoke scale) as the median over 5 runs of this
+benchmark minus a bound set from their spread (see ``FLOORS``); the
+measured values travel in ``benchmarks/out/trial_throughput.json``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import statistics
 import time
 
 from repro.core.campaign import CampaignConfig
 from repro.core.parallel import ParallelCampaignRunner
 from repro.core.platform import PlatformConfig
 from repro.core.strategies import RandomMultipliers
+from repro.faults.models import ActivationBitFlip, WeightBitFlip
 from repro.utils.tabulate import format_table
 from repro.zoo import CaseStudySpec, case_study_platform_spec
 
@@ -54,25 +57,48 @@ from benchmarks.conftest import write_json, write_report
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "", "false", "False")
 
 #: 1 value x 4 fault counts x 10 subsets = 40 trials (acceptance geometry).
-STRATEGY = RandomMultipliers(values=(0,), fault_counts=(1, 2, 3, 4), trials_per_point=10)
-
-#: Evaluation images of the two regimes.
-SCALING_IMAGES = 48
-SMALL_IMAGES = 8
-
-#: Required speedups (shared-runner noise keeps the CI floors conservative;
-#: the JSON artifact carries the actual measured ratios).
-MIN_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_TRIAL_SPEEDUP", "1.15" if SMOKE else "1.2")
+MULTIPLIER_STRATEGY = RandomMultipliers(
+    values=(0,), fault_counts=(1, 2, 3, 4), trials_per_point=10
 )
-MIN_FUSED_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_FUSED_SPEEDUP", "1.2" if SMOKE else "1.3")
+#: The fleet-mem-48 fault families: 3 families x 2 site counts x 4 trials.
+MEMORY_STRATEGY = RandomMultipliers(
+    models=(
+        ActivationBitFlip(dwell_start=5, dwell=1),
+        ActivationBitFlip(dwell_start=15, dwell=1),
+        WeightBitFlip(dwell_start=12, dwell=2),
+    ),
+    fault_counts=(1, 2),
+    trials_per_point=4,
 )
 
-REPS = 1 if SMOKE else 2
+#: regime -> (strategy, evaluation images, gated metric).
+REGIMES = {
+    "scaling-48": (MULTIPLIER_STRATEGY, 48, "trials_per_s"),
+    "small-batch-8": (MULTIPLIER_STRATEGY, 8, "trials_per_s"),
+    "memory-48": (MEMORY_STRATEGY, 48, "speedup"),
+}
+
+#: Interleaved (full forward, delta) campaign pairs per regime.
+SAMPLES = 5
+
+#: Floors on each regime's gated metric (median over SAMPLES), each set
+#: max(25%, 3 IQR) below the median of calibration runs of this benchmark
+#: at smoke scale on a 2-vCPU x86_64 VM: scaling-48 median 8.45 trials/s
+#: (IQR 0.6, 10 runs 7.5-9.7), small-batch-8 median 45.4 trials/s (IQR
+#: 4.6, 10 runs 36.2-68.2), memory-48 median 4.40x (IQR 0.09, 5 runs
+#: 4.29-4.56).  The trials/s floors catch a lost GEMM tier (forced int64
+#: reads 1.5 and 7.9 trials/s), not host-to-host speed; the ratio floor
+#: catches lost dirty-region re-execution (the regime reads 2.75x with it
+#: turned off).  Full scale has no CI run and keeps the record gate and a
+#: ratio floor of 1.
+FLOORS = (
+    {"scaling-48": 6.3, "small-batch-8": 31.7, "memory-48": 3.3}
+    if SMOKE
+    else {"scaling-48": 0.0, "small-batch-8": 0.0, "memory-48": 1.0}
+)
 
 
-def _runner(spec, *, tape: bool):
+def _runner(spec, strategy, *, tape: bool):
     config = dataclasses.replace(
         spec.platform_config or PlatformConfig(),
         tape_bytes=(256 << 20) if tape else 0,
@@ -81,28 +107,34 @@ def _runner(spec, *, tape: bool):
     # The reference runs one full forward per trial, while the delta path
     # keeps the defaults (auto-capped fusion).
     campaign = CampaignConfig(batch_size=64, seed=0, fused_trials=8 if tape else 1)
-    return ParallelCampaignRunner(platform, STRATEGY, campaign)
+    return ParallelCampaignRunner(platform, strategy, campaign)
 
 
-def _measure(spec, images, labels) -> dict:
-    """Interleaved best-of-REPS campaign walls for both paths."""
-    runners = {"full_forward": _runner(spec, tape=False), "delta": _runner(spec, tape=True)}
+def _measure(spec, strategy, images, labels) -> dict:
+    """Medians over SAMPLES interleaved campaign pairs of both paths."""
+    runners = {
+        "full_forward": _runner(spec, strategy, tape=False),
+        "delta": _runner(spec, strategy, tape=True),
+    }
     walls = {name: [] for name in runners}
-    records = {}
-    for _ in range(REPS):
+    for _ in range(SAMPLES):
+        records = {}
         for name, runner in runners.items():
             start = time.perf_counter()
             result = runner.run(images, labels)
             walls[name].append(time.perf_counter() - start)
             records[name] = result.records
-    assert records["delta"] == records["full_forward"], (
-        "delta-propagation path diverged from the full-forward path's records"
-    )
-    best = {name: min(times) for name, times in walls.items()}
+        assert records["delta"] == records["full_forward"], (
+            "delta-propagation path diverged from the full-forward path's records"
+        )
+    trials = len(records["delta"])
+    speedups = [f / d for f, d in zip(walls["full_forward"], walls["delta"])]
     return {
-        "wall_s": best,
-        "speedup": best["full_forward"] / best["delta"],
-        "trials": len(records["delta"]),
+        "wall_s": {name: statistics.median(times) for name, times in walls.items()},
+        "trials_per_s": statistics.median(trials / wall for wall in walls["delta"]),
+        "speedup": statistics.median(speedups),
+        "speedup_samples": speedups,
+        "trials": trials,
         "images": len(labels),
     }
 
@@ -116,26 +148,27 @@ def test_trial_throughput():
     spec, case = case_study_platform_spec(case_spec)
     test_images, test_labels = case.dataset.test_images, case.dataset.test_labels
 
-    scaling = _measure(spec, test_images[:SCALING_IMAGES], test_labels[:SCALING_IMAGES])
-    small = _measure(spec, test_images[:SMALL_IMAGES], test_labels[:SMALL_IMAGES])
+    results = {
+        regime: _measure(spec, strategy, test_images[:images], test_labels[:images])
+        for regime, (strategy, images, _) in REGIMES.items()
+    }
 
     rows = []
-    for label, scenario, floor in (
-        ("scaling-48", scaling, MIN_SPEEDUP),
-        ("small-batch-8", small, MIN_FUSED_SPEEDUP),
-    ):
+    for regime, (_, _, metric) in REGIMES.items():
+        result = results[regime]
         rows.append([
-            label,
-            f"{scenario['wall_s']['full_forward']:.2f}",
-            f"{scenario['wall_s']['delta']:.2f}",
-            f"{scenario['trials'] / scenario['wall_s']['delta']:.2f}",
-            f"{scenario['speedup']:.2f}x (floor {floor:g}x)",
+            regime,
+            f"{result['wall_s']['full_forward']:.2f}",
+            f"{result['wall_s']['delta']:.2f}",
+            f"{result['trials_per_s']:.1f}",
+            f"{result['speedup']:.2f}x",
+            f"{metric} >= {FLOORS[regime]:g}",
         ])
     text = format_table(
-        ["regime", "full-forward wall (s)", "delta wall (s)", "trials/s", "speedup"],
+        ["regime", "full-forward wall (s)", "delta wall (s)", "trials/s", "speedup", "gate"],
         rows,
-        title=f"Per-trial campaign throughput, {scaling['trials']} trials "
-              f"({'smoke' if SMOKE else 'full'} scale, best of {REPS})",
+        title=f"Per-trial campaign throughput "
+              f"({'smoke' if SMOKE else 'full'} scale, median of {SAMPLES} pairs)",
     )
     write_report("trial_throughput.txt", text)
     write_json(
@@ -143,21 +176,16 @@ def test_trial_throughput():
         {
             "benchmark": "trial_throughput",
             "smoke": SMOKE,
-            "trials": scaling["trials"],
+            "samples": SAMPLES,
             "records_identical": True,
-            "scenarios": {"scaling_48": scaling, "small_batch_8": small},
-            "floors": {
-                "scaling_48": MIN_SPEEDUP,
-                "small_batch_8": MIN_FUSED_SPEEDUP,
-            },
+            "scenarios": {regime.replace("-", "_"): r for regime, r in results.items()},
+            "floors": {regime.replace("-", "_"): f for regime, f in FLOORS.items()},
         },
     )
 
-    assert scaling["speedup"] >= MIN_SPEEDUP, (
-        f"delta path is only {scaling['speedup']:.2f}x faster than the "
-        f"full-forward path on the scaling campaign (floor {MIN_SPEEDUP}x)"
-    )
-    assert small["speedup"] >= MIN_FUSED_SPEEDUP, (
-        f"fused delta path is only {small['speedup']:.2f}x faster than the "
-        f"full-forward path on small batches (floor {MIN_FUSED_SPEEDUP}x)"
-    )
+    failures = [
+        f"{regime}: {metric} {results[regime][metric]:.2f} below its floor {FLOORS[regime]:g}"
+        for regime, (_, _, metric) in REGIMES.items()
+        if results[regime][metric] < FLOORS[regime]
+    ]
+    assert not failures, "; ".join(failures)

@@ -52,7 +52,7 @@ from repro.accelerator.tape import TapeOpEntry, TapeSegment, arrays_match
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import FaultModel, flip_int8_bytes
 from repro.faults.sites import FaultSite
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import conv_output_size, im2col, window_view
 from repro.quant.qlayers import QConv, QLinear
 from repro.runtime.gemm import exact_matmul
 from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
@@ -144,6 +144,7 @@ class VectorisedEngine:
         clean_entry: TapeOpEntry | None,
         exec_index: int,
         record: TapeSegment | None,
+        positions: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
         """Saturated accumulators of ``len(configs)`` trials of one layer.
 
@@ -161,10 +162,18 @@ class VectorisedEngine:
         the staged operands first (memory models never join a fused group,
         see :func:`config_fusable`).  Returns the stack ``(G*N, OC, OH, OW)``
         for a convolution or ``(G*N, OUT)`` for a fully-connected layer.
+
+        ``positions`` (with ``x_stack`` and no datapath fault) computes only
+        the listed output positions: index arrays ``(sample, y, x)`` for a
+        convolution or ``(sample,)`` for a fully-connected layer, as
+        :func:`numpy.nonzero` returns them.  Their im2col columns are
+        gathered into one ``(D, R)`` GEMM and the result is ``(D, OC)``.
         """
         sources = [x_stack, x_clean, clean_entry]
         if sum(s is not None for s in sources) != 1:
             raise ValueError("provide exactly one of x_stack, x_clean, clean_entry")
+        if positions is not None and x_stack is None:
+            raise ValueError("positions select outputs of an x_stack input")
         groups = len(configs)
         if x_stack is not None:
             x = x_stack
@@ -223,6 +232,10 @@ class VectorisedEngine:
             kernel_elems = 1
             make_cols = lambda: x.reshape(x.shape[0], in_channels, 1)  # noqa: E731
 
+        if positions is not None:
+            if any(config.enabled for config in configs):
+                raise ValueError("gathered positions carry no datapath fault correction")
+            return self._gathered(node, x, weight, positions)
         cols, acc, owned = self._clean_parts(node.name, make_cols, w_mat, clean_entry, record)
         shared = x_stack is None
         if shared and groups > 1:
@@ -242,6 +255,31 @@ class VectorisedEngine:
         # 34-bit accumulator saturation, in place when the buffer is owned.
         acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc if owned else None)
         return acc.reshape((groups * per_trial,) + out_shape)
+
+    def _gathered(
+        self,
+        node: QConv | QLinear,
+        x: np.ndarray,
+        weight: np.ndarray,
+        positions: tuple[np.ndarray, ...],
+    ) -> np.ndarray:
+        """Saturated ``(D, OC)`` accumulators of the listed output positions.
+
+        A conv gathers channels-last windows ``(D, K, K, IC)`` and contracts
+        them with the weights permuted to the same ``(ky, kx, ic)`` order;
+        integer sums are exact in any order.
+        """
+        start = PROFILER.tick()
+        if isinstance(node, QConv):
+            windows = window_view(x, node.kernel_size, node.stride, node.padding)
+            cols = windows[positions]  # (D, K, K, IC)
+            weight = weight.transpose(0, 2, 3, 1)
+        else:
+            cols = x[positions[0]]
+        depth = weight[0].size
+        acc = exact_matmul(cols.reshape(-1, depth), weight.reshape(-1, depth).T)
+        PROFILER.tock("suffix_forward", start)
+        return saturate(acc, ACCUMULATOR_WIDTH, out=acc)
 
     def conv_accumulate(
         self,
@@ -273,16 +311,18 @@ class VectorisedEngine:
         clean_entry: TapeOpEntry | None = None,
         exec_index: int = 0,
         record: TapeSegment | None = None,
+        positions: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
         """Accumulators of ``len(configs)`` trials of one layer in one pass.
 
-        See :meth:`_accumulate` for the input forms; ``record`` is the tape
-        segment the fault-free baseline pass is recording.  The stack is
-        bit-identical to concatenating G single-trial ``conv_accumulate``
-        calls.
+        See :meth:`_accumulate` for the input forms and ``positions``;
+        ``record`` is the tape segment the fault-free baseline pass is
+        recording.  The stack is bit-identical to concatenating G
+        single-trial ``conv_accumulate`` calls.
         """
         return self._accumulate(
-            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record
+            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record,
+            positions,
         )
 
     #: The fully-connected form of :meth:`conv_accumulate_fused`.

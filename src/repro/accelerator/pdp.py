@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size
+from repro.nn.functional import conv_output_size, window_view
 from repro.quant.qlayers import QMaxPool
 from repro.quant.qscheme import INT8_MIN
 
@@ -17,9 +17,18 @@ from repro.quant.qscheme import INT8_MIN
 class PDP:
     """Stateless pooling engine for int8 NCHW tensors."""
 
-    def max_pool(self, x: np.ndarray, node: QMaxPool) -> np.ndarray:
-        """Max pooling with the node's kernel/stride/padding."""
-        return max_pool_int8(x, node.kernel, node.stride, node.padding)
+    def max_pool(
+        self, x: np.ndarray, node: QMaxPool, positions: tuple[np.ndarray, ...] | None = None
+    ) -> np.ndarray:
+        """Max pooling with the node's kernel/stride/padding.
+
+        ``positions`` — ``(sample, y, x)`` index arrays of output positions —
+        pools only those windows and returns their ``(D, C)`` maxima.
+        """
+        if positions is None:
+            return max_pool_int8(x, node.kernel, node.stride, node.padding)
+        windows = window_view(x, node.kernel, node.stride, node.padding, fill=INT8_MIN)
+        return windows[positions].max(axis=(1, 2))
 
 
 def max_pool_int8(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:

@@ -21,13 +21,24 @@ re-execution:
   + correction term`` (the correction and requant are the per-trial work);
 * an op whose output comes out byte-identical to the taped clean output
   (a masked fault) hands the *taped object* downstream, so everything after
-  the re-convergence point is skipped by pointer identity alone.
+  the re-convergence point is skipped by pointer identity alone;
+* inside the diverged suffix of a trial with no datapath fault, only the
+  *dirty region* is re-executed: each diverged activation carries a
+  per-sample mask of the positions where it differs from the tape, an op
+  recomputes just the output positions whose receptive field touches a
+  dirty input position (or a byte an activation flip corrupts), and every
+  other position is copied from the taped output.  This is DeltaCNN-style
+  sparse delta propagation (Parger et al., CVPR 2022) with the taped clean
+  forward as the previous frame.
 
 Only the *suffix* of the network that actually diverges from the clean
 forward is ever re-executed, and because values are substituted strictly
-under byte equality the trial logits are bit-identical to a full forward by
+under byte equality — a clean position's receptive field is byte-equal to
+the tape's — the trial logits are bit-identical to a full forward by
 construction (the property-test suite certifies this for every fault-model
-family).
+family).  ``positions_recomputed`` / ``positions_total`` in
+:meth:`CleanForwardTape.stats` count the output positions the re-executed
+ops computed against the positions they hold.
 
 The tape is the platform's only clean-state store.  It is keyed by the
 evaluation loop's chunk coordinates and verified once per chunk with a
@@ -200,6 +211,10 @@ class CleanForwardTape:
         #: Recorded segments the byte budget could not keep (oversized or
         #: LRU-evicted); their chunks re-execute in full during trials.
         self.segments_dropped = 0
+        #: Output positions (sample x y x x, or samples for GAP/FC) of the
+        #: ops re-executed on a taped chunk: computed vs held.
+        self.positions_recomputed = 0
+        self.positions_total = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -280,6 +295,8 @@ class CleanForwardTape:
         self.layer_hits = 0
         self.layer_misses = 0
         self.segments_dropped = 0
+        self.positions_recomputed = 0
+        self.positions_total = 0
 
     def __len__(self) -> int:
         return len(self._segments)
@@ -314,5 +331,7 @@ class CleanForwardTape:
             "layer_misses": self.layer_misses,
             "layer_hit_rate": (self.layer_hits / total) if total else 0.0,
             "segments_dropped": self.segments_dropped,
+            "positions_recomputed": self.positions_recomputed,
+            "positions_total": self.positions_total,
             "recording": self.recording,
         }

@@ -54,6 +54,35 @@ def im2col_view(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.nda
     )
 
 
+def window_view(
+    x: np.ndarray, kernel: int, stride: int, padding: int, fill: int = 0
+) -> np.ndarray:
+    """Channels-last sliding windows of NCHW input, for gathering a few.
+
+    Returns a read-only view of shape ``(N, out_h, out_w, kernel, kernel,
+    C)``.  The input is copied once into a padded (with ``fill``) NHWC
+    buffer, so each window row is ``kernel * C`` contiguous elements and
+    gathering the windows of D output positions (``view[n, y, x]``) copies
+    ``D * kernel`` runs instead of the ``D * C * kernel`` an NCHW window
+    gather makes.  An unpadded 1x1 window reads one channel vector per
+    position and is viewed in place.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    x = x.transpose(0, 2, 3, 1)
+    if kernel > 1 or padding > 0:
+        pad = (padding, padding)
+        x = np.pad(x, ((0, 0), pad, pad, (0, 0)), mode="constant", constant_values=fill)
+    sn, sh, sw, sc = x.strides
+    return as_strided(
+        x,
+        shape=(n, out_h, out_w, kernel, kernel, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Unfold NCHW input into columns for matrix-multiply convolution.
 

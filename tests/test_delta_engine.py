@@ -18,13 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accelerator.accelerator import NVDLAAccelerator
+from repro.accelerator.accelerator import NVDLAAccelerator, _reach
 from repro.accelerator.engine import VectorisedEngine, config_fusable
 from repro.accelerator.geometry import PAPER_GEOMETRY
+from repro.accelerator.pdp import PDP
 from repro.accelerator.tape import CleanForwardTape, TapeSegment, arrays_match
-from repro.compiler.ops import ConvOp, FullyConnectedOp
+from repro.compiler.ops import ConvOp, FullyConnectedOp, PoolOp
 from repro.core import platform as platform_module
+from repro.core.campaign import CampaignConfig
+from repro.core.parallel import ParallelCampaignRunner
 from repro.core.platform import EmulationPlatform, PlatformConfig
+from repro.core.strategies import RandomMultipliers
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import (
     AccumulatorStuckAt,
@@ -39,6 +43,8 @@ from repro.faults.models import (
     WeightBitFlip,
 )
 from repro.faults.sites import FaultSite, MemorySite
+from repro.nn.resnet import RESNET18_STAGES, build_resnet
+from repro.quant.qlayers import QMaxPool
 from repro.quant.qscheme import (
     RequantParams,
     requantize,
@@ -284,10 +290,10 @@ class TestPlatformDeltaEquivalence:
         assert stats["layer_hits"] >= 2  # at least the stem conv per chunk
 
 
-def _taped_accelerator(loadable, images) -> NVDLAAccelerator:
+def _taped_accelerator(loadable, images, tape_bytes: int = 1 << 20) -> NVDLAAccelerator:
     """A vectorised accelerator whose tape holds the clean forward of
     ``images`` under the chunk key ``(0, len(images))``."""
-    accelerator = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=1 << 20)
+    accelerator = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=tape_bytes)
     accelerator.tape.start_recording()
     accelerator.execute(loadable, images, chunk_key=(0, len(images)))
     accelerator.tape.finish_recording()
@@ -482,6 +488,313 @@ class TestIdleOpSkip:
         assert taped.tape.stats()["layer_hits"] == len(_gemm_names(loadable))
         segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
         assert logits is segment.entry(loadable.model.output_name).output
+
+
+# ----------------------------------------------------------------------
+# Dirty-region suffix re-execution
+# ----------------------------------------------------------------------
+#: (kernel, stride, padding) of the windows the case-study networks use.
+WINDOWS = [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (3, 1, 0), (7, 2, 3)]
+
+
+def _mask(pattern: str, shape: tuple[int, ...], data) -> np.ndarray:
+    """A per-sample position mask: empty, full, the padded border, or drawn."""
+    if pattern == "empty":
+        return np.zeros(shape, dtype=bool)
+    if pattern == "full":
+        return np.ones(shape, dtype=bool)
+    if pattern == "edges":
+        mask = np.zeros(shape, dtype=bool)
+        mask[..., 0, :] = mask[..., -1, :] = mask[..., :, 0] = mask[..., :, -1] = True
+        return mask
+    size = int(np.prod(shape))
+    bits = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array(bits, dtype=bool).reshape(shape)
+
+
+def _memory_config(surface: str, start: int, sites: int, seed: int) -> InjectionConfig:
+    rng = np.random.default_rng(seed)
+    flips = [
+        MemorySite(surface, int(rng.integers(0, 4096)), int(rng.integers(0, 8)))
+        for _ in range(sites)
+    ]
+    model = (
+        ActivationBitFlip(dwell_start=start)
+        if surface == "activation"
+        else WeightBitFlip(dwell_start=start, dwell=2)
+    )
+    return InjectionConfig.uniform(flips, model)
+
+
+def _log_positions(monkeypatch, accelerator) -> list[tuple[str, bool]]:
+    """Log ``(node, gathered?)`` for every engine accumulate call."""
+    calls = []
+    engine = accelerator.engine
+    for name in ("conv_accumulate_fused", "linear_accumulate_fused"):
+        monkeypatch.setattr(engine, name, lambda node, *a, _f=getattr(engine, name), **k: (
+            calls.append((node.name, k.get("positions") is not None)) or _f(node, *a, **k)
+        ))
+    return calls
+
+
+class TestGatheredPositions:
+    """The gathered engine/PDP forms equal the dense op at every listed
+    position, and an op's reach covers every output a changed input moves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window=st.sampled_from(WINDOWS),
+        batch=st.integers(1, 3),
+        in_channels=st.integers(1, 10),
+        out_channels=st.integers(1, 12),
+        spatial=st.integers(7, 9),
+        pattern=st.sampled_from(["empty", "full", "edges", "drawn"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_gathered_conv_equals_dense(
+        self, window, batch, in_channels, out_channels, spatial, pattern, seed, data
+    ):
+        kernel, stride, padding = window
+        node = make_qconv(in_channels, out_channels, kernel, stride, padding, seed=seed)
+        x = random_int8((batch, in_channels, spatial, spatial), seed=seed + 1)
+        engine = VectorisedEngine(PAPER_GEOMETRY)
+        dense = engine.conv_accumulate(x, node)
+        positions = np.nonzero(_mask(pattern, dense[:, 0].shape, data))
+        got = engine.conv_accumulate_fused(
+            node, [InjectionConfig.fault_free()], batch, x_stack=x, positions=positions
+        )
+        assert got.shape == (positions[0].size, out_channels)
+        np.testing.assert_array_equal(got, dense[positions[0], :, positions[1], positions[2]])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        batch=st.integers(1, 6),
+        in_features=st.integers(1, 40),
+        out_features=st.integers(1, 12),
+        final=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_gathered_fc_equals_dense(self, batch, in_features, out_features, final, seed, data):
+        node = make_qlinear(in_features, out_features, final=final, seed=seed)
+        x = random_int8((batch, in_features), seed=seed + 1)
+        engine = VectorisedEngine(PAPER_GEOMETRY)
+        dense = engine.linear_accumulate(x, node)
+        samples = np.nonzero(data.draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))
+        got = engine.linear_accumulate_fused(
+            node, [InjectionConfig.fault_free()], batch, x_stack=x, positions=samples
+        )
+        np.testing.assert_array_equal(got, dense[samples[0]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        window=st.sampled_from(WINDOWS),
+        pool=st.booleans(),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 6),
+        spatial=st.integers(7, 9),
+        pattern=st.sampled_from(["empty", "full", "edges", "drawn"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_reach_covers_every_changed_output(
+        self, window, pool, batch, channels, spatial, pattern, seed, data
+    ):
+        kernel, stride, padding = window
+        x = random_int8((batch, channels, spatial, spatial), seed=seed)
+        dirty = _mask(pattern, x[:, 0].shape, data)
+        changed_x = x.copy()
+        changed_x.view(np.uint8)[...] ^= np.where(dirty[:, None], np.uint8(0x5A), np.uint8(0))
+        if pool:
+            op = PoolOp("pool", ("input",), kernel=kernel, stride=stride, padding=padding)
+            node = QMaxPool("pool", ["input"], kernel=kernel, stride=stride, padding=padding)
+            run = lambda a, at=None: PDP().max_pool(a, node, at)  # noqa: E731
+        else:
+            op = ConvOp("conv", ("input",))
+            node = make_qconv(channels, 5, kernel, stride, padding, seed=seed)
+            engine = VectorisedEngine(PAPER_GEOMETRY)
+            run = lambda a, at=None: (  # noqa: E731
+                engine.conv_accumulate(a, node)
+                if at is None
+                else engine.conv_accumulate_fused(
+                    node, [InjectionConfig.fault_free()], batch, x_stack=a, positions=at
+                )
+            )
+        before, after = run(x), run(changed_x)
+        reach = _reach(op, node, [("stack", changed_x, dirty)], [])
+        assert reach.shape == after[:, 0].shape
+        assert not ((before != after).any(axis=1) & ~reach).any()
+        positions = np.nonzero(reach)
+        np.testing.assert_array_equal(
+            run(changed_x, positions), after[positions[0], :, positions[1], positions[2]]
+        )
+
+
+class TestDirtyRegion:
+    """A trial with no datapath fault re-executes only the dirty region of
+    each diverged op: the output positions a changed input position (or a
+    byte an activation flip corrupts) reaches.  Every other position is the
+    taped output, so the logits stay bit-identical to a full forward."""
+
+    @pytest.mark.parametrize("sites", [1, 2])
+    @pytest.mark.parametrize("surface", ["activation", "weight"])
+    def test_every_dwell_start_matches_tapeless_platform(
+        self, tiny_platform, tiny_dataset, surface, sites
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:4]
+        taped = _taped_accelerator(loadable, images, tape_bytes=1 << 23)
+        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        diverged = 0
+        for start in range(len(_gemm_names(loadable))):
+            config = _memory_config(surface, start, sites, seed=start)
+            taped.set_injection_config(config)
+            reference.set_injection_config(config)
+            logits = taped.execute(loadable, images, chunk_key=(0, 4))
+            want = reference.execute(loadable, images)
+            np.testing.assert_array_equal(logits, want)
+            diverged += not np.array_equal(want, taped.tape.segment_for(
+                (0, 4), loadable.model.input_node.quantize(images)
+            ).entry(loadable.model.output_name).output)
+        stats = taped.tape.stats()
+        assert 0 < stats["positions_recomputed"] < stats["positions_total"]
+        assert diverged  # the sweep is not trivially clean
+
+    @pytest.mark.parametrize(
+        "op_name", ["layer2.block0.branch1.conv", "layer2.block0.downsample.conv"]
+    )
+    def test_strided_dwell_starts_match_scalar_engine(
+        self, tiny_platform, tiny_dataset, op_name, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        start = _gemm_names(loadable).index(op_name)
+        # Channel 3, row 6, column 10 of the 16x16 layer-1 map: an even
+        # position, so the 1x1 stride-2 kernel reads it.
+        config = InjectionConfig.uniform(
+            [MemorySite("activation", 3 * 256 + 6 * 16 + 10, 6)],
+            ActivationBitFlip(dwell_start=start, dwell=2),
+        )
+        taped = _taped_accelerator(loadable, images)
+        calls = _log_positions(monkeypatch, taped)
+        taped.set_injection_config(config)
+        scalar = NVDLAAccelerator(engine="scalar", seed=3)
+        scalar.set_injection_config(config)
+        np.testing.assert_array_equal(
+            taped.execute(loadable, images, chunk_key=(0, 2)), scalar.execute(loadable, images)
+        )
+        assert (op_name, True) in calls
+
+    def test_flip_a_strided_kernel_never_reads_stays_clean(
+        self, tiny_platform, tiny_dataset, monkeypatch
+    ):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        start = _gemm_names(loadable).index("layer2.block0.downsample.conv")
+        # Row 6, column 11: odd, skipped by the 1x1 stride-2 window.
+        config = InjectionConfig.uniform(
+            [MemorySite("activation", 3 * 256 + 6 * 16 + 11, 6)],
+            ActivationBitFlip(dwell_start=start),
+        )
+        taped = _taped_accelerator(loadable, images)
+        calls = _log_positions(monkeypatch, taped)
+        taped.set_injection_config(config)
+        logits = taped.execute(loadable, images, chunk_key=(0, 2))
+        segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
+        assert logits is segment.entry(loadable.model.output_name).output
+        assert calls == []
+
+    def test_requant_masked_flip_collapses_to_clean(
+        self, tiny_platform, tiny_dataset, monkeypatch
+    ):
+        """A low-bit flip whose accumulator change the requantisation
+        rounds away leaves the op's output byte-equal to the tape: the
+        state collapses to the taped object and no later op runs."""
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        name = "layer1.block1.branch1.conv"
+        start = _gemm_names(loadable).index(name)
+        taped = _taped_accelerator(loadable, images)
+        segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
+        calls = _log_positions(monkeypatch, taped)
+        for offset in range(64):
+            calls.clear()
+            taped.set_injection_config(InjectionConfig.uniform(
+                [MemorySite("activation", offset, 0)], ActivationBitFlip(dwell_start=start)
+            ))
+            logits, activations = taped.execute(
+                loadable, images, return_activations=True, chunk_key=(0, 2)
+            )
+            if activations[name] is segment.entry(name).output:
+                break
+        else:
+            pytest.fail("no bit-0 flip in the first 64 bytes was masked by requant")
+        assert calls == [(name, True)]
+        assert logits is segment.entry(loadable.model.output_name).output
+
+    def test_input_corruption_reuses_the_tape(self, tiny_graph, tiny_dataset, monkeypatch):
+        """An input-DMA flip verifies the segment against the uncorrupted
+        input and enters the stem with the flipped bytes as its dirty
+        region; through an ImageNet-style stem this also runs the max-pool
+        on its dirty positions only."""
+        graph = build_resnet(
+            num_classes=tiny_dataset.num_classes, input_shape=tiny_dataset.input_shape,
+            stages=RESNET18_STAGES, width_multiplier=0.125, seed=3, imagenet_stem=True,
+        )
+        graph.eval()
+        platform = EmulationPlatform(
+            graph, tiny_dataset.calibration_batch(32), config=PlatformConfig(name="pool", seed=3)
+        )
+        loadable = platform.loadable
+        assert any(op.name == "stem.pool" for op in loadable.ops)
+        images = tiny_dataset.test_images[:3]
+        taped = _taped_accelerator(loadable, images, tape_bytes=1 << 23)
+        calls = _log_positions(monkeypatch, taped)
+        pooled = []
+        pool = taped.pdp.max_pool
+        monkeypatch.setattr(taped.pdp, "max_pool", lambda x, node, at=None: (
+            pooled.append(at is not None) or pool(x, node, at)
+        ))
+        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        for offset in (0, 5 * 16 + 7, 2 * 256 + 15 * 16 + 15):
+            config = InjectionConfig.uniform([MemorySite("input", offset, 6)], InputCorruption())
+            taped.set_injection_config(config)
+            reference.set_injection_config(config)
+            hits = taped.tape.hits
+            np.testing.assert_array_equal(
+                taped.execute(loadable, images, chunk_key=(0, 3)),
+                reference.execute(loadable, images),
+            )
+            assert taped.tape.hits == hits + 1
+        assert calls[0] == ("stem.conv", True)
+        assert True in pooled  # a flip in the centre dirties most of the 4x4 pool
+
+    def test_fused_multiplier_trials_never_gather(self, tiny_platform, tiny_dataset, monkeypatch):
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:2]
+        taped = _taped_accelerator(loadable, images)
+        calls = _log_positions(monkeypatch, taped)
+        configs = [
+            InjectionConfig.single(_site_for(model, 1 + i, 2), model)
+            for i, model in enumerate(FAMILIES[:4])
+        ]
+        taped.execute_fused(loadable, images, configs, chunk_key=(0, 2))
+        taped.execute_fused(loadable, images, configs[:1], chunk_key=(0, 2))
+        assert calls and not any(gathered for _, gathered in calls)
+        stats = taped.tape.stats()
+        assert stats["positions_recomputed"] == stats["positions_total"] > 0
+
+    def test_position_counters_reach_runtime_stats(self, tiny_platform_spec, tiny_dataset):
+        strategy = RandomMultipliers(
+            models=(ActivationBitFlip(dwell_start=5),), fault_counts=(1,), trials_per_point=2
+        )
+        runner = ParallelCampaignRunner(
+            tiny_platform_spec.build(), strategy, CampaignConfig(batch_size=8, seed=1)
+        )
+        result = runner.run(tiny_dataset.test_images[:8], tiny_dataset.test_labels[:8])
+        tape = result.runtime_stats["tape"]
+        assert 0 < tape["positions_recomputed"] < tape["positions_total"]
 
 
 # ----------------------------------------------------------------------
