@@ -291,10 +291,12 @@ class NVDLAAccelerator:
           skipped: its output *is* the taped output.  Non-GEMM ops carry no
           fault site; a conv/FC op is idle when no configuration arms a
           datapath fault and no memory flip dwells at its GEMM index;
-        * a conv/FC op on the taped input with a live datapath fault reuses
-          the taped GEMM parts and applies each trial's correction term to
-          its slice of the accumulator stack; on diverged inputs it runs
-          **one** stacked im2col + GEMM for the whole group;
+        * a conv/FC op on the taped input with a live datapath fault runs
+          its clean im2col + GEMM **once** from that input for the whole
+          group and applies each trial's correction term to its slice of
+          the accumulator stack (the tape holds activations only); on
+          diverged inputs it runs **one** stacked im2col + GEMM for the
+          whole group;
         * a single trial with no datapath fault re-executes only the dirty
           region: the output positions its dirty input positions reach
           through the op's window (plus the bytes an activation flip
@@ -369,7 +371,7 @@ class NVDLAAccelerator:
             weight_flips, activation_flips = [], []
             if gemm:
                 # Memory flips dwelling at this GEMM change its staged
-                # operands, so its taped parts no longer hold.
+                # operands, so its taped output no longer holds.
                 flips = [config.active_memory_flips(gemm_index) for config in configs]
                 taped = taped and not any(any(f) for f in flips)
                 weight_flips, activation_flips = flips[0]
@@ -404,15 +406,10 @@ class NVDLAAccelerator:
                     rows = self._run_simple_op(op, node, inputs, positions)
                 state = self._scattered(rows, entry.output, positions)
             elif gemm:
-                if not all_clean:
-                    source = {"x_stack": inputs[0]}
-                elif taped:
-                    source = {"clean_entry": entry}
-                else:
-                    source = {"x_clean": inputs[0]}
+                source = "x_clean" if all_clean else "x_stack"
                 out = self._gemm_out(
                     op, node, configs, per_trial, exec_index=exec_index,
-                    record=segment if recording else None, **source,
+                    record=recording, **{source: inputs[0]},
                 )
                 state = self._settled(out, entry, groups, per_trial, track)
             elif all_clean:
@@ -423,7 +420,7 @@ class NVDLAAccelerator:
                 out = self._run_simple_op(op, node, stacked)
                 state = self._settled(out, entry, groups, per_trial, track)
             if recording:
-                segment.record(op.name, tuple(inputs), out)
+                segment.record(op.name, tuple(inputs), out, gemm=gemm)
             states[op.name] = state
         if recording:
             tape.commit_segment(segment)

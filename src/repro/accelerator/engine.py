@@ -48,7 +48,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
-from repro.accelerator.tape import TapeOpEntry, TapeSegment, arrays_match
+# Unused here: tracers wrap ``arrays_match`` in this module, like
+# ``exact_matmul`` and ``im2col``.
+from repro.accelerator.tape import arrays_match  # noqa: F401
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import FaultModel, flip_int8_bytes
 from repro.faults.sites import FaultSite
@@ -98,41 +100,24 @@ class VectorisedEngine:
     # Layer evaluation (shared by conv and FC, one or many configurations)
     # ------------------------------------------------------------------
     def _clean_parts(
-        self,
-        name: str,
-        make_cols,
-        w_mat: np.ndarray,
-        clean_entry: TapeOpEntry | None,
-        record: TapeSegment | None,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """``(cols, clean acc, acc owned)`` of one layer evaluation.
+        self, make_cols, w_mat: np.ndarray, record: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, clean acc)`` of one layer evaluation.
 
-        There are three outcomes.  Taped parts (``clean_entry``, handed
-        over by the op loop when a live datapath fault needs the clean
-        GEMM of the taped input) are served without any compute.  The
-        baseline pass (``record``) computes the clean GEMM and stashes it
-        into the segment being recorded.  Anything else recomputes: one
-        GEMM for a shared input, or one stacked GEMM for a group of
-        diverged trials.  An op with no live fault never gets here: the op
-        loop serves its taped output outright.
-
-        The ``owned`` flag tells the caller whether the accumulator is a
-        freshly computed buffer it may mutate in place, or taped state that
-        fault corrections must copy first.
+        One im2col + GEMM: for a shared input (the taped clean input under
+        a live datapath fault, or any input of an untaped pass) it runs
+        once for the whole group, for a group of diverged trials it is one
+        stacked GEMM.  The accumulator is always a fresh buffer the caller
+        may correct and saturate in place.  An op with no live fault on a
+        taped chunk never gets here: the op loop serves its taped output
+        outright.  ``record`` (the baseline pass that records the tape)
+        only names the profile stage the GEMM is charged to.
         """
-        if clean_entry is not None:
-            return clean_entry.cols, clean_entry.acc, False
         start = PROFILER.tick()
         cols = make_cols()
         acc = exact_matmul(w_mat, cols)
-        if record is not None:
-            PROFILER.tock("tape_build", start)
-            record.stash_gemm(name, cols, acc)
-            # The stashed buffer becomes tape state the moment the
-            # accelerator records the op: treat it as shared already.
-            return cols, acc, False
-        PROFILER.tock("suffix_forward", start)
-        return cols, acc, True
+        PROFILER.tock("tape_build" if record else "suffix_forward", start)
+        return cols, acc
 
     def _accumulate(
         self,
@@ -141,20 +126,17 @@ class VectorisedEngine:
         per_trial: int,
         x_stack: np.ndarray | None,
         x_clean: np.ndarray | None,
-        clean_entry: TapeOpEntry | None,
         exec_index: int,
-        record: TapeSegment | None,
+        record: bool,
         positions: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
         """Saturated accumulators of ``len(configs)`` trials of one layer.
 
         Exactly one input form describes the layer input:
 
-        * ``clean_entry`` — every trial's input equals the taped clean
-          input; the taped cols/accumulator are reused and only the
-          per-trial correction terms are evaluated.
-        * ``x_clean`` — one input shared by every trial, with no taped
-          parts available; the clean GEMM runs once for the whole group.
+        * ``x_clean`` — one input shared by every trial (e.g. the taped
+          clean input); the clean GEMM runs once for the whole group and
+          only the per-trial correction terms are evaluated per trial.
         * ``x_stack`` — diverged inputs stacked as ``(G*N, ...)``; one
           stacked im2col + GEMM replaces G per-trial passes.
 
@@ -169,9 +151,8 @@ class VectorisedEngine:
         :func:`numpy.nonzero` returns them.  Their im2col columns are
         gathered into one ``(D, R)`` GEMM and the result is ``(D, OC)``.
         """
-        sources = [x_stack, x_clean, clean_entry]
-        if sum(s is not None for s in sources) != 1:
-            raise ValueError("provide exactly one of x_stack, x_clean, clean_entry")
+        if (x_stack is None) == (x_clean is None):
+            raise ValueError("provide exactly one of x_stack, x_clean")
         if positions is not None and x_stack is None:
             raise ValueError("positions select outputs of an x_stack input")
         groups = len(configs)
@@ -183,7 +164,7 @@ class VectorisedEngine:
                     f"{groups} trials x {per_trial} images"
                 )
         else:
-            x = x_clean if x_clean is not None else clean_entry.inputs[0]
+            x = x_clean
         if x.dtype != np.int8:
             raise TypeError(f"expected int8 activations, got {x.dtype}")
         conv = isinstance(node, QConv)
@@ -191,15 +172,7 @@ class VectorisedEngine:
             raise ValueError(f"linear input must be (N, features), got shape {x.shape}")
         weight = node.weight
         if groups == 1:
-            x, weight, datapath, reusable = self._staged_operands(
-                x, weight, configs[0], exec_index
-            )
-            # The taped parts hold only for the compiled weights and the
-            # taped input bytes.
-            if clean_entry is not None and not (
-                reusable and arrays_match(x, clean_entry.inputs[0])
-            ):
-                clean_entry = None
+            x, weight, datapath = self._staged_operands(x, weight, configs[0], exec_index)
             configs = [datapath]
 
         if conv:
@@ -236,13 +209,10 @@ class VectorisedEngine:
             if any(config.enabled for config in configs):
                 raise ValueError("gathered positions carry no datapath fault correction")
             return self._gathered(node, x, weight, positions)
-        cols, acc, owned = self._clean_parts(node.name, make_cols, w_mat, clean_entry, record)
+        cols, acc = self._clean_parts(make_cols, w_mat, record)
         shared = x_stack is None
         if shared and groups > 1:
-            acc, owned = np.tile(acc, (groups, 1, 1)), True
-        elif not owned and any(config.enabled for config in configs):
-            # Shared tape entry: corrections must not leak into it.
-            acc, owned = acc.copy(), True
+            acc = np.tile(acc, (groups, 1, 1))
         for g, config in enumerate(configs):
             if not config.enabled:
                 continue
@@ -252,8 +222,8 @@ class VectorisedEngine:
                 acc[rows], cols if shared else cols[rows], w_mat,
                 out_channels, in_channels, kernel_elems, config,
             )
-        # 34-bit accumulator saturation, in place when the buffer is owned.
-        acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc if owned else None)
+        # 34-bit accumulator saturation, in place.
+        acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc)
         return acc.reshape((groups * per_trial,) + out_shape)
 
     def _gathered(
@@ -296,7 +266,7 @@ class VectorisedEngine:
         windows are defined on.
         """
         config = config or InjectionConfig.fault_free()
-        return self._accumulate(node, [config], len(x_q), None, x_q, None, exec_index, None)
+        return self._accumulate(node, [config], len(x_q), None, x_q, exec_index, False)
 
     #: The fully-connected form of :meth:`conv_accumulate` (same body).
     linear_accumulate = conv_accumulate
@@ -308,21 +278,19 @@ class VectorisedEngine:
         per_trial: int,
         x_stack: np.ndarray | None = None,
         x_clean: np.ndarray | None = None,
-        clean_entry: TapeOpEntry | None = None,
         exec_index: int = 0,
-        record: TapeSegment | None = None,
+        record: bool = False,
         positions: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
         """Accumulators of ``len(configs)`` trials of one layer in one pass.
 
         See :meth:`_accumulate` for the input forms and ``positions``;
-        ``record`` is the tape segment the fault-free baseline pass is
-        recording.  The stack is bit-identical to concatenating G
-        single-trial ``conv_accumulate`` calls.
+        ``record`` is set on the fault-free baseline pass that records the
+        tape.  The stack is bit-identical to concatenating G single-trial
+        ``conv_accumulate`` calls.
         """
         return self._accumulate(
-            node, configs, per_trial, x_stack, x_clean, clean_entry, exec_index, record,
-            positions,
+            node, configs, per_trial, x_stack, x_clean, exec_index, record, positions
         )
 
     #: The fully-connected form of :meth:`conv_accumulate_fused`.
@@ -334,28 +302,23 @@ class VectorisedEngine:
         weight: np.ndarray,
         config: InjectionConfig,
         exec_index: int,
-    ) -> tuple[np.ndarray, np.ndarray, InjectionConfig, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, InjectionConfig]:
         """Apply dwell-active memory faults to the staged operand tensors.
 
-        Returns ``(x_q, weight, datapath config, reusable)``: the (possibly
-        corrupted) activation and weight tensors the GEMM must read, the
-        configuration stripped of its memory faults, and whether the clean
-        tape may serve this op (False once the weights differ from the
-        compiled ones).  Corruption is the vectorised path — an XOR on a
-        uint8 view of a copy — mirroring the scalar reference engine's
-        per-byte staging corruption.
+        Returns ``(x_q, weight, datapath config)``: the (possibly
+        corrupted) activation and weight tensors the GEMM must read and the
+        configuration stripped of its memory faults.  Corruption is the
+        vectorised path — an XOR on a uint8 view of a copy — mirroring the
+        scalar reference engine's per-byte staging corruption.
         """
         if not config.enabled:
-            return x_q, weight, config, True
+            return x_q, weight, config
         weight_flips, activation_flips = config.active_memory_flips(exec_index)
-        datapath = config.datapath_config()
-        reusable = True
         if weight_flips:
             weight = flip_int8_bytes(weight, weight_flips, per_sample=False)
-            reusable = False
         if activation_flips:
             x_q = flip_int8_bytes(x_q, activation_flips, per_sample=True)
-        return x_q, weight, datapath, reusable
+        return x_q, weight, config.datapath_config()
 
     def _apply_config(
         self,
@@ -496,7 +459,7 @@ class VectorisedEngine:
         # The generic int64 einsum is acceptable here because, like the
         # value-dependent product path, it only touches the armed MAC's
         # ~1/atomic_k slice of the layer; the clean accumulator itself still
-        # comes from the BLAS-backed GEMM core (and is usually taped).
+        # comes from the BLAS-backed GEMM core.
         partials = np.einsum("ogle,nglep->nogep", w_g, cols_g)
         faulty = model.apply(partials, self.rng)
         return (faulty - partials).sum(axis=(2, 3))

@@ -225,8 +225,7 @@ class ScalarReferenceEngine:
 
         Each trial runs through the unchanged literal ``*_accumulate``
         method, so the oracle's arithmetic stays independent of the
-        vectorised engine's fusion.  The scalar engine has no tape, so a
-        taped ``clean_entry`` never reaches it.
+        vectorised engine's fusion.
         """
         parts = [
             accumulate(
@@ -241,7 +240,7 @@ class ScalarReferenceEngine:
 
     def conv_accumulate_fused(
         self, node, configs, per_trial, x_stack=None, x_clean=None,
-        clean_entry=None, exec_index=0, record=None,
+        exec_index=0, record=False,
     ) -> np.ndarray:
         return self._one_config_at_a_time(
             self.conv_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index
@@ -249,7 +248,7 @@ class ScalarReferenceEngine:
 
     def linear_accumulate_fused(
         self, node, configs, per_trial, x_stack=None, x_clean=None,
-        clean_entry=None, exec_index=0, record=None,
+        exec_index=0, record=False,
     ) -> np.ndarray:
         return self._one_config_at_a_time(
             self.linear_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index

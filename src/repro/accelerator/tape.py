@@ -6,8 +6,8 @@ perturbation of one fully known computation — the fault-free ("clean")
 forward that established the baseline accuracy.  The
 :class:`CleanForwardTape` records that clean computation once per
 (platform, batch chunk): for every op of the execution plan it stores the
-clean input activations, the clean output activation and — for conv/FC
-layers — the im2col buffer and the raw clean accumulator.
+clean int8 input activations and the clean output activation, and nothing
+else — no im2col buffers, no accumulators.
 
 With the tape armed, a trial does **delta propagation** instead of a full
 re-execution:
@@ -16,9 +16,10 @@ re-execution:
   (any non-GEMM op; a conv/FC op outside every dwell window with no
   datapath fault armed) is skipped outright — its output *is* the taped
   output;
-* a conv/FC layer with a live datapath fault on the clean input skips
-  im2col and the GEMM; the faulty accumulator is ``taped clean accumulator
-  + correction term`` (the correction and requant are the per-trial work);
+* a conv/FC layer with a live datapath fault on the clean input runs its
+  clean GEMM once from the taped input for the whole fused group, then
+  applies each trial's correction term (the correction and requant are the
+  per-trial work);
 * an op whose output comes out byte-identical to the taped clean output
   (a masked fault) hands the *taped object* downstream, so everything after
   the re-convergence point is skipped by pointer identity alone;
@@ -95,16 +96,14 @@ def arrays_match(a: np.ndarray, b: np.ndarray) -> bool:
 class TapeOpEntry:
     """Clean record of one op in one chunk segment.
 
-    ``cols`` and ``acc`` are only present for conv/FC ops: the int8 im2col
-    buffer and the raw (unsaturated) int64 clean accumulator.  ``inputs``
-    and ``output`` are the int8 activations around the op (the output of a
-    final classifier layer may be int64 logits).
+    ``inputs`` and ``output`` are the int8 activations around the op (the
+    output of a final classifier layer may be int64 logits); ``gemm`` marks
+    a conv/FC op.
     """
 
     inputs: tuple[np.ndarray, ...]
     output: np.ndarray
-    cols: np.ndarray | None = None
-    acc: np.ndarray | None = None
+    gemm: bool = False
 
 
 class TapeSegment:
@@ -124,10 +123,6 @@ class TapeSegment:
         #: k+1's taped input are the SAME object, so a replayed prefix that
         #: propagates taped outputs matches downstream inputs by pointer.
         self._views: dict[int, np.ndarray] = {id(qinput): self.qinput}
-        #: GEMM parts stashed by the engine mid-op (the engine sees cols and
-        #: the raw accumulator; the accelerator sees inputs and the post-SDP
-        #: output — :meth:`record` joins the two halves).
-        self._stash: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def _intern(self, array: np.ndarray) -> np.ndarray:
         view = self._views.get(id(array))
@@ -136,22 +131,17 @@ class TapeSegment:
             self._views[id(array)] = view
         return view
 
-    def stash_gemm(self, name: str, cols: np.ndarray, acc: np.ndarray) -> None:
-        """Deposit a conv/FC op's clean GEMM parts for the pending record."""
-        self._stash[name] = (cols, acc)
-
     def record(
         self,
         name: str,
         inputs: tuple[np.ndarray, ...],
         output: np.ndarray,
+        gemm: bool = False,
     ) -> None:
-        cols, acc = self._stash.pop(name, (None, None))
         self._ops[name] = TapeOpEntry(
             inputs=tuple(self._intern(x) for x in inputs),
             output=self._intern(output),
-            cols=None if cols is None else _readonly(cols),
-            acc=None if acc is None else _readonly(acc),
+            gemm=gemm,
         )
 
     def entry(self, name: str) -> TapeOpEntry | None:
@@ -168,13 +158,7 @@ class TapeSegment:
         k+1's input); summing per-entry would double-charge them and make
         the LRU evict at half the configured budget.
         """
-        total = sum(view.nbytes for view in self._views.values())
-        for entry in self._ops.values():
-            if entry.cols is not None:
-                total += entry.cols.nbytes
-            if entry.acc is not None:
-                total += entry.acc.nbytes
-        return total
+        return sum(view.nbytes for view in self._views.values())
 
 
 class CleanForwardTape:
@@ -203,9 +187,11 @@ class CleanForwardTape:
         self.recording = False
         self.hits = 0
         self.misses = 0
-        #: Layer-level counters kept by the accelerator's op loop: GEMMs
-        #: served from the tape vs recomputed (diverged input or a
-        #: dwelling memory flip).
+        #: Layer-level counters kept by the accelerator's op loop: a conv/FC
+        #: op whose inputs are the taped clean inputs and at which no memory
+        #: flip dwells is a hit (its output is served from the tape, or,
+        #: under a live datapath fault, its clean GEMM reads the taped
+        #: input); a diverged input or a dwelling flip is a miss.
         self.layer_hits = 0
         self.layer_misses = 0
         #: Recorded segments the byte budget could not keep (oversized or
@@ -308,16 +294,19 @@ class CleanForwardTape:
     def max_accumulator_bytes_per_sample(self) -> int | None:
         """Largest per-sample accumulator footprint across taped layers.
 
-        The fused multi-trial path uses this to cap stack sizes: stacked
-        intermediates beyond the cache hierarchy cost more than the
-        dispatch overhead fusing saves.  ``None`` when nothing is taped.
+        A conv/FC op's int64 accumulator holds one value per output
+        element, so its footprint is the taped output's per-sample element
+        count times 8 bytes.  The fused multi-trial path uses this to cap
+        stack sizes: stacked intermediates beyond the cache hierarchy cost
+        more than the dispatch overhead fusing saves.  ``None`` when
+        nothing is taped.
         """
         best = 0
         for segment in self._segments.values():
             samples = max(1, segment.qinput.shape[0])
             for entry in segment._ops.values():
-                if entry.acc is not None:
-                    best = max(best, entry.acc.nbytes // samples)
+                if entry.gemm:
+                    best = max(best, entry.output.size // samples * 8)
         return best or None
 
     def stats(self) -> dict[str, int | float]:

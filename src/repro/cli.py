@@ -853,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument("artifacts", nargs="+",
                         help="artifact files: sweep.json, campaign --output JSON, "
-                             "profile.json, benchmarks/out/*.json")
+                             "profile.json, benchmarks/out/*.json, BENCH_<label>.json")
     ingest.add_argument("--store", type=str, default="observe/store.jsonl",
                         help="path of the longitudinal JSONL store (created on "
                              "first ingest; rewritten deterministically)")

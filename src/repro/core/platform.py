@@ -32,14 +32,14 @@ logger = get_logger(__name__)
 def _release_free_heap() -> None:
     """Hand freed heap pages back to the OS (glibc; a no-op elsewhere).
 
-    Set-up frees hundreds of MB (the float model's evaluation, and cyclic
-    garbage the collector reaches at an arbitrary point), and the tape is
-    then laid over that heap.  ``free`` returns only the free top of the
-    heap, so whenever a live block lands above the freed pages they stay
-    resident: a process's steady RSS would then depend on allocation order
-    (about 355 or 506 MB for a 48-image w0.25 fleet node) instead of
-    following its live set.  ``malloc_trim`` also releases the free pages
-    below live blocks.
+    Set-up frees hundreds of MB (the compiler's float calibration forward,
+    the baseline pass's im2col buffers and int64 accumulators, and cyclic
+    garbage), and the tape's activations are laid over that heap.  ``free``
+    returns only the free top of the heap, so whenever a live block lands
+    above the freed pages they stay resident: a process's steady RSS then
+    follows allocation order instead of its live set (an 8-image w0.25
+    pool worker peaked at 319 instead of 279 MB without the trim).
+    ``malloc_trim`` also releases the free pages below live blocks.
     """
     try:
         trim = ctypes.CDLL("libc.so.6").malloc_trim
@@ -73,8 +73,9 @@ class PlatformConfig:
     fused_stack_samples: int = 64
     #: Byte ceiling on the largest per-layer accumulator of one fused
     #: stack (the quantity that actually thrashes the cache hierarchy);
-    #: measured from the tape after the baseline pass, so wider models
-    #: automatically fuse fewer trials per pass.
+    #: derived from the taped conv/FC output shapes after the baseline
+    #: pass (8 bytes per output element), so wider models automatically
+    #: fuse fewer trials per pass.
     fused_stack_bytes: int = 4 << 20
 
 

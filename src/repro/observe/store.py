@@ -11,7 +11,8 @@ mutated or dropped.
 
 Each entry carries:
 
-* ``kind`` — ``sweep-scenario``, ``campaign``, ``profile`` or ``benchmark``;
+* ``kind`` — ``sweep-scenario``, ``campaign``, ``profile``, ``perfbench``
+  or ``benchmark``;
 * ``version`` — a caller-supplied label (``--version``) or, for artifacts
   that carry one, the first 12 hex digits of their registry digest, so runs
   remain comparable across code versions without extra bookkeeping;
@@ -23,9 +24,11 @@ Each entry carries:
 Artifact classification is structural, mirroring
 :func:`repro.report.model.load_results`: a dict with ``scenarios`` is a
 sweep, ``records`` + ``baseline_accuracy`` is a campaign, the
-``profile``/``gemm`` shape written by ``--profile`` is a profile, and any
-other JSON object is treated as a benchmark payload whose numeric leaves
-are flattened into dotted metric paths.
+``profile``/``gemm`` shape written by ``--profile`` is a profile, a
+``label`` + ``workloads`` trajectory file (``BENCH_<label>.json``, the
+parent/change pairs of one perfbench comparison) is a perfbench result,
+and any other JSON object is treated as a benchmark payload whose numeric
+leaves are flattened into dotted metric paths.
 """
 
 from __future__ import annotations
@@ -127,9 +130,24 @@ def _classify(payload: dict, source: str, version: str | None) -> list[dict]:
         return _sweep_entries(payload, source, version)
     if "records" in payload and "baseline_accuracy" in payload:
         return [_campaign_entry(payload, source, version)]
-    if "profile" in payload and "gemm" in payload:
-        return [_profile_entry(payload, source, version)]
-    return [_benchmark_entry(payload, source, version)]
+    if "label" in payload and "workloads" in payload:
+        return _perfbench_entries(payload, source, version)
+    kind = "profile" if "profile" in payload and "gemm" in payload else "benchmark"
+    return [_entry(kind, source, _label(version, None), source, _numeric_leaves(payload))]
+
+
+def _entry(
+    kind: str, scenario: str, version: str, source: str, metrics: dict, key: dict | None = None
+) -> dict:
+    return {
+        "store_version": STORE_VERSION,
+        "kind": kind,
+        "scenario": scenario,
+        "version": version,
+        "source": source,
+        "key": key or {"registry_digest": None, "structure_digest": None, "provenance": None},
+        "metrics": metrics,
+    }
 
 
 def _label(version: str | None, registry_digest: str | None) -> str:
@@ -150,21 +168,15 @@ def _sweep_entries(payload: dict, source: str, version: str | None) -> list[dict
                 f"{source}: sweep scenario entries need 'scenario' and 'result' keys"
             )
         result = CampaignResult.from_dict(scenario["result"])
-        entries.append(
-            {
-                "store_version": STORE_VERSION,
-                "kind": "sweep-scenario",
-                "scenario": scenario["scenario"],
-                "version": _label(version, registry),
-                "source": source,
-                "key": {
-                    "registry_digest": registry,
-                    "structure_digest": structure,
-                    "provenance": scenario.get("provenance"),
-                },
-                "metrics": _campaign_metrics(result),
-            }
-        )
+        key = {
+            "registry_digest": registry,
+            "structure_digest": structure,
+            "provenance": scenario.get("provenance"),
+        }
+        entries.append(_entry(
+            "sweep-scenario", scenario["scenario"], _label(version, registry), source,
+            _campaign_metrics(result), key,
+        ))
     if not entries:
         raise ValueError(f"{source}: sweep artifact contains no scenarios")
     return entries
@@ -174,43 +186,64 @@ def _campaign_entry(payload: dict, source: str, version: str | None) -> dict:
     result = CampaignResult.from_dict(payload)
     provenance = result.provenance or {}
     registry = provenance.get("registry_digest")
-    return {
-        "store_version": STORE_VERSION,
-        "kind": "campaign",
-        "scenario": result.strategy or "campaign",
-        "version": _label(version, registry),
-        "source": source,
-        "key": {
-            "registry_digest": registry,
-            "structure_digest": _campaign_structure_digest(result),
-            "provenance": result.provenance,
-        },
-        "metrics": _campaign_metrics(result),
+    key = {
+        "registry_digest": registry,
+        "structure_digest": _campaign_structure_digest(result),
+        "provenance": result.provenance,
     }
+    return _entry(
+        "campaign", result.strategy or "campaign", _label(version, registry), source,
+        _campaign_metrics(result), key,
+    )
 
 
-def _profile_entry(payload: dict, source: str, version: str | None) -> dict:
-    return {
-        "store_version": STORE_VERSION,
-        "kind": "profile",
-        "scenario": source,
-        "version": _label(version, None),
-        "source": source,
-        "key": {"registry_digest": None, "structure_digest": None, "provenance": None},
-        "metrics": _numeric_leaves(payload),
-    }
+def _number_at(payload: Any, path: tuple[str, ...], where: str) -> float:
+    """The number at ``path`` inside nested dicts, or a ValueError naming it."""
+    for key in path:
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    if isinstance(payload, bool) or not isinstance(payload, (int, float)):
+        raise ValueError(f"{where}.{'.'.join(path)} must be a number, got {payload!r}")
+    return payload
 
 
-def _benchmark_entry(payload: dict, source: str, version: str | None) -> dict:
-    return {
-        "store_version": STORE_VERSION,
-        "kind": "benchmark",
-        "scenario": source,
-        "version": _label(version, None),
-        "source": source,
-        "key": {"registry_digest": None, "structure_digest": None, "provenance": None},
-        "metrics": _numeric_leaves(payload),
-    }
+def _perfbench_entries(payload: dict, source: str, version: str | None) -> list[dict]:
+    """One entry per workload of a perfbench trajectory file.
+
+    Each end-to-end metric keeps its parent and change ``median``, ``q1``
+    and ``q3`` (``trials_per_s.change.median``); the raw ``runs`` and
+    ``failed`` arrays are dropped.  A traced round's per-layer metrics keep
+    their single parent and change values (``traced.gemm.s.change``).  The
+    version defaults to the file's ``label``.
+    """
+    workloads = payload["workloads"]
+    if not isinstance(workloads, dict) or not workloads:
+        raise ValueError(f"{source}: 'workloads' must be a non-empty object")
+    sides = ("parent", "change")
+    entries = []
+    for name, workload in sorted(workloads.items()):
+        end_to_end = workload.get("metrics") if isinstance(workload, dict) else None
+        if not isinstance(end_to_end, dict) or not end_to_end:
+            raise ValueError(f"{source}: workload {name!r} has no 'metrics' object")
+        traced = workload.get("traced_round") or {}
+        traced = (traced.get("metrics") if isinstance(traced, dict) else None) or {}
+        paths = {
+            f"{metric}.{side}.{stat}": ("metrics", metric, side, stat)
+            for metric in end_to_end for side in sides for stat in ("median", "q1", "q3")
+        }
+        paths.update(
+            (f"traced.{metric}.{side}", ("traced_round", "metrics", metric, side))
+            for metric in traced for side in sides
+        )
+        metrics = {
+            key: _number_at(workload, path, f"{source}: {name}")
+            for key, path in sorted(paths.items())
+        }
+        provenance = {k: payload.get(k) for k in ("command", "host")}
+        provenance.update((k, workload.get(k)) for k in ("pairs", "seed"))
+        key = {"registry_digest": None, "structure_digest": None, "provenance": provenance}
+        label = version or str(payload["label"])
+        entries.append(_entry("perfbench", name, label, source, metrics, key))
+    return entries
 
 
 def _entry_id(body: dict) -> str:

@@ -13,7 +13,7 @@ Examples and benchmarks call :func:`build_case_study_platform` so that the
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +106,17 @@ class CaseStudyModel:
 
     graph: Graph
     dataset: SyntheticCIFAR10
-    float_accuracy: float
     spec: CaseStudySpec
+    _float_accuracy: float | None = field(default=None, repr=False)
+
+    @property
+    def float_accuracy(self) -> float:
+        """Top-1 float accuracy on the test split, evaluated on first access."""
+        if self._float_accuracy is None:
+            self._float_accuracy = evaluate_accuracy(
+                self.graph, self.dataset.test_images, self.dataset.test_labels
+            )
+        return self._float_accuracy
 
 
 def _cache_path(spec: CaseStudySpec, cache_dir: Path) -> Path:
@@ -141,9 +150,9 @@ def train_case_study_model(
     if path.exists() and not force_retrain:
         state = dict(np.load(path))
         graph.load_state_dict(state)
-        accuracy = evaluate_accuracy(graph, dataset.test_images, dataset.test_labels)
-        logger.info("loaded cached case-study model from %s (accuracy %.3f)", path, accuracy)
-        return CaseStudyModel(graph=graph, dataset=dataset, float_accuracy=accuracy, spec=spec)
+        graph.eval()
+        logger.info("loaded cached case-study model from %s", path)
+        return CaseStudyModel(graph=graph, dataset=dataset, spec=spec)
 
     logger.info("training case-study model (%s)", spec.cache_key())
     trainer = Trainer(
@@ -163,7 +172,7 @@ def train_case_study_model(
     cache_dir.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **graph.state_dict())
     logger.info("trained case-study model: accuracy %.3f, cached at %s", accuracy, path)
-    return CaseStudyModel(graph=graph, dataset=dataset, float_accuracy=accuracy, spec=spec)
+    return CaseStudyModel(graph=graph, dataset=dataset, spec=spec, _float_accuracy=accuracy)
 
 
 def build_case_study_platform(

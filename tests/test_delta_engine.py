@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.accelerator import engine as engine_module
 from repro.accelerator.accelerator import NVDLAAccelerator, _reach
 from repro.accelerator.engine import VectorisedEngine, config_fusable
 from repro.accelerator.geometry import PAPER_GEOMETRY
 from repro.accelerator.pdp import PDP
-from repro.accelerator.tape import CleanForwardTape, TapeSegment, arrays_match
+from repro.accelerator.tape import CleanForwardTape, arrays_match
 from repro.compiler.ops import ConvOp, FullyConnectedOp, PoolOp
 from repro.core import platform as platform_module
 from repro.core.campaign import CampaignConfig
@@ -431,26 +432,43 @@ class TestIdleOpSkip:
         )
 
     @pytest.mark.parametrize(
-        "config",
+        "configs",
         [
-            InjectionConfig.single(FaultSite(1, 2), StuckAtZero()),
-            InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
+            [InjectionConfig.single(FaultSite(1, 2), StuckAtZero())],
+            [InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5))],
+            [
+                InjectionConfig.single(_site_for(model, 1 + i, 2), model)
+                for i, model in enumerate(FAMILIES[:4])
+            ],
         ],
-        ids=lambda c: c.describe(),
+        ids=lambda configs: configs[0].describe() if len(configs) == 1 else "fused-group",
     )
     def test_live_datapath_fault_never_skips(
-        self, tiny_platform, tiny_dataset, config, monkeypatch
+        self, tiny_platform, tiny_dataset, configs, monkeypatch
     ):
+        """Every GEMM runs under a live datapath fault.  The first conv
+        reads the taped clean input and makes exactly one clean GEMM for
+        the whole group (the tape holds no GEMM parts), and the logits
+        equal a tape-less pass."""
         loadable = tiny_platform.loadable
         images = tiny_dataset.test_images[:2]
         taped = _taped_accelerator(loadable, images)
         reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
         engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
-        for accelerator in (taped, reference):
-            accelerator.set_injection_config(config)
-        logits = taped.execute(loadable, images, chunk_key=(0, 2))
-        np.testing.assert_array_equal(logits, reference.execute(loadable, images))
+        stem = loadable.model.node(_gemm_names(loadable)[0])
+        stem_w_mat = (stem.weight.shape[0], stem.weight[0].size)
+        stem_gemms = []
+        matmul = engine_module.exact_matmul
+        monkeypatch.setattr(engine_module, "exact_matmul", lambda a, b: (
+            a.shape == stem_w_mat and stem_gemms.append(b.shape)
+        ) or matmul(a, b))
+        hits = taped.tape.layer_hits
+        logits = taped.execute_fused(loadable, images, configs, chunk_key=(0, 2))
+        # One GEMM over the shared clean batch, not a stack of G batches.
+        assert len(stem_gemms) == 1 and stem_gemms[0][0] == len(images)
+        assert taped.tape.layer_hits == hits + 1  # the stem's input was the taped one
         assert engine_calls == requant_calls == _gemm_names(loadable)
+        np.testing.assert_array_equal(logits, reference.execute_fused(loadable, images, configs))
         # Same draws in the same order as the tape-less engine.
         assert taped.engine.rng.bit_generator.state == reference.engine.rng.bit_generator.state
 
@@ -909,19 +927,26 @@ class TestCleanForwardTape:
         segment = accelerator.tape.segment_for((0, 8), platform.loadable.model.input_node.quantize(images))
         assert logits is segment.entry(platform.loadable.model.output_name).output
 
-    def test_stash_joins_engine_and_accelerator_halves(self):
-        tape = CleanForwardTape(max_bytes=1 << 20)
-        tape.start_recording()
-        qinput = random_int8((16,), seed=7)
-        segment = TapeSegment((0, 2), qinput)
-        cols = random_int8((2, 4, 2), seed=8)
-        acc = np.ones((2, 3, 2), dtype=np.int64)
-        segment.stash_gemm("conv", cols, acc)
-        segment.record("conv", (qinput,), random_int8((16,), seed=9))
-        entry = segment.entry("conv")
-        np.testing.assert_array_equal(entry.cols, cols)
-        np.testing.assert_array_equal(entry.acc, acc)
-        assert segment._stash == {}
+    def test_tape_holds_activations_only(self, tiny_platform, tiny_dataset):
+        """A recorded segment holds the distinct interned activations and
+        nothing else, and the accumulator footprint the fused path sizes
+        its groups by is derived from the taped conv/FC output shapes."""
+        loadable = tiny_platform.loadable
+        images = tiny_dataset.test_images[:4]
+        tape = _taped_accelerator(loadable, images).tape
+        segment = tape.segment_for((0, 4), loadable.model.input_node.quantize(images))
+        activations = {}
+        for op in loadable.ops:
+            entry = segment.entry(op.name)
+            assert set(vars(entry)) == {"inputs", "output", "gemm"}
+            assert entry.gemm == isinstance(op, (ConvOp, FullyConnectedOp))
+            for array in entry.inputs + (entry.output,):
+                activations[id(array)] = array.nbytes
+        assert segment.nbytes == tape.nbytes == sum(activations.values())
+        per_sample_outputs = [
+            segment.entry(op.name).output[0].size for op in _gemm_ops(loadable)
+        ]
+        assert tape.max_accumulator_bytes_per_sample() == max(per_sample_outputs) * 8
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.observe.store import _numeric_leaves
 from repro.report import build_report, render_html, render_trends_html
 from repro.report.model import load_results
 from repro.utils.jsonsafe import dump_json_safe
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_campaign(strategy, drops, *, seed=0, wall=4.0):
@@ -181,6 +184,54 @@ class TestStoreDeterminism:
         (entry,) = store.entries()
         assert entry["kind"] == "profile"
         assert entry["metrics"]["profile.tape.seconds"] == 1.5
+
+    def test_perfbench_trajectory_keeps_quartiles_only(self, tmp_path):
+        """A committed ``BENCH_<label>.json`` becomes one entry per
+        workload: parent/change median and quartiles of every end-to-end
+        metric plus the traced round's values, without the raw runs."""
+        source = REPO_ROOT / "BENCH_pr17.json"
+        payload = json.loads(source.read_text())
+        store = LongitudinalStore(tmp_path / "store.jsonl")
+        assert store.ingest([source]) == {"added": 2, "duplicates": 0, "total": 2}
+        entries = {entry["scenario"]: entry for entry in store.entries()}
+        assert set(entries) == set(payload["workloads"]) == {"fleet-mem-48", "pool-fused-8"}
+        for name, entry in entries.items():
+            workload = payload["workloads"][name]
+            assert entry["kind"] == "perfbench" and entry["version"] == "pr17"
+            assert entry["key"]["provenance"]["seed"] == workload["seed"]
+            want = {
+                f"{metric}.{side}.{stat}": sides[side][stat]
+                for metric, sides in workload["metrics"].items()
+                for side in ("parent", "change")
+                for stat in ("median", "q1", "q3")
+            }
+            want.update(
+                (f"traced.{metric}.{side}", sides[side])
+                for metric, sides in workload["traced_round"]["metrics"].items()
+                for side in ("parent", "change")
+            )
+            assert entry["metrics"] == want
+            assert not any("runs" in key or "failed" in key for key in entry["metrics"])
+        trends = build_trends(store.entries())
+        series = {(s["source"], s["metric"]): s["points"] for s in trends["benchmarks"]}
+        assert series[("fleet-mem-48", "trials_per_s.change.median")] == [{
+            "id": entries["fleet-mem-48"]["id"], "version": "pr17",
+            "value": payload["workloads"]["fleet-mem-48"]["metrics"]["trials_per_s"]["change"]["median"],
+        }]
+
+    def test_malformed_perfbench_trajectory_fails(self, tmp_path):
+        payload = json.loads((REPO_ROOT / "BENCH_pr17.json").read_text())
+        del payload["workloads"]["fleet-mem-48"]["metrics"]["peak_rss_mb"]["change"]["q3"]
+        path = tmp_path / "BENCH_bad.json"
+        path.write_text(json.dumps(payload))
+        store = LongitudinalStore(tmp_path / "store.jsonl")
+        with pytest.raises(ValueError, match=r"fleet-mem-48\.metrics\.peak_rss_mb\.change\.q3 must be a number"):
+            store.ingest([path])
+        payload["workloads"] = {}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-empty"):
+            store.ingest([path])
+        assert not store.path.exists()
 
     def test_corrupt_inputs_fail_loudly(self, tmp_path):
         store = LongitudinalStore(tmp_path / "store.jsonl")
