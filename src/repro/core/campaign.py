@@ -35,8 +35,6 @@ class CampaignConfig:
     seed: int = 0
     #: Evaluate at most this many images per trial (None = all provided).
     max_images: int | None = None
-    #: Log progress every N trials (0 disables).
-    log_every: int = 0
     #: Trials evaluated per fused engine pass (1 disables fusion).  A group
     #: shares every clean-prefix layer's taped GEMM and runs the diverged
     #: suffix as one stacked pass, amortising per-trial dispatch overhead.

@@ -40,6 +40,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeededRNG
@@ -493,28 +494,49 @@ class NetworkChaos:
 
 
 class ChaosMonkey:
-    """Worker-side executor of a plan: strikes at the planned logical points.
+    """Worker-side executor of a plan, the one for every transport.
 
-    Built once per worker attempt; the worker reports each emitted record
-    via :meth:`on_record` (and its startup via ``on_record(0)``), and the
+    Built once per worker attempt (a pool slot's epoch, a fleet lease's
+    attempt).  The transport reports its startup via ``on_record(0)`` and
+    the trial server each emitted record via :meth:`record_emitted`; the
     monkey fires whatever events the plan scheduled at that point.
 
-    ``kill`` flushes the result queue first (``close()`` +
-    ``join_thread()``) so every record the worker already produced reaches
-    the parent — the deterministic way to manufacture the
-    delivered-then-re-executed duplicates that re-leased shards create.
+    ``delay`` sleeps and carries on.  ``kill`` first calls the transport's
+    ``flush()``, which delivers every record already produced (the pool
+    joins its result queue, a fleet node posts its pending batch) — the
+    deterministic way to manufacture the delivered-then-re-executed
+    duplicates that re-leased shards create.  It then calls
+    ``stop(event)``, or exits hard without one.  ``hang`` sleeps until the
+    pool terminates the worker, unless the transport passes a ``stop``: a
+    fleet node has no supervisor to terminate it, so it flushes and stops
+    (``os._exit``, or abandoning the lease as fatal in thread mode).
     """
 
-    def __init__(self, plan: ChaosPlan | None, worker: int, attempt: int, results=None):
+    def __init__(
+        self,
+        plan: ChaosPlan | None,
+        worker: int,
+        attempt: int,
+        *,
+        flush: Callable[[], None] | None = None,
+        stop: Callable[[ChaosEvent], None] | None = None,
+    ):
         self.worker = worker
         self.attempt = attempt
-        self.results = results
+        self.flush = flush
+        self.stop = stop
+        self.emitted = 0
         self._pending = list(plan.for_worker(worker, attempt)) if plan is not None else []
 
     def on_record(self, records_emitted: int) -> None:
         """Fire every event scheduled at or before ``records_emitted``."""
         while self._pending and self._pending[0].after_records <= records_emitted:
             self._strike(self._pending.pop(0))
+
+    def record_emitted(self) -> None:
+        """Count one more emitted record and strike what is due."""
+        self.emitted += 1
+        self.on_record(self.emitted)
 
     def _strike(self, event: ChaosEvent) -> None:
         if event.action == "delay":
@@ -523,15 +545,17 @@ class ChaosMonkey:
                 self.worker, self.attempt, event.seconds,
             )
             time.sleep(event.seconds)
-        elif event.action == "hang":
-            logger.info("chaos: worker %d attempt %d hanging", self.worker, self.attempt)
+            return
+        verb = "hanging" if event.action == "hang" else "dying"
+        logger.info("chaos: worker %d attempt %d %s", self.worker, self.attempt, verb)
+        if self.stop is None and event.action == "hang":
             time.sleep(event.seconds or HANG_SECONDS)
-        elif event.action == "kill":
-            logger.info("chaos: worker %d attempt %d dying", self.worker, self.attempt)
-            if self.results is not None:
-                # Flush queued records to the parent before dying, then
-                # exit hard — no finally blocks, no atexit, exactly like a
-                # process killed from outside between two queue puts.
-                self.results.close()
-                self.results.join_thread()
+            return
+        # Flush, then go down hard — no finally blocks, no atexit, exactly
+        # like a process killed from outside between two deliveries.
+        if self.flush is not None:
+            self.flush()
+        if self.stop is not None:
+            self.stop(event)
+        else:
             os._exit(KILL_EXIT_CODE)

@@ -177,9 +177,6 @@ class LeaseBook:
         Extra fields for every ``lease.*`` telemetry event (e.g. the job).
     scenario:
         Scenario id named in log lines and poison entries (fleet jobs).
-    log_every:
-        Log a progress line whenever the merged-record count crosses a
-        multiple of this, and at every round barrier (0 disables).
     """
 
     def __init__(
@@ -199,7 +196,6 @@ class LeaseBook:
         recovery: RecoveryLog | None = None,
         tags: dict | None = None,
         scenario: str | None = None,
-        log_every: int = 0,
     ):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -225,7 +221,6 @@ class LeaseBook:
         self.recovery = recovery if recovery is not None else RecoveryLog()
         self.tags = dict(tags or {})
         self.scenario = scenario
-        self.log_every = log_every
         #: Leases of the current round (or of the baseline-only lease).
         self.leases: dict[int, ShardLease] = {}
         #: Which current lease owns each of its trial indices.
@@ -331,14 +326,11 @@ class LeaseBook:
                 )
             if index not in self.records:
                 batch[index] = record
-        before = len(self.records)
         for index, record in batch.items():
             self.records[index] = record
             owner = self._owner.get(index)
             if owner is not None:
                 owner.remaining.discard(index)
-        if self.log_every and before // self.log_every != len(self.records) // self.log_every:
-            self._log_progress()
         return list(batch.values())
 
     def complete(self, lease_id: int, attempt: int) -> bool:
@@ -450,8 +442,6 @@ class LeaseBook:
             self.completed_rounds += 1
             self.stop_end = end
             self.leases = {}
-            if self.log_every:
-                self._log_progress()
             if self.plan is not None and self.plan.should_stop(
                 self.completed_rounds, [self.records[index] for index in range(end)]
             ):
@@ -483,10 +473,3 @@ class LeaseBook:
 
     def _prefix(self) -> str:
         return f"scenario {self.scenario}: " if self.scenario is not None else "campaign: "
-
-    def _log_progress(self) -> None:
-        logger.info(
-            "%s%d/%d trial(s) merged, %d/%d round(s) complete",
-            self._prefix(), len(self.records), self.budget,
-            self.completed_rounds, len(self.bounds),
-        )

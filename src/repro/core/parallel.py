@@ -15,9 +15,16 @@ serial run** for any worker count and across interrupt/resume:
   indices ``pending[w::N]`` of each round (round-robin, so structured
   strategies spread evenly).  Because records are keyed by trial index,
   the assignment cannot influence the result, only the wall-clock balance.
-* Each worker constructs its platform exactly once from a picklable
+* Each worker warms up one :class:`TrialServer` from a picklable
   :class:`PlatformSpec` and streams one record per finished trial back to
   the parent, which appends it to a JSONL checkpoint file.
+
+One :class:`TrialServer` turns a platform recipe into records for every
+transport — the in-process loop, each pool worker and each fleet node
+(:mod:`repro.service.worker`) — and :func:`campaign_result` and
+:func:`checkpoint_header_line` turn a finished lease book into the
+campaign's result and checkpoint header, for the local runner and the
+fleet coordinator (:mod:`repro.service.jobs`) alike.
 
 Checkpoint format (one JSON object per line)::
 
@@ -54,9 +61,9 @@ import signal
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,38 +92,41 @@ CHECKPOINT_VERSION = 1
 DEFAULT_POLL = 0.5
 
 
-def checkpoint_header_line(
-    *,
-    strategy: str,
-    seed: int,
-    num_images: int,
-    total_trials: int | None,
-    batch_size: int,
-    baseline_accuracy: float,
-    inferences_per_second: float | None,
-    plan: dict | None = None,
-) -> str:
+@dataclass(frozen=True)
+class CampaignIdentity:
+    """The fields that name a campaign in its checkpoint header.
+
+    A resumed checkpoint must match every one of them (and the adaptive
+    plan).  ``batch_size`` is part of the identity because cycle-dependent
+    fault models (per-cycle transients) derive their firing pattern from
+    each sample's position within its evaluation batch chunk — resuming
+    under a different batch size would silently mix records computed under
+    different effective fault behaviour.
+    """
+
+    strategy: str
+    seed: int
+    num_images: int
+    total_trials: int | None
+    batch_size: int
+
+
+def checkpoint_header_line(campaign: CampaignIdentity, book: LeaseBook) -> str:
     """The canonical JSONL header line of a campaign checkpoint.
 
-    Factored to module level because byte-identity of checkpoints is an
-    invariant across *execution topologies*: the serial runner, the
-    multiprocessing pool and the fleet coordinator
-    (:mod:`repro.service.coordinator`) must all emit exactly these bytes
-    for the same campaign.
+    Byte-identity of checkpoints is an invariant across *execution
+    topologies*: the serial runner, the multiprocessing pool and the fleet
+    coordinator (:mod:`repro.service.jobs`) all write their headers here.
     """
     payload: dict = {
         "kind": "header",
         "version": CHECKPOINT_VERSION,
-        "strategy": strategy,
-        "seed": seed,
-        "num_images": num_images,
-        "total_trials": total_trials,
-        "batch_size": batch_size,
-        "baseline_accuracy": baseline_accuracy,
-        "emulated_inferences_per_second": inferences_per_second,
+        **asdict(campaign),
+        "baseline_accuracy": book.baseline,
+        "emulated_inferences_per_second": book.ips,
     }
-    if plan is not None:
-        payload["plan"] = plan
+    if book.plan is not None:
+        payload["plan"] = book.plan.to_dict()
     return json.dumps(payload) + "\n"
 
 
@@ -124,13 +134,42 @@ def checkpoint_record_line(record: TrialRecord) -> str:
     """The canonical JSONL line of one trial record (see header note)."""
     return json.dumps({"kind": "record", **record.to_dict()}) + "\n"
 
-#: Header fields that must match between a checkpoint and the campaign
-#: attempting to resume from it.  ``batch_size`` is part of the identity
-#: because cycle-dependent fault models (per-cycle transients) derive their
-#: firing pattern from each sample's position within its evaluation batch
-#: chunk — resuming under a different batch size would silently mix records
-#: computed under different effective fault behaviour.
-_HEADER_IDENTITY = ("strategy", "seed", "num_images", "total_trials", "batch_size")
+
+def campaign_result(campaign: CampaignIdentity, book: LeaseBook) -> CampaignResult:
+    """The result of a finished book, for every transport.
+
+    A fixed-budget campaign keeps every merged record; an adaptive one
+    keeps exactly the complete rounds up to its stopping barrier — records
+    a round left incomplete (by a quarantined poison lease) never count.
+    """
+    if book.baseline is None:
+        # No evaluator survived long enough to report a baseline (every
+        # lease quarantined before its first report) and no checkpoint
+        # header carried one either.
+        raise RuntimeError("campaign finished without establishing a baseline accuracy")
+    result = CampaignResult(
+        baseline_accuracy=book.baseline,
+        strategy=campaign.strategy,
+        num_images=campaign.num_images,
+        seed=campaign.seed,
+        emulated_inferences_per_second=book.ips,
+    )
+    plan = book.plan
+    if plan is None:
+        result.records = [book.records[index] for index in sorted(book.records)]
+        return result
+    result.records = [book.records[index] for index in range(book.stop_end)]
+    interval = plan.interval(result.records)
+    result.adaptive = {
+        "plan": plan.to_dict(),
+        "budget": book.budget,
+        "rounds_completed": book.completed_rounds,
+        "trials_evaluated": book.stop_end,
+        "stopped_early": book.stop_end < book.budget,
+        "final_half_width": interval.half_width if interval is not None else None,
+        "final_interval": interval.to_dict() if interval is not None else None,
+    }
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -273,57 +312,118 @@ def shard_indices(indices: Sequence[int], workers: int) -> list[list[int]]:
     return [shard for shard in shards if shard]
 
 
-def _build_record(
-    trial: StrategyTrial, index: int, baseline: float, accuracy: float
-) -> TrialRecord:
-    return TrialRecord(
-        trial_index=index,
-        description=trial.config.describe(),
-        num_faults=trial.num_faults,
-        injected_value=trial.injected_value,
-        mac_unit=trial.mac_unit,
-        multiplier=trial.multiplier,
-        accuracy=accuracy,
-        accuracy_drop=baseline - accuracy,
-        metadata=dict(trial.metadata),
-    )
+# ----------------------------------------------------------------------
+# The trial server: from a platform recipe to records, for every transport
+# ----------------------------------------------------------------------
+class TrialServer:
+    """One warmed-up platform serving trial records to any transport.
 
+    The in-process loop, every pool worker and every fleet node evaluate
+    trials through this class and nothing else, so records are
+    bit-identical by construction whatever host drives them.  Building
+    one is the whole warm-up: build the platform from its
+    :class:`PlatformSpec` (or take a built one), start a fresh clean-state
+    tape, and run the baseline pass, which records the tape.  Then
+    :meth:`records` evaluates any list of trial indices.
 
-def _records_for_pairs(
-    platform: EmulationPlatform,
-    pairs: Sequence[tuple[int, StrategyTrial]],
-    baseline: float,
-    images: np.ndarray,
-    labels: np.ndarray,
-    config: CampaignConfig,
-):
-    """Yield records for ``(index, trial)`` pairs, fusing groups of trials.
-
-    Consecutive pairs are evaluated ``config.fused_trials`` at a time
-    through :meth:`EmulationPlatform.accuracies_with_faults`, which runs
-    fusable configurations as stacked multi-trial engine passes and the
-    rest one at a time — the records are bit-identical to per-trial
-    evaluation for any group size, so sharding, resuming and fusing
-    compose freely.
+    A transport owns only its wire: where indices come from, where
+    records and the ``(baseline, ips)`` report go, and how a
+    :class:`~repro.core.chaos.ChaosMonkey` flushes and stops.
     """
-    group = max(1, config.fused_trials)
-    for start in range(0, len(pairs), group):
-        chunk = pairs[start : start + group]
-        configs = [trial.config for _, trial in chunk]
-        if len(chunk) == 1:
-            accuracies = [platform.accuracy_with_faults(
-                configs[0], images, labels, batch_size=config.batch_size
-            )]
-        else:
-            accuracies = platform.accuracies_with_faults(
-                configs, images, labels, batch_size=config.batch_size
+
+    def __init__(
+        self,
+        platform_or_spec: EmulationPlatform | PlatformSpec,
+        images: np.ndarray,
+        labels: np.ndarray,
+        batch_size: int,
+    ):
+        self._gemm_before = GEMM_STATS.as_dict()
+        if isinstance(platform_or_spec, PlatformSpec):
+            platform_or_spec = platform_or_spec.build()
+        self.platform: EmulationPlatform = platform_or_spec
+        # Fresh tape per server: deterministic memory profile, and reused
+        # platforms (serial campaigns) don't carry entries across campaigns.
+        self.platform.reset_caches()
+        self.images = images
+        self.labels = labels
+        self.baseline = self.platform.baseline_accuracy(images, labels, batch_size=batch_size)
+        self.ips = self.platform.inferences_per_second()
+
+    def trial_source(self, strategy: InjectionStrategy, seed: int):
+        """``(trial_at(index), total_trials)`` of ``strategy`` on this platform.
+
+        A strategy that implements only ``trials()`` is enumerated once up
+        front, so it runs through the same index-keyed book as the rest.
+        """
+        universe = self.platform.universe
+        rng = SeededRNG(seed)
+        if strategy.supports_random_access:
+            return (
+                lambda index: strategy.trial_at(universe, rng, index),
+                strategy.expected_trials(universe),
             )
-        for (index, trial), accuracy in zip(chunk, accuracies):
-            yield _build_record(trial, index, baseline, accuracy)
+        trials = list(strategy.trials(universe, rng))
+        return trials.__getitem__, len(trials)
+
+    def records(
+        self,
+        indices: Sequence[int],
+        trial_at: Callable[[int], StrategyTrial],
+        config: CampaignConfig,
+        monkey: ChaosMonkey | None = None,
+    ) -> Iterator[TrialRecord]:
+        """Yield the records of ``indices`` in order, fusing groups of trials.
+
+        Consecutive trials are evaluated ``config.fused_trials`` at a time
+        through :meth:`EmulationPlatform.accuracies_with_faults`, which runs
+        fusable configurations as stacked multi-trial engine passes and the
+        rest one at a time — the records are bit-identical to per-trial
+        evaluation for any group size, so sharding, resuming and fusing
+        compose freely.  ``monkey`` strikes after each yielded record.
+        """
+        pairs = [(index, trial_at(index)) for index in indices]
+        group = max(1, config.fused_trials)
+        for start in range(0, len(pairs), group):
+            chunk = pairs[start : start + group]
+            configs = [trial.config for _, trial in chunk]
+            if len(chunk) == 1:
+                accuracies = [self.platform.accuracy_with_faults(
+                    configs[0], self.images, self.labels, batch_size=config.batch_size
+                )]
+            else:
+                accuracies = self.platform.accuracies_with_faults(
+                    configs, self.images, self.labels, batch_size=config.batch_size
+                )
+            for (index, trial), accuracy in zip(chunk, accuracies):
+                yield TrialRecord(
+                    trial_index=index,
+                    description=trial.config.describe(),
+                    num_faults=trial.num_faults,
+                    injected_value=trial.injected_value,
+                    mac_unit=trial.mac_unit,
+                    multiplier=trial.multiplier,
+                    accuracy=accuracy,
+                    accuracy_drop=self.baseline - accuracy,
+                    metadata=dict(trial.metadata),
+                )
+                if monkey is not None:
+                    monkey.record_emitted()
+
+    def stats(self) -> dict:
+        """Execution statistics since the server was built, for aggregation."""
+        return {
+            "gemm": {
+                key: value - self._gemm_before.get(key, 0)
+                for key, value in GEMM_STATS.as_dict().items()
+            },
+            "tape": self.platform.tape_stats(),
+            "profile": PROFILER.as_dict() if PROFILER.enabled else None,
+        }
 
 
 def _worker_setup(config: CampaignConfig) -> None:
-    """Reset per-process counters a forked worker inherited from the parent."""
+    """Reset per-process state a forked worker inherited from the parent."""
     # Ctrl-C belongs to the parent: it terminates the pool, flushes the
     # checkpoint and prints a resume hint.  Workers reacting to the terminal's
     # SIGINT on their own would just spray KeyboardInterrupt tracebacks over
@@ -337,21 +437,11 @@ def _worker_setup(config: CampaignConfig) -> None:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main-thread start methods
         pass
-    GEMM_STATS.reset()
     PROFILER.enabled = config.profile
     PROFILER.reset()
     # The parent's telemetry sink (if --trace armed one) was inherited
     # across fork; workers must not write to the shared file descriptor.
     TELEMETRY.disable_inherited()
-
-
-def _worker_stats(platform: EmulationPlatform) -> dict:
-    """Execution statistics one process ships back for aggregation."""
-    return {
-        "gemm": GEMM_STATS.as_dict(),
-        "tape": platform.tape_stats(),
-        "profile": PROFILER.as_dict() if PROFILER.enabled else None,
-    }
 
 
 def _round_worker(
@@ -363,7 +453,7 @@ def _round_worker(
     tasks: mp.Queue,
     results: mp.Queue,
 ) -> None:
-    """Worker entry point: build the platform once, then serve leases.
+    """Worker entry point: warm up one trial server, then serve leases.
 
     Serves index lists from ``tasks`` until the ``None`` sentinel arrives;
     a ``round-done`` message completes each one.  Workers stay alive
@@ -376,33 +466,25 @@ def _round_worker(
     ``batch`` is either a zero-copy :class:`~repro.core.shm.SharedBatch`
     (mapped, not pickled) or a plain ``(images, labels)`` tuple.
     """
+
+    def flush() -> None:
+        # Push every queued message through the pipe to the parent.
+        results.close()
+        results.join_thread()
+
     try:
         _worker_setup(config)
-        monkey = ChaosMonkey(config.chaos, token[0], token[1], results)
+        monkey = ChaosMonkey(config.chaos, *token, flush=flush)
         images, labels = resolve_batch(batch)
-        platform = spec.build()
-        platform.reset_caches()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=config.batch_size)
-        results.put(("meta", token, (baseline, platform.inferences_per_second())))
+        server = TrialServer(spec, images, labels, config.batch_size)
+        results.put(("meta", token, (server.baseline, server.ips)))
         monkey.on_record(0)
-        rng = SeededRNG(config.seed)
-        emitted = 0
-        while True:
-            indices = tasks.get()
-            if indices is None:
-                break
-            pairs = [
-                (index, strategy.trial_at(platform.universe, rng, index))
-                for index in indices
-            ]
-            for record in _records_for_pairs(
-                platform, pairs, baseline, images, labels, config
-            ):
+        trial_at, _ = server.trial_source(strategy, config.seed)
+        while (indices := tasks.get()) is not None:
+            for record in server.records(indices, trial_at, config, monkey):
                 results.put(("record", token, record))
-                emitted += 1
-                monkey.on_record(emitted)
             results.put(("round-done", token, None))
-        results.put(("stats", token, _worker_stats(platform)))
+        results.put(("stats", token, server.stats()))
         results.put(("done", token, None))
     except Exception:  # pragma: no cover - exercised via the parent's error path
         results.put(("error", token, traceback.format_exc()))
@@ -678,7 +760,14 @@ class ParallelCampaignRunner:
         if len(images) == 0:
             raise ValueError("campaign needs at least one evaluation image")
 
-        header, completed = self._load_resume_state(len(labels))
+        campaign = CampaignIdentity(
+            strategy=self.strategy.name,
+            seed=cfg.seed,
+            num_images=len(labels),
+            total_trials=self._total_trials(),
+            batch_size=cfg.batch_size,
+        )
+        header, completed = self._load_resume_state(campaign)
         start = time.perf_counter()
         profiler_was_enabled = PROFILER.enabled
         with TELEMETRY.span(
@@ -688,7 +777,7 @@ class ParallelCampaignRunner:
             resumed=len(completed),
         ) as span:
             try:
-                result = self._execute(images, labels, header, completed)
+                result = self._execute(images, labels, campaign, header, completed)
             finally:
                 # The in-process transport arms the process-global profiler
                 # when config.profile is set; restore it even when a run
@@ -704,18 +793,16 @@ class ParallelCampaignRunner:
     # ------------------------------------------------------------------
     # Resume / checkpoint plumbing
     # ------------------------------------------------------------------
-    def _universe(self) -> FaultUniverse:
-        if self.platform is not None:
-            return self.platform.universe
-        return self.spec.universe()
-
     def _total_trials(self) -> int | None:
+        universe = self.platform.universe if self.platform is not None else self.spec.universe()
         try:
-            return self.strategy.expected_trials(self._universe())
+            return self.strategy.expected_trials(universe)
         except NotImplementedError:
             return None
 
-    def _load_resume_state(self, num_images: int) -> tuple[dict | None, dict[int, TrialRecord]]:
+    def _load_resume_state(
+        self, campaign: CampaignIdentity
+    ) -> tuple[dict | None, dict[int, TrialRecord]]:
         """Load and validate the checkpoint; returns (header, completed records)."""
         if self.checkpoint is None or not self.checkpoint.exists():
             if self.resume and self.checkpoint is not None:
@@ -739,11 +826,7 @@ class ParallelCampaignRunner:
             logger.warning("checkpoint %s has no readable header; starting fresh", self.checkpoint)
             return None, {}
         expected = {
-            "strategy": self.strategy.name,
-            "seed": self.config.seed,
-            "num_images": num_images,
-            "total_trials": self._total_trials(),
-            "batch_size": self.config.batch_size,
+            **asdict(campaign),
             # The adaptive plan is campaign identity: it decides *which*
             # trials get evaluated (the stopping round), so resuming under a
             # different plan — or resuming a fixed-budget checkpoint
@@ -752,16 +835,16 @@ class ParallelCampaignRunner:
             # "plan" key, which get() maps to None = fixed-budget.
             "plan": self.plan.to_dict() if self.plan is not None else None,
         }
-        for key in (*_HEADER_IDENTITY, "plan"):
+        for key, value in expected.items():
             if key == "batch_size" and key not in header:
                 # Legacy checkpoint written before batch_size joined the
                 # identity (i.e. before cycle-dependent fault models existed,
                 # whose firing pattern is the reason it matters); accept it.
                 continue
-            if header.get(key) != expected[key]:
+            if header.get(key) != value:
                 raise ValueError(
                     f"checkpoint {self.checkpoint} belongs to a different campaign: "
-                    f"{key}={header.get(key)!r} but this run has {key}={expected[key]!r}"
+                    f"{key}={header.get(key)!r} but this run has {key}={value!r}"
                 )
         logger.info(
             "resuming from %s: %d/%s trials already complete",
@@ -789,31 +872,14 @@ class ParallelCampaignRunner:
                     writer.write("\n")
         return writer
 
-    def _write_header(
-        self, writer: IO[str] | None, baseline: float, ips: float | None, num_images: int
-    ) -> None:
+    @staticmethod
+    def _write_line(writer: IO[str] | None, line: str) -> None:
         if writer is None:
             return
-        writer.write(checkpoint_header_line(
-            strategy=self.strategy.name,
-            seed=self.config.seed,
-            num_images=num_images,
-            total_trials=self._total_trials(),
-            batch_size=self.config.batch_size,
-            baseline_accuracy=baseline,
-            inferences_per_second=ips,
-            plan=self.plan.to_dict() if self.plan is not None else None,
-        ))
+        writer.write(line)
         # fsync, not just flush: the checkpoint is what survives a node
         # power-loss, and a header that never reached stable storage makes
         # every following record unresumable.
-        fsync_fileobj(writer)
-
-    @staticmethod
-    def _write_record(writer: IO[str] | None, record: TrialRecord) -> None:
-        if writer is None:
-            return
-        writer.write(checkpoint_record_line(record))
         fsync_fileobj(writer)
 
     # ------------------------------------------------------------------
@@ -912,19 +978,23 @@ class ParallelCampaignRunner:
         self,
         images: np.ndarray,
         labels: np.ndarray,
+        campaign: CampaignIdentity,
         header: dict | None,
         completed: dict[int, TrialRecord],
     ) -> CampaignResult:
         cfg = self.config
-        platform = None
+        server = None
         if self.workers == 1:
-            platform = self.platform if self.platform is not None else self.spec.build()
-            # Fresh tape per run: deterministic memory profile, and reused
-            # platforms (serial campaigns) don't carry entries across campaigns.
-            platform.reset_caches()
-            trial_at, total = self._trial_source(platform.universe)
+            if cfg.profile:
+                PROFILER.enabled = True
+                PROFILER.reset()
+            server = TrialServer(
+                self.platform if self.platform is not None else self.spec,
+                images, labels, cfg.batch_size,
+            )
+            trial_at, total = server.trial_source(self.strategy, cfg.seed)
         else:
-            total = self.strategy.expected_trials(self._universe())
+            total = campaign.total_trials  # pool strategies support random access
         book = LeaseBook(
             total,
             plan=self.plan,
@@ -935,7 +1005,6 @@ class ParallelCampaignRunner:
             max_retries=cfg.max_shard_retries,
             backoff=cfg.retry_backoff,
             poison_policy=cfg.poison_policy,
-            log_every=cfg.log_every,
         )
         header_written = header is not None
         stats_parts: list[dict] = []
@@ -944,100 +1013,47 @@ class ParallelCampaignRunner:
         def sink(kind: str, payload) -> None:
             nonlocal header_written
             if kind == "meta" and not header_written:
-                self._write_header(writer, book.baseline, book.ips, len(labels))
+                self._write_line(writer, checkpoint_header_line(campaign, book))
                 header_written = True
             elif kind == "record":
-                self._write_record(writer, payload)
+                self._write_line(writer, checkpoint_record_line(payload))
             elif kind == "stats":
                 stats_parts.append(payload)
 
         try:
             writer = self._open_checkpoint(fresh=header is None)
-            if platform is not None:
-                self._serve_in_process(book, sink, platform, trial_at, images, labels)
+            if server is not None:
+                self._serve_in_process(book, sink, server, trial_at)
             else:
                 self._serve_pool(book, sink, images, labels)
         finally:
             if writer is not None:
                 writer.close()
 
-        if book.baseline is None:
-            # No worker survived long enough to report a baseline (every
-            # lease quarantined before its meta message) and the header
-            # carried none either.
-            raise RuntimeError("campaign finished without establishing a baseline accuracy")
-        result = CampaignResult(
-            baseline_accuracy=book.baseline,
-            strategy=self.strategy.name,
-            num_images=len(labels),
-            seed=cfg.seed,
-            emulated_inferences_per_second=book.ips,
-        )
-        if self.plan is None:
-            result.records = [book.records[index] for index in sorted(book.records)]
-        else:
-            result.records = [book.records[index] for index in range(book.stop_end)]
-            interval = self.plan.interval(result.records)
-            result.adaptive = {
-                "plan": self.plan.to_dict(),
-                "budget": book.budget,
-                "rounds_completed": book.completed_rounds,
-                "trials_evaluated": book.stop_end,
-                "stopped_early": book.stop_end < book.budget,
-                "final_half_width": interval.half_width if interval is not None else None,
-                "final_interval": interval.to_dict() if interval is not None else None,
-            }
+        result = campaign_result(campaign, book)
         result.runtime_stats = self._aggregate_runtime_stats(stats_parts, self.workers)
-        if platform is None:
+        if server is None:
             result.recovery = book.recovery.to_dict()
             if any(self._checkpoint_stats.values()):
                 result.recovery["checkpoint"] = dict(self._checkpoint_stats)
         return result
 
-    def _trial_source(self, universe: FaultUniverse):
-        """``(trial_at(index), total_trials)`` for in-process evaluation.
-
-        A strategy that implements only ``trials()`` is enumerated once up
-        front, so it runs through the same index-keyed book as the rest.
-        """
-        rng = SeededRNG(self.config.seed)
-        if self.strategy.supports_random_access:
-            return (
-                lambda index: self.strategy.trial_at(universe, rng, index),
-                self.strategy.expected_trials(universe),
-            )
-        trials = list(self.strategy.trials(universe, rng))
-        return trials.__getitem__, len(trials)
-
-    def _serve_in_process(self, book, sink, platform, trial_at, images, labels) -> None:
+    def _serve_in_process(self, book, sink, server: TrialServer, trial_at) -> None:
         """The ``workers=1`` transport: serve every lease in this process.
 
         A trial's exception propagates directly — there is no process to
         lose, so nothing is retried.
         """
-        cfg = self.config
-        gemm_before = GEMM_STATS.as_dict()
-        if cfg.profile:
-            PROFILER.enabled = True
-            PROFILER.reset()
-        baseline = platform.baseline_accuracy(images, labels, batch_size=cfg.batch_size)
-        book.merge_meta(baseline, platform.inferences_per_second())
+        book.merge_meta(server.baseline, server.ips)
         sink("meta", None)
         while not book.done:
             for lease in book.due():
                 token = book.grant(lease)
-                pairs = [(index, trial_at(index)) for index in sorted(lease.remaining)]
-                for record in _records_for_pairs(
-                    platform, pairs, baseline, images, labels, cfg
-                ):
+                for record in server.records(sorted(lease.remaining), trial_at, self.config):
                     for merged in book.merge([record]):
                         sink("record", merged)
                 book.complete(*token)
-        stats = _worker_stats(platform)
-        stats["gemm"] = {
-            key: value - gemm_before.get(key, 0) for key, value in stats["gemm"].items()
-        }
-        sink("stats", stats)
+        sink("stats", server.stats())
 
     def _serve_pool(self, book, sink, images, labels) -> None:
         """The ``workers>1`` transport: persistent worker processes."""

@@ -63,6 +63,7 @@ Artifacts (under ``--sweep-dir``)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -453,6 +454,15 @@ class Scenario:
 
     def platform_config(self) -> PlatformConfig:
         return self.platform.config()
+
+    def platform_key(self) -> tuple[str, str]:
+        """The (model, platform) cell by axis *contents*, not names: hand-
+        assembled scenario lists may reuse a name for different parameters,
+        and those must not share a trained platform."""
+        return (
+            json.dumps(self.model.to_dict(), sort_keys=True),
+            json.dumps(self.platform.to_dict(), sort_keys=True),
+        )
 
     def checkpoint_name(self) -> Path:
         """Relative checkpoint path: one directory level per axis.
@@ -889,6 +899,29 @@ class SweepResult:
 ScenarioResolver = Callable[[Scenario], tuple[PlatformSpec, np.ndarray, np.ndarray]]
 
 
+def resolve_scenario(
+    scenario: Scenario, images: int, cache_dir: Path | str | None = None
+) -> tuple[PlatformSpec, np.ndarray, np.ndarray]:
+    """The zoo's resolver: the scenario model's platform spec (trained or
+    loaded through the model cache) and its first ``images`` test images.
+
+    Local sweeps and fleet nodes both resolve scenarios through this, so
+    a scenario names the same platform and evaluation set everywhere.
+    """
+    from repro.zoo import case_study_platform_spec
+
+    platform_spec, case = case_study_platform_spec(
+        scenario.model.case_spec(),
+        platform_config=scenario.platform_config(),
+        cache_dir=cache_dir,
+    )
+    return (
+        platform_spec,
+        case.dataset.test_images[:images],
+        case.dataset.test_labels[:images],
+    )
+
+
 class SweepRunner:
     """Executes every scenario of a grid through the parallel campaign runner.
 
@@ -950,8 +983,9 @@ class SweepRunner:
             batch_size if batch_size is not None else (spec.batch_size if spec else 64)
         )
         self.plan = plan if plan is not None else (spec.adaptive if spec else None)
-        self.resolver = resolver or self._zoo_resolver
-        self.cache_dir = cache_dir
+        self.resolver = resolver or functools.partial(
+            resolve_scenario, images=self.images, cache_dir=cache_dir
+        )
         #: Trials per fused engine pass inside every scenario campaign
         #: (1 disables fusion; scenario records are bit-identical either way).
         self.fused_trials = fused_trials
@@ -978,18 +1012,6 @@ class SweepRunner:
         self.chaos = chaos
         self._spec = spec
 
-    def _zoo_resolver(self, scenario: Scenario) -> tuple[PlatformSpec, np.ndarray, np.ndarray]:
-        from repro.zoo import case_study_platform_spec
-
-        platform_spec, case = case_study_platform_spec(
-            scenario.model.case_spec(),
-            platform_config=scenario.platform_config(),
-            cache_dir=self.cache_dir,
-        )
-        images = case.dataset.test_images[: self.images]
-        labels = case.dataset.test_labels[: self.images]
-        return platform_spec, images, labels
-
     def _checkpoint_path(self, scenario: Scenario) -> Path | None:
         if self.sweep_dir is None:
             return None
@@ -1001,13 +1023,7 @@ class SweepRunner:
         resolved: dict[tuple[str, str], tuple[PlatformSpec, np.ndarray, np.ndarray]] = {}
         scenario_results: list[ScenarioResult] = []
         for number, scenario in enumerate(self.scenarios, start=1):
-            # Key the platform memo on the axis *contents*, not the names:
-            # hand-assembled scenario lists may reuse a name for different
-            # parameters, and those must not share a trained platform.
-            key = (
-                json.dumps(scenario.model.to_dict(), sort_keys=True),
-                json.dumps(scenario.platform.to_dict(), sort_keys=True),
-            )
+            key = scenario.platform_key()
             if key not in resolved:
                 resolved[key] = self.resolver(scenario)
             platform_spec, images, labels = resolved[key]

@@ -31,8 +31,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.core.parallel import checkpoint_header_line, checkpoint_record_line
-from repro.core.results import CampaignResult, TrialRecord
+from repro.core.parallel import (
+    CampaignIdentity,
+    campaign_result,
+    checkpoint_header_line,
+    checkpoint_record_line,
+)
+from repro.core.results import TrialRecord
 from repro.core.leasebook import DeterminismError, LeaseBook, PoisonShardError, RecoveryLog
 from repro.core.sweep import (
     ExperimentSpec,
@@ -152,7 +157,6 @@ class FleetJob:
         self.state = JOB_QUEUED
         self.error = ""
         self.recovery = RecoveryLog()
-        self.plan = spec.adaptive
         #: Node holding each RUNNING lease (named in heartbeat-miss reports).
         self._nodes: dict[int, int] = {}
         #: Lease ids issued so far: ids are unique across the job, because
@@ -167,7 +171,7 @@ class FleetJob:
             total = strategy.expected_trials(universe)
             book = LeaseBook(
                 total,
-                plan=self.plan,
+                plan=spec.adaptive,
                 split=lambda indices: _chunk(indices, shard_size),
                 lease_id=self._issue_lease_id,
                 max_retries=max_retries,
@@ -337,7 +341,11 @@ class FleetJob:
             return
         if any(not state.book.done for state in self.scenarios):
             return
-        self.write_artifacts()
+        try:
+            self.write_artifacts()
+        except RuntimeError as exc:  # a scenario finished without a baseline
+            self._fail_job(str(exc))
+            return
         self.state = JOB_DONE
         TELEMETRY.event(
             "job.done",
@@ -350,11 +358,16 @@ class FleetJob:
     # ------------------------------------------------------------------
     # Artifacts
     # ------------------------------------------------------------------
-    def _scenario_checkpoint_text(self, state: _ScenarioState) -> str:
-        """The scenario's checkpoint, byte-identical to a local serial run:
-        the canonical header line, then records in trial-index order."""
-        lines = [
-            checkpoint_header_line(
+    def write_artifacts(self) -> None:
+        """Durably write per-scenario checkpoints + merged sweep artifacts.
+
+        Results and checkpoint headers come from the same builders the
+        local runner uses, so the files are byte-identical to a local
+        serial sweep: each checkpoint is the canonical header, then every
+        merged record in trial-index order.
+        """
+        campaigns = [
+            CampaignIdentity(
                 strategy=state.strategy_name,
                 seed=self.spec.seed,
                 num_images=(
@@ -362,42 +375,19 @@ class FleetJob:
                 ),
                 total_trials=state.total_trials,
                 batch_size=self.spec.batch_size,
-                baseline_accuracy=state.baseline,
-                inferences_per_second=state.book.ips,
-                plan=self.plan.to_dict() if self.plan is not None else None,
             )
+            for state in self.scenarios
         ]
-        lines.extend(
-            checkpoint_record_line(state.records[index]) for index in sorted(state.records)
-        )
-        return "".join(lines)
-
-    def _sweep_result(self) -> SweepResult:
-        scenario_results = []
-        for state in self.scenarios:
-            result = CampaignResult(
-                baseline_accuracy=state.baseline if state.baseline is not None else 0.0,
-                strategy=state.strategy_name,
-                num_images=(
-                    state.num_images if state.num_images is not None else self.spec.images
-                ),
-                seed=self.spec.seed,
-                emulated_inferences_per_second=state.book.ips,
-            )
-            result.records = [state.records[index] for index in sorted(state.records)]
-            result.recovery = self.recovery.to_dict()
-            scenario_results.append(
-                ScenarioResult(scenario=state.scenario, result=result)
-            )
-        return SweepResult(scenario_results=scenario_results)
-
-    def write_artifacts(self) -> None:
-        """Durably write per-scenario checkpoints + merged sweep artifacts."""
-        sweep = self._sweep_result()
-        for state in self.scenarios:
+        sweep = SweepResult(scenario_results=[
+            ScenarioResult(state.scenario, campaign_result(campaign, state.book))
+            for state, campaign in zip(self.scenarios, campaigns)
+        ])
+        for state, campaign in zip(self.scenarios, campaigns):
             path = self.artifacts_dir / "scenarios" / state.scenario.checkpoint_name()
             path.parent.mkdir(parents=True, exist_ok=True)
-            durable_write_text(path, self._scenario_checkpoint_text(state))
+            lines = [checkpoint_header_line(campaign, state.book)]
+            lines += (checkpoint_record_line(state.records[i]) for i in sorted(state.records))
+            durable_write_text(path, "".join(lines))
         self.artifacts_dir.mkdir(parents=True, exist_ok=True)
         durable_write_text(self.artifacts_dir / "sweep.jsonl", sweep.merged_jsonl_text())
         payload = {
@@ -410,11 +400,11 @@ class FleetJob:
                 {
                     "scenario": state.scenario.scenario_id,
                     "cell": list(state.scenario.cell),
-                    "records": len(state.records),
+                    "records": len(done.result.records),
                     "total_trials": state.total_trials,
                     "baseline_accuracy": state.baseline,
                 }
-                for state in self.scenarios
+                for state, done in zip(self.scenarios, sweep.scenario_results)
             ],
         }
         durable_write_text(

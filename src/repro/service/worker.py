@@ -1,17 +1,19 @@
-"""The worker node agent: register, lease shards, evaluate, stream, beat.
+"""The worker node agent: the wire around one trial server per cell.
 
-A :class:`WorkerAgent` is the fleet analogue of one local pool worker
-(:func:`repro.core.parallel._round_worker`), with the wire in between:
+A :class:`WorkerAgent` evaluates trials the way a local pool worker does —
+through a :class:`~repro.core.parallel.TrialServer`, the one warm-up and
+fused-record loop every transport shares, so records are bit-identical by
+construction.  The agent itself only does the wire work:
 
 * register with the coordinator (learning its heartbeat contract);
 * poll for a lease; a grant names a scenario, a ``(lease_id, attempt)``
   token and the *remaining* trial indices of the shard;
-* build (and memoise) the scenario's platform, report baseline accuracy
-  and emulated throughput in the first record batch, then evaluate the
-  leased indices through exactly the same fused-trial path local
-  execution uses — records are bit-identical by construction;
-* stream records in batches, heartbeat from a side thread, and send a
-  completion when the shard is drained.
+* keep one trial server per (model, platform, images, batch size) cell,
+  report its baseline accuracy and emulated throughput in the first
+  record batch of every lease, then stream the leased indices' records
+  in batches;
+* heartbeat from a side thread, and send a completion when the shard is
+  drained.
 
 Failure behaviour mirrors a local worker.  If the coordinator becomes
 unreachable (or any ack says the token is stale — the lease was
@@ -21,12 +23,14 @@ heartbeat deadline re-leases whatever was left.  Abandonment is silent
 on purpose — a partitioned node cannot tell anyone it is gone, so the
 recovery path tested here is the one that needs no cooperation.
 
-A :class:`~repro.core.chaos.ChaosPlan` makes the failures deterministic:
-``kill`` events strike after N emitted records, flush the pending batch
-(the delivered-then-re-executed duplicates a reclaim manufactures), and
-either ``os._exit(73)`` (``hard_kill=True``: real process mode, e.g. the
-CI fleet gate) or abandon the lease and stop the agent (thread mode, so
-tests can simulate SIGKILL without losing the pytest process).
+A :class:`~repro.core.chaos.ChaosPlan` makes the failures deterministic,
+executed by the same :class:`~repro.core.chaos.ChaosMonkey` as in the
+pool.  ``kill`` and ``hang`` strike after N emitted records, flush the
+pending batch (the delivered-then-re-executed duplicates a reclaim
+manufactures), and either ``os._exit(73)`` (``hard_kill=True``: real
+process mode, e.g. the CI fleet gate) or abandon the lease and stop the
+agent (thread mode, so tests can simulate SIGKILL without losing the
+pytest process).  ``delay`` sleeps and carries on.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ import time
 import traceback
 
 from repro.core.campaign import CampaignConfig
-from repro.core.chaos import KILL_EXIT_CODE, ChaosPlan
-from repro.core.parallel import _records_for_pairs
-from repro.core.sweep import Scenario
+from repro.core.chaos import KILL_EXIT_CODE, ChaosMonkey, ChaosPlan
+from repro.core.parallel import TrialServer
+from repro.core.sweep import Scenario, resolve_scenario
 from repro.service.client import CoordinatorClient, ServiceError
 from repro.service.jobs import scenario_from_wire
 from repro.service.protocol import (
@@ -50,7 +54,6 @@ from repro.service.protocol import (
     RecordBatch,
 )
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeededRNG
 
 logger = get_logger(__name__)
 
@@ -123,9 +126,9 @@ class WorkerAgent:
         self.node_id: int | None = None
         self.heartbeat_interval = 1.0
         self.leases_served = 0
-        #: Platform memo keyed on axis contents + evaluation geometry (same
-        #: rationale as SweepRunner: names may collide, contents cannot).
-        self._platforms: dict = {}
+        #: Trial servers per (model, platform) cell and evaluation geometry,
+        #: so every scenario of one cell shares one warm-up.
+        self._servers: dict[tuple, TrialServer] = {}
 
     # ------------------------------------------------------------------
     # Main loop
@@ -186,40 +189,16 @@ class WorkerAgent:
     # ------------------------------------------------------------------
     # Lease service
     # ------------------------------------------------------------------
-    def _resolve(self, scenario: Scenario, images_count: int):
-        if self.resolver is not None:
-            return self.resolver(scenario)
-        from repro.zoo import case_study_platform_spec
-
-        platform_spec, case = case_study_platform_spec(
-            scenario.model.case_spec(),
-            platform_config=scenario.platform_config(),
-            cache_dir=self.cache_dir,
-        )
-        images = case.dataset.test_images[:images_count]
-        labels = case.dataset.test_labels[:images_count]
-        return platform_spec, images, labels
-
-    def _platform_for(self, scenario: Scenario, grant: LeaseGrant):
-        import json as _json
-
-        key = (
-            _json.dumps(scenario.model.to_dict(), sort_keys=True),
-            _json.dumps(scenario.platform.to_dict(), sort_keys=True),
-            grant.images,
-            grant.batch_size,
-        )
-        entry = self._platforms.get(key)
-        if entry is None:
-            spec, images, labels = self._resolve(scenario, grant.images)
-            platform = spec.build()
-            platform.reset_caches()
-            baseline = platform.baseline_accuracy(
-                images, labels, batch_size=grant.batch_size
-            )
-            entry = (platform, baseline, platform.inferences_per_second(), images, labels)
-            self._platforms[key] = entry
-        return entry
+    def _server_for(self, scenario: Scenario, grant: LeaseGrant) -> TrialServer:
+        key = (*scenario.platform_key(), grant.images, grant.batch_size)
+        server = self._servers.get(key)
+        if server is None:
+            if self.resolver is not None:
+                spec, images, labels = self.resolver(scenario)
+            else:
+                spec, images, labels = resolve_scenario(scenario, grant.images, self.cache_dir)
+            server = self._servers[key] = TrialServer(spec, images, labels, grant.batch_size)
+        return server
 
     def _serve(self, grant: LeaseGrant) -> None:
         scenario = scenario_from_wire(grant.scenario)
@@ -241,21 +220,32 @@ class WorkerAgent:
         # longer than the heartbeat timeout — without a beater the
         # coordinator would reclaim the lease mid-build every time.
         beater.start()
-        try:
-            platform, baseline, ips, images, labels = self._platform_for(
-                scenario, grant
+        pending: list[dict] = []
+
+        def flush() -> None:
+            # A dying node's flush is best-effort, like a real crash.
+            try:
+                if pending:
+                    self._post(grant, pending, stale)
+                    pending.clear()
+            except (ConnectionError, _LeaseAbandoned):  # pragma: no cover
+                pass
+
+        def stop(event) -> None:
+            if self.hard_kill:
+                os._exit(KILL_EXIT_CODE)
+            raise _LeaseAbandoned(
+                f"chaos {event.action} after {event.after_records} record(s)", fatal=True
             )
-            strategy = scenario.build_strategy()
+
+        try:
+            server = self._server_for(scenario, grant)
             config = CampaignConfig(
                 batch_size=grant.batch_size,
                 seed=grant.seed,
                 fused_trials=grant.fused_trials,
             )
-            chaos_events = (
-                list(self.chaos.for_worker(self.node_id, grant.attempt))
-                if self.chaos is not None
-                else []
-            )
+            trial_at, _ = server.trial_source(scenario.build_strategy(), grant.seed)
             # First batch carries the campaign meta (baseline, throughput,
             # actual image count) — the fleet analogue of the local worker's
             # "meta" message, sent before any trial runs.
@@ -263,27 +253,17 @@ class WorkerAgent:
                 grant,
                 [],
                 stale,
-                baseline_accuracy=baseline,
-                inferences_per_second=ips,
-                num_images=int(len(labels)),
+                baseline_accuracy=server.baseline,
+                inferences_per_second=server.ips,
+                num_images=int(len(server.labels)),
             )
-            pending: list[dict] = []
-            self._strike(chaos_events, 0, grant, pending, stale)
-            rng = SeededRNG(grant.seed)
-            pairs = [
-                (index, strategy.trial_at(platform.universe, rng, index))
-                for index in grant.indices
-            ]
-            emitted = 0
-            for record in _records_for_pairs(
-                platform, pairs, baseline, images, labels, config
-            ):
+            monkey = ChaosMonkey(self.chaos, self.node_id, grant.attempt, flush=flush, stop=stop)
+            monkey.on_record(0)
+            for record in server.records(grant.indices, trial_at, config, monkey):
                 pending.append(record.to_dict())
-                emitted += 1
-                self._strike(chaos_events, emitted, grant, pending, stale)
                 if len(pending) >= self.batch_records:
                     self._post(grant, pending, stale)
-                    pending = []
+                    pending.clear()
             if pending:
                 self._post(grant, pending, stale)
             ack = self.client.complete(
@@ -341,31 +321,6 @@ class WorkerAgent:
         if not ack.current:
             stale.set()
             raise _LeaseAbandoned("lease token went stale", fatal=False)
-
-    def _strike(self, events, emitted: int, grant, pending: list, stale) -> None:
-        """Fire chaos events scheduled at ``emitted`` records (fleet
-        semantics: kill/hang = this node falls silent; its already-produced
-        records are flushed first, exactly like ChaosMonkey's queue flush)."""
-        while events and events[0].after_records <= emitted:
-            event = events.pop(0)
-            if event.action == "delay":
-                logger.info("chaos: %s delaying %.3fs", self.name, event.seconds)
-                time.sleep(event.seconds)
-                continue
-            try:
-                if pending:
-                    self._post(grant, list(pending), stale)
-                    pending.clear()
-            except (ConnectionError, _LeaseAbandoned):  # pragma: no cover
-                pass  # a dying node's flush is best-effort, like a real crash
-            if event.action == "kill" and self.hard_kill:
-                logger.info("chaos: %s dying hard", self.name)
-                os._exit(KILL_EXIT_CODE)
-            verb = "hanging" if event.action == "hang" else "dying"
-            logger.info("chaos: %s %s (thread mode)", self.name, verb)
-            raise _LeaseAbandoned(
-                f"chaos {event.action} after {emitted} record(s)", fatal=True
-            )
 
     def _beat(self, grant: LeaseGrant, stale, stop_beating) -> None:
         while not stop_beating.wait(self.heartbeat_interval):

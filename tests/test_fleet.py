@@ -25,7 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chaos import ChaosEvent, ChaosPlan, NetworkChaosPlan, NetworkEvent
+from repro.core.chaos import (
+    KILL_EXIT_CODE,
+    ChaosEvent,
+    ChaosPlan,
+    NetworkChaosPlan,
+    NetworkEvent,
+)
+from repro.core.parallel import PlatformSpec
+from repro.core.platform import EmulationPlatform
 from repro.core.results import TrialRecord
 from repro.core.sweep import ExperimentSpec, SweepRunner
 from repro.service.client import CoordinatorClient, ServiceError
@@ -191,11 +199,54 @@ class TestFleetByteIdentity:
             net_chaos=partition,
         )
         assert status.state == "done"
-        from repro.core.chaos import KILL_EXIT_CODE
-
         assert outcomes[0]["code"] == KILL_EXIT_CODE
         assert outcomes[1]["code"] == 0
         assert status.reclaimed >= 1  # the dead node's lease was re-leased
+        assert_byte_identical(serial_artifacts, fleet_dir)
+
+    @pytest.mark.parametrize("action,nodes,code", [
+        ("hang", 2, KILL_EXIT_CODE),  # falls silent: flush, then the node stops
+        ("delay", 1, 0),  # slow but healthy: no recovery may trigger
+    ])
+    def test_hung_and_delayed_nodes_match_serial(
+        self, tmp_path, fleet_resolver, serial_artifacts, action, nodes, code
+    ):
+        event = ChaosEvent(
+            action=action, worker=0, after_records=1,
+            seconds=0.2 if action == "delay" else 0.0,
+        )
+        fleet_dir, status, outcomes = run_fleet(
+            tmp_path, fleet_resolver, nodes=nodes, worker_chaos={0: ChaosPlan((event,))}
+        )
+        assert status.state == "done"
+        assert [outcome["code"] for outcome in outcomes] == [code] + [0] * (nodes - 1)
+        if action == "hang":
+            assert status.reclaimed >= 1  # the silent node's lease was re-leased
+        else:
+            assert status.reclaimed == 0
+        assert_byte_identical(serial_artifacts, fleet_dir)
+
+    def test_one_warm_up_per_cell(self, tmp_path, fleet_resolver, serial_artifacts, monkeypatch):
+        # The golden spec's two scenarios share one (model, platform) cell:
+        # the node serves both scenarios' leases from one trial server.
+        calls = {"build": 0, "baseline": 0}
+        real_build = PlatformSpec.build
+        real_baseline = EmulationPlatform.baseline_accuracy
+
+        def counting_build(self):
+            calls["build"] += 1
+            return real_build(self)
+
+        def counting_baseline(self, *args, **kwargs):
+            calls["baseline"] += 1
+            return real_baseline(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlatformSpec, "build", counting_build)
+        monkeypatch.setattr(EmulationPlatform, "baseline_accuracy", counting_baseline)
+        fleet_dir, status, outcomes = run_fleet(tmp_path, fleet_resolver, nodes=1)
+        assert status.state == "done" and outcomes[0]["code"] == 0
+        assert status.scenarios_total == 2 and status.leases == 2
+        assert calls == {"build": 1, "baseline": 1}
         assert_byte_identical(serial_artifacts, fleet_dir)
 
     def test_dup_delivery_is_idempotent(self, tmp_path, fleet_resolver, serial_artifacts):
@@ -406,6 +457,60 @@ class TestFleetJobLeaseBook:
         assert len(job.recovery.poison) == 2
         result = json.loads((tmp_path / "job" / "result.json").read_text())
         assert result["scenarios"][0]["records"] == 0
+
+    def test_quarantine_without_baseline_fails_job(self, tmp_path):
+        # No lease ever reported a baseline: the job fails loudly, like a
+        # local campaign, instead of writing artifacts with a made-up one.
+        job, clock = make_job(tmp_path, max_retries=0, poison_policy="quarantine")
+        for node in range(2):
+            job.grant(node_id=node)
+        clock.now = 2.0
+        job.check_timeouts()
+        assert job.state == "failed" and "baseline" in job.error
+        assert not (tmp_path / "job" / "result.json").exists()
+
+    def test_adaptive_quarantine_keeps_records_to_the_last_barrier(self, tmp_path):
+        # A quarantined round-2 lease leaves that round incomplete, so the
+        # campaign stops at the round-1 barrier: the artifacts hold exactly
+        # the records before it, as a local runner's result does, even
+        # though round 2's other lease delivered records past it.
+        spec = ExperimentSpec.from_dict(dict(
+            GOLDEN_SPEC,
+            faults=GOLDEN_SPEC["faults"][:1],
+            strategies=[{"name": "random", "kind": "random", "counts": [1, 2], "trials": 4}],
+            adaptive={"target_half_width": 1e-9, "round_size": 4},
+        ))
+        clock = FakeClock()
+        job = FleetJob(
+            "job-test", spec, clock=clock, artifacts_dir=tmp_path / "job", shard_size=2,
+            max_retries=0, poison_policy="quarantine", heartbeat_timeout=1.0,
+        )
+        assert job.scenarios[0].total_trials == 8
+
+        def deliver(grant):
+            records = [record_dict(i, accuracy=0.5 + 0.01 * i) for i in grant.indices]
+            job.add_records(grant.lease_id, grant.attempt, grant.scenario_index, records,
+                            baseline=0.9, ips=100.0, num_images=16)
+            assert job.complete(grant.lease_id, grant.attempt, ok=True)
+
+        deliver(job.grant(node_id=0))  # round 1: [0, 1]
+        deliver(job.grant(node_id=0))  # round 1: [2, 3]
+        deliver(job.grant(node_id=0))  # round 2: [4, 5]
+        lost = job.grant(node_id=1)  # round 2: [6, 7], never delivered
+        assert lost.indices == (6, 7)
+        clock.now = 2.0
+        job.check_timeouts()  # poison at once (max_retries=0), quarantined
+        assert job.state == "done"
+        book = job.scenarios[0].book
+        assert book.stop_end == 4 and sorted(book.records) == [0, 1, 2, 3, 4, 5]
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "job" / "sweep.jsonl").read_text().splitlines()
+        ]
+        assert [line["trial_index"] for line in lines if line["kind"] == "record"] == [0, 1, 2, 3]
+        assert lines[0]["total_trials"] == 4
+        result = json.loads((tmp_path / "job" / "result.json").read_text())
+        assert result["scenarios"][0]["records"] == 4
 
     @pytest.mark.parametrize("batch", [
         [record_dict(10**6)],
