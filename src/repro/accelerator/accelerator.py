@@ -28,7 +28,7 @@ from repro.faults.models import flip_int8_bytes
 from repro.faults.registers import FaultInjectionRegisterFile
 from repro.faults.sites import FaultUniverse
 from repro.quant.qlayers import QAdd, QGlobalAvgPool, QMaxPool
-from repro.utils.profiling import PROFILER
+from repro.utils.telemetry import TELEMETRY
 
 
 def _row_index(positions: tuple[np.ndarray, ...]) -> tuple:
@@ -463,9 +463,9 @@ class NVDLAAccelerator:
             else self.engine.linear_accumulate_fused
         )
         acc = accumulate(node, configs, per_trial, **source)
-        start = PROFILER.tick()
+        start = TELEMETRY.tick()
         out = self.sdp.conv_post_owned(acc, node, channel_axis=1)
-        PROFILER.tock("requant", start)
+        TELEMETRY.tock("requant", start)
         return out
 
     @staticmethod

@@ -58,7 +58,7 @@ from repro.nn.functional import conv_output_size, im2col, window_view
 from repro.quant.qlayers import QConv, QLinear
 from repro.runtime.gemm import exact_matmul
 from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
-from repro.utils.profiling import PROFILER
+from repro.utils.telemetry import TELEMETRY
 
 
 def config_fusable(config: InjectionConfig) -> bool:
@@ -113,10 +113,10 @@ class VectorisedEngine:
         outright.  ``record`` (the baseline pass that records the tape)
         only names the profile stage the GEMM is charged to.
         """
-        start = PROFILER.tick()
+        start = TELEMETRY.tick()
         cols = make_cols()
         acc = exact_matmul(w_mat, cols)
-        PROFILER.tock("tape_build" if record else "suffix_forward", start)
+        TELEMETRY.tock("tape_build" if record else "suffix_forward", start)
         return cols, acc
 
     def _accumulate(
@@ -239,7 +239,7 @@ class VectorisedEngine:
         them with the weights permuted to the same ``(ky, kx, ic)`` order;
         integer sums are exact in any order.
         """
-        start = PROFILER.tick()
+        start = TELEMETRY.tick()
         if isinstance(node, QConv):
             windows = window_view(x, node.kernel_size, node.stride, node.padding)
             cols = windows[positions]  # (D, K, K, IC)
@@ -248,7 +248,7 @@ class VectorisedEngine:
             cols = x[positions[0]]
         depth = weight[0].size
         acc = exact_matmul(cols.reshape(-1, depth), weight.reshape(-1, depth).T)
-        PROFILER.tock("suffix_forward", start)
+        TELEMETRY.tock("suffix_forward", start)
         return saturate(acc, ACCUMULATOR_WIDTH, out=acc)
 
     def conv_accumulate(
@@ -337,7 +337,7 @@ class VectorisedEngine:
         that ``cols`` describes.  Shared by the single-trial path and the
         fused multi-trial path, so both produce bit-identical corrections.
         """
-        start = PROFILER.tick()
+        start = TELEMETRY.tick()
         for site, model in config.faults.items():
             site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
             correction = self._site_correction(
@@ -347,7 +347,7 @@ class VectorisedEngine:
                 continue
             oc_sel, delta = correction
             acc_view[:, oc_sel, :] += delta
-        PROFILER.tock("correction", start)
+        TELEMETRY.tock("correction", start)
 
     @staticmethod
     def _validate_stage_combination(config: InjectionConfig) -> None:

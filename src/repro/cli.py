@@ -36,7 +36,7 @@ from pathlib import Path
 from repro.core.analysis import accuracy_drop_boxplots, heatmap_matrix, most_sensitive_site
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
 from repro.core.chaos import load_plan
-from repro.core.parallel import ParallelCampaignRunner
+from repro.core.parallel import ParallelCampaignRunner, merge_runtime_stats
 from repro.core.registry import MODELS, STRATEGIES, axis_provenance, registry_digest, registry_schema
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.sweep import ExperimentSpec, SweepRunner, load_spec_data, validate_spec_data
@@ -203,25 +203,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_profile(result, checkpoint: str, default: str) -> Path:
-    """Persist a campaign's per-stage wall-time breakdown as JSON.
+def _write_profile(
+    path: Path, stats: dict | None, wall_seconds: float, num_trials: int, **extra
+) -> None:
+    """Persist runtime stats (per-stage wall time, GEMM and tape counters) as JSON.
 
-    The file lands next to the checkpoint (``<checkpoint>.profile.json``)
-    when one is in use, else under ``default`` in the working directory.
+    ``repro campaign --profile`` and ``repro sweep --profile`` write the
+    same top-level keys (a sweep adds its per-scenario ``scenarios`` map),
+    which ``repro observe ingest`` files as kind ``profile``.
     """
-    stats = result.runtime_stats or {}
-    payload = {
-        "profile": stats.get("profile"),
-        "gemm": stats.get("gemm"),
-        "tape": stats.get("tape"),
-        "processes": stats.get("processes"),
-        "workers": stats.get("workers"),
-        "wall_seconds": result.wall_seconds,
-        "num_trials": len(result),
-    }
-    path = Path(checkpoint + ".profile.json") if checkpoint else Path(default)
+    stats = stats or {}
+    payload = {key: stats.get(key) for key in ("profile", "gemm", "tape", "processes", "workers")}
+    payload.update(wall_seconds=wall_seconds, num_trials=num_trials, **extra)
     durable_write_text(path, dump_json_safe(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    print(f"stage profile written to {path}")
 
 
 def _campaign_strategy_params(args: argparse.Namespace) -> dict:
@@ -281,7 +276,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         CampaignConfig(
             seed=args.campaign_seed,
             fused_trials=args.fused_trials,
-            profile=args.profile,
             max_shard_retries=args.max_shard_retries,
             shard_timeout=args.shard_timeout,
             poison_policy=args.poison_policy,
@@ -322,8 +316,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if runtime:
         print(runtime)
     if args.profile:
-        profile_path = _write_profile(result, args.checkpoint, default="campaign.profile.json")
-        print(f"stage profile written to {profile_path}")
+        # Next to the checkpoint when one is in use, else in the working directory.
+        path = Path(args.checkpoint + ".profile.json" if args.checkpoint
+                    else "campaign.profile.json")
+        _write_profile(path, result.runtime_stats, result.wall_seconds, len(result))
     if result.adaptive is not None:
         info = result.adaptive
         half_width = info["final_half_width"]
@@ -370,7 +366,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_dir=args.sweep_dir,
         resume=args.resume,
         fused_trials=args.fused_trials,
-        profile=args.profile,
         max_shard_retries=args.max_shard_retries,
         shard_timeout=args.shard_timeout,
         poison_policy=args.poison_policy,
@@ -402,19 +397,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"worst accuracy drop: {worst['max_accuracy_drop']:.3f} "
               f"in scenario {worst['scenario']}")
     print(f"structure digest: {sweep.structure_digest()}")
-    stats_parts = [
-        sr.result.runtime_stats for sr in sweep.scenario_results if sr.result.runtime_stats
-    ]
-    if stats_parts:
-        # Each scenario's runtime_stats is shaped like one per-process
-        # payload (gemm/tape/profile), so the runner's
-        # aggregator merges them sweep-wide and recomputes the hit rates.
-        merged = ParallelCampaignRunner._aggregate_runtime_stats(stats_parts, args.workers)
-        if merged:
-            merged["processes"] = sum(p.get("processes", 0) for p in stats_parts)
-        runtime = _runtime_note(merged)
-        if runtime:
-            print(f"sweep {runtime}")
+    merged = merge_runtime_stats(
+        [sr.result.runtime_stats for sr in sweep.scenario_results], args.workers
+    )
+    runtime = _runtime_note(merged)
+    if runtime:
+        print(f"sweep {runtime}")
     for sr in sweep.scenario_results:
         note = _recovery_note(sr.result)
         if note:
@@ -422,7 +410,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.sweep_dir:
         print(f"artifacts written to {args.sweep_dir}/sweep.jsonl and sweep.json")
         if args.profile:
-            print(f"stage profile written to {args.sweep_dir}/profile.json")
+            _write_profile(
+                Path(args.sweep_dir) / "profile.json",
+                merged,
+                sweep.wall_seconds,
+                sum(len(sr.result) for sr in sweep.scenario_results),
+                scenarios={
+                    sr.scenario.scenario_id: sr.result.runtime_stats
+                    for sr in sweep.scenario_results
+                },
+            )
     return 0
 
 
@@ -797,7 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials evaluated per fused engine pass inside each "
                             "scenario (1 disables fusion)")
     sweep.add_argument("--profile", action="store_true",
-                       help="write per-scenario stage profiles to "
+                       help="write the sweep-wide and per-scenario runtime stats "
+                            "(stage wall times, GEMM and tape counters) to "
                             "<sweep-dir>/profile.json")
     _add_fault_tolerance_arguments(sweep)
     _add_log_level_argument(sweep)

@@ -27,8 +27,10 @@ class CampaignConfig:
     """Parameters of one campaign run.
 
     None of these knobs changes campaign *records* — fused evaluation,
-    shared batches and profiling are execution details certified
-    bit-identical to the plain per-trial path.
+    shared batches and fault recovery are execution details certified
+    bit-identical to the plain per-trial path.  Per-stage wall times are
+    always collected into ``CampaignResult.runtime_stats``; no knob arms
+    them.
     """
 
     batch_size: int = 64
@@ -44,9 +46,6 @@ class CampaignConfig:
     #: ``multiprocessing.shared_memory`` instead of pickling one private
     #: copy per worker (ignored for serial runs).
     shared_batches: bool = True
-    #: Collect a per-stage wall-time breakdown (tape build, correction,
-    #: suffix forward, requant) into ``CampaignResult.runtime_stats``.
-    profile: bool = False
     #: Re-lease attempts after a shard's first failure before it turns
     #: poison (0 = fail on the first dead/hung worker, as the old fail-fast
     #: runner did).  Recovery cannot change records: trials are pure

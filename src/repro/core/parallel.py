@@ -79,7 +79,6 @@ from repro.faults.sites import FaultUniverse
 from repro.runtime.gemm import GEMM_STATS
 from repro.utils.durable import fsync_fileobj
 from repro.utils.logging import get_logger
-from repro.utils.profiling import PROFILER, StageProfiler
 from repro.utils.telemetry import TELEMETRY
 from repro.utils.rng import SeededRNG
 
@@ -339,6 +338,7 @@ class TrialServer:
         batch_size: int,
     ):
         self._gemm_before = GEMM_STATS.as_dict()
+        self._stages_before = TELEMETRY.stage_totals()
         if isinstance(platform_or_spec, PlatformSpec):
             platform_or_spec = platform_or_spec.build()
         self.platform: EmulationPlatform = platform_or_spec
@@ -411,18 +411,71 @@ class TrialServer:
                     monkey.record_emitted()
 
     def stats(self) -> dict:
-        """Execution statistics since the server was built, for aggregation."""
+        """Execution statistics since the server was built, for aggregation.
+
+        The GEMM counters and stage totals are process-global and only
+        grow, so each server reports its own share as a delta.
+        """
+        stages = _since(TELEMETRY.stage_totals(), self._stages_before)
         return {
-            "gemm": {
-                key: value - self._gemm_before.get(key, 0)
-                for key, value in GEMM_STATS.as_dict().items()
-            },
+            "gemm": _since(GEMM_STATS.as_dict(), self._gemm_before),
             "tape": self.platform.tape_stats(),
-            "profile": PROFILER.as_dict() if PROFILER.enabled else None,
+            "profile": {stage: entry for stage, entry in stages.items() if entry["calls"]},
         }
 
 
-def _worker_setup(config: CampaignConfig) -> None:
+def _since(now: dict, before: dict) -> dict:
+    """``now - before`` leaf by leaf for (nested) counter dicts."""
+    return {
+        key: _since(value, before.get(key, {})) if isinstance(value, dict)
+        else value - before.get(key, 0)
+        for key, value in now.items()
+    }
+
+
+def _sum_leaves(parts: list[dict]) -> dict:
+    """Sum the numeric leaves of (nested) counter dicts.
+
+    Booleans and ``*_rate`` values are dropped: they do not add.
+    """
+    total: dict = {}
+    for part in parts:
+        for key, value in part.items():
+            if isinstance(value, dict):
+                total[key] = _sum_leaves([total.get(key, {}), value])
+            elif isinstance(value, (int, float)) and not isinstance(value, bool) \
+                    and not key.endswith("_rate"):
+                total[key] = total.get(key, 0) + value
+    return total
+
+
+def merge_runtime_stats(parts: Sequence[dict | None], workers: int) -> dict | None:
+    """Merge runtime-stats payloads into one ``CampaignResult.runtime_stats``.
+
+    A part is either one process's :meth:`TrialServer.stats` or an already
+    merged ``runtime_stats`` (one per scenario of a sweep).  ``gemm``,
+    ``tape`` and ``profile`` sum leaf by leaf, ``processes`` counts the
+    processes behind every part, and the tape hit rate is recomputed from
+    the summed counters.
+    """
+    parts = [part for part in parts if part]
+    if not parts:
+        return None
+    merged: dict = {
+        "processes": sum(part.get("processes", 1) for part in parts),
+        "workers": workers,
+    }
+    for group in ("gemm", "tape", "profile"):
+        present = [part[group] for part in parts if part.get(group) is not None]
+        merged[group] = _sum_leaves(present) if present else None
+    tape = merged["tape"]
+    if tape is not None:
+        layers = tape.get("layer_hits", 0) + tape.get("layer_misses", 0)
+        tape["layer_hit_rate"] = (tape.get("layer_hits", 0) / layers) if layers else 0.0
+    return merged
+
+
+def _worker_setup() -> None:
     """Reset per-process state a forked worker inherited from the parent."""
     # Ctrl-C belongs to the parent: it terminates the pool, flushes the
     # checkpoint and prints a resume hint.  Workers reacting to the terminal's
@@ -437,8 +490,6 @@ def _worker_setup(config: CampaignConfig) -> None:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main-thread start methods
         pass
-    PROFILER.enabled = config.profile
-    PROFILER.reset()
     # The parent's telemetry sink (if --trace armed one) was inherited
     # across fork; workers must not write to the shared file descriptor.
     TELEMETRY.disable_inherited()
@@ -473,7 +524,7 @@ def _round_worker(
         results.join_thread()
 
     try:
-        _worker_setup(config)
+        _worker_setup()
         monkey = ChaosMonkey(config.chaos, *token, flush=flush)
         images, labels = resolve_batch(batch)
         server = TrialServer(spec, images, labels, config.batch_size)
@@ -769,21 +820,13 @@ class ParallelCampaignRunner:
         )
         header, completed = self._load_resume_state(campaign)
         start = time.perf_counter()
-        profiler_was_enabled = PROFILER.enabled
         with TELEMETRY.span(
             "campaign.run",
             strategy=type(self.strategy).__name__,
             workers=self.workers,
             resumed=len(completed),
         ) as span:
-            try:
-                result = self._execute(images, labels, campaign, header, completed)
-            finally:
-                # The in-process transport arms the process-global profiler
-                # when config.profile is set; restore it even when a run
-                # raises so later campaigns in this process don't silently
-                # pay for (and pollute) profiling state.
-                PROFILER.enabled = profiler_was_enabled
+            result = self._execute(images, labels, campaign, header, completed)
             result.wall_seconds = time.perf_counter() - start
             result.sort_records()
             span["num_records"] = len(result)
@@ -886,53 +929,10 @@ class ParallelCampaignRunner:
     # Runtime statistics (observational; never part of campaign identity)
     # ------------------------------------------------------------------
     @staticmethod
-    def _sum_counters(parts: list[dict | None]) -> dict | None:
-        """Sum the numeric counters of per-process stats dicts.
-
-        Booleans and derived rates are dropped (they do not add); hit rates
-        are recomputed from the summed counters by the caller.
-        """
-        present = [p for p in parts if p]
-        if not present:
-            return None
-        out: dict[str, int | float] = {}
-        for part in present:
-            for key, value in part.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                if key.endswith("_rate"):
-                    continue
-                out[key] = out.get(key, 0) + value
-        return out
-
-    @classmethod
-    def _aggregate_runtime_stats(cls, parts: list[dict], workers: int) -> dict | None:
-        """Merge per-process stats payloads into ``CampaignResult.runtime_stats``.
-
-        Before this aggregation existed, everything a worker process counted
-        (GEMM kernel dispatch, tape hit rates, stage profiles) was
-        silently dropped when the process exited; now each worker ships one
-        stats message and the totals land in the campaign result.
-        """
-        if not parts:
-            return None
-        gemm = cls._sum_counters([p.get("gemm") for p in parts])
-        tape = cls._sum_counters([p.get("tape") for p in parts])
-        if tape is not None:
-            layers = tape.get("layer_hits", 0) + tape.get("layer_misses", 0)
-            tape["layer_hit_rate"] = (tape.get("layer_hits", 0) / layers) if layers else 0.0
-        profiles = [p.get("profile") for p in parts if p.get("profile")]
-        return {
-            "processes": len(parts),
-            "workers": workers,
-            "gemm": gemm,
-            "tape": tape,
-            "profile": StageProfiler.merge_dicts(profiles) if profiles else None,
-        }
-
-    @staticmethod
     def _emit_runtime_telemetry(result: CampaignResult) -> None:
-        """Ship the aggregated tape/kernel counters to the trace sink.
+        """Ship the aggregated kernel/tape counters and stage totals to the
+        trace sink (a stage's ``seconds``/``calls`` as
+        ``profile.<stage>.seconds``/``profile.<stage>.calls``).
 
         Purely observational (counter events never feed back into records);
         a single attribute check when tracing is off.
@@ -940,12 +940,17 @@ class ParallelCampaignRunner:
         if not TELEMETRY.enabled:
             return
         stats = result.runtime_stats or {}
-        for group in ("gemm", "tape"):
+        for group in ("gemm", "tape", "profile"):
             counters = stats.get(group)
             if not counters:
                 continue
             for key in sorted(counters):
-                TELEMETRY.counter(f"{group}.{key}", counters[key])
+                value = counters[key]
+                if isinstance(value, dict):
+                    for field in sorted(value):
+                        TELEMETRY.counter(f"{group}.{key}.{field}", value[field])
+                else:
+                    TELEMETRY.counter(f"{group}.{key}", value)
         TELEMETRY.event(
             "campaign.runtime-stats",
             strategy=result.strategy,
@@ -985,9 +990,6 @@ class ParallelCampaignRunner:
         cfg = self.config
         server = None
         if self.workers == 1:
-            if cfg.profile:
-                PROFILER.enabled = True
-                PROFILER.reset()
             server = TrialServer(
                 self.platform if self.platform is not None else self.spec,
                 images, labels, cfg.batch_size,
@@ -1031,7 +1033,7 @@ class ParallelCampaignRunner:
                 writer.close()
 
         result = campaign_result(campaign, book)
-        result.runtime_stats = self._aggregate_runtime_stats(stats_parts, self.workers)
+        result.runtime_stats = merge_runtime_stats(stats_parts, self.workers)
         if server is None:
             result.recovery = book.recovery.to_dict()
             if any(self._checkpoint_stats.values()):

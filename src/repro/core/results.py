@@ -86,8 +86,8 @@ class CampaignResult:
     #: fixed-budget campaigns.
     adaptive: dict | None = None
     #: Execution statistics aggregated across the parent and every worker
-    #: process (GEMM kernel counters, tape hit rates, optional
-    #: per-stage wall-time profile).  Purely observational: two runs with
+    #: process (GEMM kernel counters, tape hit rates, per-stage wall
+    #: times).  Purely observational: two runs with
     #: different worker counts produce identical records but different
     #: runtime stats, so these are excluded from record-level artifacts.
     runtime_stats: dict | None = None

@@ -123,7 +123,12 @@ def betainc(a: float, b: float, x: float) -> float:
 
 
 def betaincinv(a: float, b: float, p: float) -> float:
-    """Inverse of :func:`betainc` in ``x`` (bisection: monotone, robust)."""
+    """Inverse of :func:`betainc` in ``x`` (bisection: monotone, robust).
+
+    Returns whichever end of the converged bracket has ``betainc`` nearer
+    ``p``: near ``x = 1`` with small ``b`` adjacent floats move ``I_x`` by
+    more than 1e-9, so the choice of endpoint matters.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
     if p == 0.0:
@@ -137,7 +142,7 @@ def betaincinv(a: float, b: float, p: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return min((lo, hi), key=lambda x: abs(betainc(a, b, x) - p))
 
 
 def student_t_quantile(p: float, df: int) -> float:

@@ -949,7 +949,6 @@ class SweepRunner:
         cache_dir: Path | str | None = None,
         plan: AdaptiveCampaignPlan | None = None,
         fused_trials: int = 8,
-        profile: bool = False,
         max_shard_retries: int | None = None,
         shard_timeout: float | None = None,
         retry_backoff: float | None = None,
@@ -989,9 +988,6 @@ class SweepRunner:
         #: Trials per fused engine pass inside every scenario campaign
         #: (1 disables fusion; scenario records are bit-identical either way).
         self.fused_trials = fused_trials
-        #: Collect per-stage wall-time breakdowns and write them as
-        #: ``<sweep_dir>/profile.json`` (one entry per scenario).
-        self.profile = profile
         #: Fault-tolerance knobs for every scenario campaign: explicit
         #: argument > spec value > CampaignConfig default.  Operational
         #: only — they never change scenario records.
@@ -1037,7 +1033,6 @@ class SweepRunner:
                     batch_size=self.batch_size,
                     seed=self.seed,
                     fused_trials=self.fused_trials,
-                    profile=self.profile,
                     chaos=self.chaos,
                     **{
                         key: value
@@ -1087,18 +1082,6 @@ class SweepRunner:
             self.sweep_dir / "sweep.json",
             dump_json_safe(payload, indent=2, sort_keys=True) + "\n",
         )
-        if self.profile:
-            profile_payload = {
-                "scenarios": {
-                    sr.scenario.scenario_id: sr.result.runtime_stats
-                    for sr in sweep.scenario_results
-                },
-                "wall_seconds": sweep.wall_seconds,
-            }
-            durable_write_text(
-                self.sweep_dir / "profile.json",
-                json.dumps(profile_payload, indent=2, sort_keys=True) + "\n",
-            )
         logger.info(
             "sweep artifacts written to %s (%d scenarios, %d records)",
             self.sweep_dir,

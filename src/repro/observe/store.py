@@ -22,8 +22,8 @@ Each entry carries:
   consumes (counts, CIs with their endpoints, outcome tallies, throughput).
 
 Artifact classification is structural, mirroring
-:func:`repro.report.model.load_results`: a dict with ``scenarios`` is a
-sweep, ``records`` + ``baseline_accuracy`` is a campaign, the
+:func:`repro.report.model.load_results`: a dict with a ``scenarios`` list is
+a sweep, ``records`` + ``baseline_accuracy`` is a campaign, the
 ``profile``/``gemm`` shape written by ``--profile`` is a profile, a
 ``label`` + ``workloads`` trajectory file (``BENCH_<label>.json``, the
 parent/change pairs of one perfbench comparison) is a perfbench result,

@@ -1,11 +1,20 @@
-"""Structured telemetry spans and counters for the execution stack.
+"""Structured telemetry: stage totals, spans and counters for the execution stack.
 
-``repro campaign --trace trace.jsonl`` / ``repro sweep --trace trace.jsonl``
-arm a process-global :data:`TELEMETRY` sink that streams span, counter, and
-point events as JSON lines.  The design mirrors :mod:`repro.utils.profiling`:
-when disabled (the default) every instrumentation site costs a single
-attribute check, and the emitted stream is strictly observational — wall
-times come from the monotonic clock and never feed back into campaign
+The process-global :data:`TELEMETRY` sink is the one instrumentation
+primitive.  It does two things:
+
+* **Stage totals** (always on).  The trial engine brackets its stages (tape
+  build, correction, suffix forward, requant) with :meth:`TelemetrySink.tick`
+  / :meth:`TelemetrySink.tock`, which add wall seconds and a call to the
+  stage's running total.  Totals only grow; a
+  :class:`~repro.core.parallel.TrialServer` reports the delta since it was
+  built, so nothing ever resets them.
+* **Trace stream** (opt-in).  ``repro campaign --trace trace.jsonl`` /
+  ``repro sweep --trace trace.jsonl`` arm the sink to stream span, counter,
+  and point events as JSON lines.  While disabled (the default) every
+  trace site costs a single attribute check.
+
+Both are strictly observational — wall times never feed back into campaign
 records, so a traced run is byte-identical to an untraced one.
 
 Record shapes (one JSON object per line)::
@@ -19,10 +28,12 @@ per-sink ordinal so readers can reconstruct emission order even when spans
 nest.  Extra attributes are JSON-sanitised through the same rules as
 :func:`repro.utils.jsonsafe.dump_json_safe` (non-finite floats become null).
 
-The sink belongs to the parent process only: campaign workers inherit a
-configured sink across ``fork`` but must not write to the shared file
-descriptor, so :func:`repro.core.parallel._worker_setup` calls
-:meth:`TelemetrySink.disable_inherited` first thing.
+The trace stream belongs to the parent process only: campaign workers
+inherit a configured sink across ``fork`` but must not write to the shared
+file descriptor, so :func:`repro.core.parallel._worker_setup` calls
+:meth:`TelemetrySink.disable_inherited` first thing.  Stage totals are
+per process; each worker's trial server ships its delta to the parent in
+its stats message.
 """
 
 from __future__ import annotations
@@ -49,18 +60,23 @@ def _sanitise(value: Any) -> Any:
 
 
 class TelemetrySink:
-    """Streams telemetry events to a JSONL file; no-op while disabled."""
+    """Keeps always-on stage totals and, while enabled, streams telemetry
+    events to a JSONL file."""
 
-    __slots__ = ("enabled", "_fh", "_t0", "_seq", "_lock")
+    __slots__ = ("enabled", "_fh", "_t0", "_seq", "_lock", "_stages")
 
     def __init__(self) -> None:
         self.enabled = False
+        #: ``stage -> [wall seconds, calls]``; only ever grows.
+        self._stages: dict[str, list] = {}
         self._fh: IO[str] | None = None
         self._t0 = 0.0
         self._seq = 0
         # The campaign coordinator emits from ThreadingHTTPServer handler
         # threads; seq assignment and the line write must be atomic so
         # concurrent events neither interleave bytes nor share an ordinal.
+        # Fleet nodes sharing one process (one per thread) tock the same
+        # stage totals, so their read-modify-write takes the lock too.
         self._lock = threading.Lock()
 
     def configure(self, path: str) -> None:
@@ -85,6 +101,32 @@ class TelemetrySink:
         the parent still owns it)."""
         self._fh = None
         self.enabled = False
+        # A parent thread may have held the lock at fork time; the child's
+        # copy would then never be released.
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def tick() -> float:
+        """Start a stage measurement for :meth:`tock`."""
+        return time.perf_counter()
+
+    def tock(self, stage: str, start: float) -> None:
+        """Add the wall time since :meth:`tick` and one call to ``stage``."""
+        elapsed = time.perf_counter() - start
+        with self._lock:
+            entry = self._stages.get(stage)
+            if entry is None:
+                entry = self._stages[stage] = [0.0, 0]
+            entry[0] += elapsed
+            entry[1] += 1
+
+    def stage_totals(self) -> dict[str, dict[str, float | int]]:
+        """JSON-compatible ``{stage: {"seconds": ..., "calls": ...}}`` so far."""
+        with self._lock:
+            return {
+                stage: {"seconds": seconds, "calls": calls}
+                for stage, (seconds, calls) in sorted(self._stages.items())
+            }
 
     def _emit(self, record: dict[str, Any]) -> None:
         with self._lock:
@@ -140,5 +182,5 @@ class TelemetrySink:
                 self._emit(record)
 
 
-#: Process-global sink (disabled by default; ``--trace`` arms it in the CLI).
+#: Process-global sink (stage totals always on; ``--trace`` arms the stream).
 TELEMETRY = TelemetrySink()

@@ -181,6 +181,41 @@ class TestEndToEnd:
         assert code == 0
         assert (sweep_dir / "sweep.jsonl").read_text() == merged
 
+    def test_sweep_profile_ingests_as_profile(self, tmp_path, capsys, monkeypatch):
+        import repro.zoo as zoo
+
+        monkeypatch.setattr(zoo, "DEFAULT_CACHE_DIR", tmp_path)
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps({
+            "images": 8,
+            "models": [{
+                "name": "tiny",
+                "params": {"width_multiplier": 0.125, "epochs": 1,
+                           "num_train": 120, "num_test": 40, "seed": 21},
+            }],
+            "faults": [{"name": "const0", "kind": "const", "values": [0]}],
+            "strategies": [
+                {"name": "random", "kind": "random", "counts": [1], "trials": 2},
+            ],
+        }))
+        sweep_dir = tmp_path / "out"
+        assert main([
+            "sweep", "--spec", str(spec_path), "--sweep-dir", str(sweep_dir), "--profile",
+        ]) == 0
+        assert "stage profile written" in capsys.readouterr().out
+        profile = json.loads((sweep_dir / "profile.json").read_text())
+        assert profile["num_trials"] == 2 and profile["processes"] == 1
+        assert "correction" in profile["profile"]
+        assert set(profile["scenarios"]) == {"tiny/const0/random/8x8"}
+
+        store = tmp_path / "store.jsonl"
+        assert main([
+            "observe", "ingest", str(sweep_dir / "profile.json"), "--store", str(store),
+        ]) == 0
+        kinds = {json.loads(line)["kind"] for line in store.read_text().splitlines()}
+        assert kinds == {"profile"}
+
+
 class TestValidateAndCleanErrors:
     """`repro validate` plus the traceback-free error path of `main()`."""
 

@@ -2,8 +2,8 @@
 
 Covers the pieces around the engine itself: zero-copy shared-memory
 batches, per-worker runtime-statistics aggregation (GEMM counters, tape
-hit rates, stage profiles), the ``--profile`` plumbing, and the invariance
-of campaign records under every fused-group size.
+hit rates, always-on per-stage wall times reported per run), and the
+invariance of campaign records under every fused-group size.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
-from repro.core.parallel import ParallelCampaignRunner
+from repro.core.parallel import ParallelCampaignRunner, merge_runtime_stats
 from repro.core.results import CampaignResult
 from repro.core.shm import SharedBatch, release_batch, resolve_batch
 from repro.core.strategies import RandomMultipliers
@@ -76,7 +76,7 @@ class TestRuntimeStatsAggregation:
         assert stats["gemm"]["float32_calls"] > 0
         assert stats["tape"]["layer_hits"] > 0
         assert 0.0 <= stats["tape"]["layer_hit_rate"] <= 1.0
-        assert stats["profile"] is None  # profiling off by default
+        assert stats["profile"]["tape_build"]["calls"] > 0  # stage totals are always on
 
     def test_parallel_run_aggregates_worker_stats(self, tiny_platform_spec, tiny_dataset):
         runner = ParallelCampaignRunner(tiny_platform_spec, STRATEGY, _config(), workers=2)
@@ -91,7 +91,7 @@ class TestRuntimeStatsAggregation:
 
     def test_profile_collects_stage_breakdown(self, tiny_platform_spec, tiny_dataset):
         runner = ParallelCampaignRunner(
-            tiny_platform_spec, STRATEGY, _config(profile=True), workers=2
+            tiny_platform_spec, STRATEGY, _config(), workers=2
         )
         result = runner.run(tiny_dataset.test_images, tiny_dataset.test_labels)
         profile = result.runtime_stats["profile"]
@@ -99,6 +99,43 @@ class TestRuntimeStatsAggregation:
         assert set(profile) >= {"tape_build", "correction", "requant"}
         for entry in profile.values():
             assert entry["seconds"] >= 0.0 and entry["calls"] > 0
+
+    def test_plain_config_pool_run_reports_stages(self, tiny_platform_spec, tiny_dataset):
+        runner = ParallelCampaignRunner(tiny_platform_spec, STRATEGY, CampaignConfig(), workers=2)
+        result = runner.run(tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16])
+        assert set(result.runtime_stats["profile"]) >= {"tape_build", "correction", "requant"}
+
+    def test_stage_totals_are_per_run(self, tiny_platform_spec, tiny_dataset):
+        # The totals are process-global; a second identical campaign in the
+        # same process must report its own calls, not inherit the first's.
+        calls = []
+        for _ in range(2):
+            runner = ParallelCampaignRunner(tiny_platform_spec, STRATEGY, _config())
+            result = runner.run(tiny_dataset.test_images, tiny_dataset.test_labels)
+            calls.append({
+                stage: entry["calls"] for stage, entry in result.runtime_stats["profile"].items()
+            })
+        assert calls[0] == calls[1]
+        assert calls[0]["correction"] > 0
+
+    def test_merge_sums_groups_and_counts_processes(self):
+        part = {
+            "gemm": {"float32_calls": 2},
+            "tape": {"layer_hits": 3, "layer_misses": 1, "layer_hit_rate": 0.75,
+                     "recording": True},
+            "profile": {"requant": {"seconds": 0.5, "calls": 4}},
+        }
+        per_process = merge_runtime_stats([part, part, None], workers=2)
+        assert per_process["processes"] == 2 and per_process["workers"] == 2
+        assert per_process["gemm"] == {"float32_calls": 4}
+        assert per_process["tape"] == {"layer_hits": 6, "layer_misses": 2, "layer_hit_rate": 0.75}
+        assert per_process["profile"] == {"requant": {"seconds": 1.0, "calls": 8}}
+        # Already-merged payloads (one per sweep scenario) carry their own
+        # process counts.
+        sweep = merge_runtime_stats([per_process, part], workers=2)
+        assert sweep["processes"] == 3
+        assert sweep["profile"]["requant"]["calls"] == 12
+        assert merge_runtime_stats([None, {}], workers=1) is None
 
     def test_runtime_stats_survive_serialisation(self, tiny_platform_spec, tiny_dataset):
         runner = ParallelCampaignRunner(tiny_platform_spec, STRATEGY, _config())

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.results import CampaignResult, TrialRecord
 from repro.core.stats import (
@@ -80,6 +80,12 @@ class TestSpecialFunctions:
         p=st.floats(0.001, 0.999),
     )
     @settings(max_examples=60, deadline=None)
+    # Bracket endpoints more than 1e-9 apart in I_x (x near 1, b near 0.2).
+    @example(a=4.0, b=0.203125, p=0.984375)
+    @example(a=16.0, b=0.25, p=0.9921875)
+    @example(a=42.0, b=0.203125, p=0.96875)
+    @example(a=2.0, b=0.21875, p=0.9921875)
+    @example(a=3.0, b=0.25, p=0.99609375)
     def test_betaincinv_round_trip(self, a, b, p):
         x = betaincinv(a, b, p)
         assert 0.0 <= x <= 1.0

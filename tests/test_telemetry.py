@@ -67,6 +67,17 @@ class TestTelemetrySink:
         assert extra == {} or extra == {"k": "v"}  # yielded dict is discarded
         assert not s.enabled
 
+    def test_stage_totals_accumulate_while_trace_is_off(self):
+        s = TelemetrySink()
+        for _ in range(3):
+            s.tock("requant", s.tick())
+        s.tock("correction", s.tick())
+        totals = s.stage_totals()
+        assert list(totals) == ["correction", "requant"]
+        assert totals["requant"]["calls"] == 3 and totals["correction"]["calls"] == 1
+        assert all(entry["seconds"] >= 0.0 for entry in totals.values())
+        assert not s.enabled
+
     def test_events_counters_spans_roundtrip(self, sink):
         s, read = sink
         s.event("boot", phase="init")
@@ -166,6 +177,18 @@ class TestCampaignTracing:
         gemm_counters = {n for n in by_name if n.startswith("gemm.")}
         assert "gemm.int64_calls" in gemm_counters
         assert any(n.startswith("tape.") for n in by_name)
+
+    def test_traced_campaign_carries_stage_totals(
+        self, tiny_platform_spec, tiny_dataset, global_trace
+    ):
+        result = run_campaign(tiny_platform_spec, tiny_dataset, workers=2)
+        TELEMETRY.close()
+        counters = {
+            r["name"]: r["value"] for r in read_trace(global_trace) if r["event"] == "counter"
+        }
+        profile = result.runtime_stats["profile"]
+        assert counters["profile.correction.calls"] == profile["correction"]["calls"] > 0
+        assert counters["profile.correction.seconds"] == profile["correction"]["seconds"]
 
     def test_workers_never_write_to_the_parent_trace(
         self, tiny_platform_spec, tiny_dataset, global_trace
