@@ -291,12 +291,15 @@ class NVDLAAccelerator:
           skipped: its output *is* the taped output.  Non-GEMM ops carry no
           fault site; a conv/FC op is idle when no configuration arms a
           datapath fault and no memory flip dwells at its GEMM index;
-        * a conv/FC op on the taped input with a live datapath fault runs
-          its clean im2col + GEMM **once** from that input for the whole
-          group and applies each trial's correction term to its slice of
-          the accumulator stack (the tape holds activations only); on
-          diverged inputs it runs **one** stacked im2col + GEMM for the
-          whole group;
+        * a conv/FC op on the taped input with a live datapath fault, in a
+          group of several trials, lowers that input and runs its clean
+          GEMM **once** for the whole group and applies each trial's
+          correction terms to its slice of the accumulator stack (the tape
+          holds activations only).  On diverged inputs, or for a single
+          trial, the input is lowered once and each trial's constant
+          faults are folded into its own weights: one GEMM per trial with
+          edited weights (one for all unedited trials together), plus
+          correction terms only for the faults no weight edit expresses;
         * a single trial with no datapath fault re-executes only the dirty
           region: the output positions its dirty input positions reach
           through the op's window (plus the bytes an activation flip
@@ -480,7 +483,7 @@ class NVDLAAccelerator:
         changed = np.not_equal(rows, reference[index]).any(axis=1)
         if not changed.any():
             return ("clean", reference, None)
-        out = reference.copy()
+        out = reference.copy(order="K")  # keep the taped (channels-last) layout
         out[index] = rows
         dirty = np.zeros(reference[:, 0].shape, dtype=bool)
         dirty[tuple(axis[changed] for axis in positions)] = True

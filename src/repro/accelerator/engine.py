@@ -24,37 +24,50 @@ and a persistent override replaces their zero products too.
 
 Fault arithmetic
 ----------------
-For value-independent models (stuck-at, constant) the faulty accumulator is
-obtained from the clean one by subtracting the true contribution of the
-affected products and adding ``constant * number_of_affected_products``.
-For value-dependent models (bit flips, transient pulses) the affected
-products are materialised, transformed by the model and re-summed.  Both
-paths are validated against the scalar reference engine in the test suite.
+A constant-override fault (stuck-at, constant) on multiplier ``(k, m)`` is
+a weight edit: it zeroes the ``(oc % atomic_k == k, ic % atomic_c == m)``
+block of the trial's own weights and adds ``constant * number_of_lane_terms``
+(padding lanes included) to the accumulators of those output channels, so
+the faulty layer is an ordinary GEMM.  Faults no weight edit expresses — the
+value-dependent models (bit flips, transient pulses), cycle-dependent ones
+and accumulator-stage ones — are evaluated as correction terms: the affected
+products (or partial sums) are materialised, transformed by the model and
+their difference re-summed onto the accumulator.  A group of trials sharing
+one input keeps one clean GEMM, so there every fault, constants included,
+is a correction term.  All paths are validated against the scalar reference
+engine in the test suite.
 
 Fast math
 ---------
-The clean accumulator is computed by the shared exact integer GEMM core
-(:mod:`repro.runtime.gemm`): im2col keeps the int8 patches narrow all the
-way to the GEMM boundary and the contraction runs on BLAS float32 kernels
-whose exactness is certified by an overflow bound — bit-identical to the
-original int64 einsum, several times faster.  A layer deeper than one
-certified SGEMM (``IC * K**2`` > 1023 for int8, e.g. every layer-4 3x3 conv)
-is split along K into chunks that are each certified on their own, and the
-chunk results are summed in int64.
+Every conv/FC GEMM has one lowering: the input becomes channels-last rows
+``(N*P, K*K*IC)`` (one strided copy out of :func:`window_view`; an FC row is
+a sample's features) and runs as one flat GEMM against the weights permuted
+to ``(ky, kx, ic)`` order, whether it covers every output position or only
+the dirty ones.  The contraction is the shared exact integer GEMM core
+(:mod:`repro.runtime.gemm`): int8 operands stay narrow up to the GEMM
+boundary and BLAS float32 kernels run it, their exactness certified by an
+overflow bound — bit-identical to an int64 contraction, several times
+faster.  A layer deeper than one certified SGEMM (``IC * K**2`` > 1023 for
+int8, e.g. every layer-4 3x3 conv) is split along K into chunks that are
+each certified on their own, and the chunk results are summed in int64.
+A weight edit never grows a weight's magnitude, so folded trials keep the
+same certificate.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
-# Unused here: tracers wrap ``arrays_match`` in this module, like
-# ``exact_matmul`` and ``im2col``.
+# Unused here: tracers wrap ``arrays_match`` and ``im2col`` in this module,
+# like ``exact_matmul``.
 from repro.accelerator.tape import arrays_match  # noqa: F401
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import FaultModel, flip_int8_bytes
 from repro.faults.sites import FaultSite
-from repro.nn.functional import conv_output_size, im2col, window_view
+from repro.nn.functional import conv_output_size, im2col, window_view  # noqa: F401
 from repro.quant.qlayers import QConv, QLinear
 from repro.runtime.gemm import exact_matmul
 from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
@@ -80,6 +93,13 @@ def config_fusable(config: InjectionConfig) -> bool:
     )
 
 
+def _constant(model: FaultModel) -> int | None:
+    """The constant a product-stage model drives onto the product bus, if any."""
+    if model.stage != "product" or model.value_dependent:
+        return None
+    return model.constant_override()
+
+
 class VectorisedEngine:
     """Fast lane-accurate engine for conv/FC layers on the MAC array.
 
@@ -99,25 +119,51 @@ class VectorisedEngine:
     # ------------------------------------------------------------------
     # Layer evaluation (shared by conv and FC, one or many configurations)
     # ------------------------------------------------------------------
-    def _clean_parts(
-        self, make_cols, w_mat: np.ndarray, record: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, clean acc)`` of one layer evaluation.
+    @staticmethod
+    def _lowered(
+        node: QConv | QLinear, x: np.ndarray, positions: tuple[np.ndarray, ...] | None = None
+    ) -> np.ndarray:
+        """Channels-last GEMM rows ``(rows, R)`` of a layer input.
 
-        One im2col + GEMM: for a shared input (the taped clean input under
-        a live datapath fault, or any input of an untaped pass) it runs
-        once for the whole group, for a group of diverged trials it is one
-        stacked GEMM.  The accumulator is always a fresh buffer the caller
-        may correct and saturate in place.  An op with no live fault on a
-        taped chunk never gets here: the op loop serves its taped output
-        outright.  ``record`` (the baseline pass that records the tape)
-        only names the profile stage the GEMM is charged to.
+        A conv row is the window of one output position in ``(ky, kx, ic)``
+        order, read from :func:`window_view` (one strided copy out of a
+        padded NHWC buffer); an FC row is one sample's feature vector.  Rows
+        run in ``(sample, y, x)`` order, or cover only the output
+        ``positions`` (index arrays as :func:`numpy.nonzero` returns them)
+        when those are given.
+        """
+        if isinstance(node, QConv):
+            x = window_view(x, node.kernel_size, node.stride, node.padding)
+        if positions is not None:
+            x = x[positions]
+        return x.reshape(-1, node.weight[0].size)
+
+    def _clean_parts(
+        self, node: QConv | QLinear, x: np.ndarray, weights: list[np.ndarray], record: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, acc)`` of one layer evaluation: lowering, then GEMMs.
+
+        ``weights`` holds channels-last ``(OC, R)`` weights for equal
+        consecutive blocks of the rows, one block per trial of a stack (or
+        one block for a shared input).  Consecutive blocks with the same
+        weights object share one GEMM, so an unedited stack still runs as
+        one GEMM and each trial with weight edits runs its own.  ``acc`` is
+        a fresh ``(rows, OC)`` buffer the caller may correct and saturate
+        in place.  ``record`` (the baseline pass that records the tape)
+        only names the profile stage the work is charged to.
         """
         start = TELEMETRY.tick()
-        cols = make_cols()
-        acc = exact_matmul(w_mat, cols)
+        rows = self._lowered(node, x)
+        span = len(rows) // len(weights)
+        parts, first = [], 0
+        for _, run in itertools.groupby(weights, key=id):
+            run = list(run)
+            stop = first + len(run) * span
+            parts.append(exact_matmul(rows[first:stop], run[0].T))
+            first = stop
+        acc = parts[0] if len(parts) == 1 else np.concatenate(parts)
         TELEMETRY.tock("tape_build" if record else "suffix_forward", start)
-        return cols, acc
+        return rows, acc
 
     def _accumulate(
         self,
@@ -135,21 +181,29 @@ class VectorisedEngine:
         Exactly one input form describes the layer input:
 
         * ``x_clean`` — one input shared by every trial (e.g. the taped
-          clean input); the clean GEMM runs once for the whole group and
-          only the per-trial correction terms are evaluated per trial.
-        * ``x_stack`` — diverged inputs stacked as ``(G*N, ...)``; one
-          stacked im2col + GEMM replaces G per-trial passes.
+          clean input).  With several trials the clean GEMM runs once for
+          the whole group and each trial's faults are evaluated as
+          correction terms on its slice of the accumulator stack.
+        * ``x_stack`` — diverged inputs stacked as ``(G*N, ...)``, lowered
+          once for the group.
+
+        On a stack, or for a single trial, every constant-override product
+        fault is folded into that trial's own weights (see :meth:`_folded`)
+        and each trial with folded faults runs one GEMM on its edited
+        weights; only the faults the fold cannot express (value-dependent,
+        cycle-dependent, accumulator-stage) become correction terms.
 
         With a single configuration, its dwell-active memory faults corrupt
         the staged operands first (memory models never join a fused group,
         see :func:`config_fusable`).  Returns the stack ``(G*N, OC, OH, OW)``
-        for a convolution or ``(G*N, OUT)`` for a fully-connected layer.
+        for a convolution or ``(G*N, OUT)`` for a fully-connected layer; a
+        convolution's stack is a view of a channels-last buffer.
 
         ``positions`` (with ``x_stack`` and no datapath fault) computes only
         the listed output positions: index arrays ``(sample, y, x)`` for a
         convolution or ``(sample,)`` for a fully-connected layer, as
-        :func:`numpy.nonzero` returns them.  Their im2col columns are
-        gathered into one ``(D, R)`` GEMM and the result is ``(D, OC)``.
+        :func:`numpy.nonzero` returns them.  Their rows are lowered into
+        one ``(D, R)`` GEMM and the result is ``(D, OC)``.
         """
         if (x_stack is None) == (x_clean is None):
             raise ValueError("provide exactly one of x_stack, x_clean")
@@ -182,15 +236,13 @@ class VectorisedEngine:
                 raise ValueError(
                     f"{node.name}: input channels {in_channels} != weight channels {ic_w}"
                 )
-            out_shape = (
-                out_channels,
+            out_hw = (
                 conv_output_size(h, k, node.stride, node.padding),
                 conv_output_size(w, k, node.stride, node.padding),
             )
-            w_mat = weight.reshape(out_channels, -1)  # int8, (OC, IC*K*K)
             kernel_elems = k * k
-            # int8 patches, (N, IC*K*K, P) — narrow until the GEMM boundary
-            make_cols = lambda: im2col(x, k, node.stride, node.padding)  # noqa: E731
+            # The GEMM reads (ky, kx, ic) weight rows, like the lowered input.
+            w_rows = weight.transpose(0, 2, 3, 1).reshape(out_channels, -1)
         else:
             in_channels = x.shape[1]
             out_channels, in_w = weight.shape
@@ -200,56 +252,64 @@ class VectorisedEngine:
                 )
             # An FC layer is a 1x1 convolution over a 1x1 feature map on this
             # datapath; reuse the convolution fault arithmetic with P == 1.
-            out_shape = (out_channels,)
-            w_mat = weight  # int8, (OUT, IN)
+            out_hw = ()
             kernel_elems = 1
-            make_cols = lambda: x.reshape(x.shape[0], in_channels, 1)  # noqa: E731
+            w_rows = weight
 
         if positions is not None:
             if any(config.enabled for config in configs):
                 raise ValueError("gathered positions carry no datapath fault correction")
-            return self._gathered(node, x, weight, positions)
-        cols, acc = self._clean_parts(make_cols, w_mat, record)
-        shared = x_stack is None
-        if shared and groups > 1:
-            acc = np.tile(acc, (groups, 1, 1))
-        for g, config in enumerate(configs):
-            if not config.enabled:
-                continue
-            self._validate_stage_combination(config)
-            rows = slice(g * per_trial, (g + 1) * per_trial)
-            self._apply_config(
-                acc[rows], cols if shared else cols[rows], w_mat,
-                out_channels, in_channels, kernel_elems, config,
-            )
+            start = TELEMETRY.tick()
+            acc = exact_matmul(self._lowered(node, x, positions), w_rows.T)
+            TELEMETRY.tock("suffix_forward", start)
+            return saturate(acc, ACCUMULATOR_WIDTH, out=acc)
+
+        live = any(config.enabled for config in configs)
+        start = TELEMETRY.tick()
+        for config in configs:
+            if config.enabled:
+                self._validate_stage_combination(config)
+        shared = x_stack is None and groups > 1
+        if shared:
+            # One clean GEMM serves the whole group; every fault of every
+            # trial becomes a correction term on that trial's slice.
+            edits = [(w_rows, None, config.faults.items()) for config in configs]
+        else:
+            edits = [
+                self._folded(w_rows, config, in_channels, kernel_elems) for config in configs
+            ]
+        if live:
+            TELEMETRY.tock("correction", start)
+        weights = [w_rows] if shared else [w for w, _, _ in edits]
+        rows, acc = self._clean_parts(node, x, weights, record)
+        if shared:
+            acc = np.tile(acc, (groups, 1))
+
+        # (samples, positions, R) patches and the (samples, OC, positions)
+        # view of the accumulator that the correction terms index.
+        patches = rows.reshape(len(x), -1, rows.shape[1])
+        acc_view = acc.reshape(groups * per_trial, -1, out_channels).transpose(0, 2, 1)
+        start = TELEMETRY.tick()
+        for g, (_, offsets, faults) in enumerate(edits):
+            trial = slice(g * per_trial, (g + 1) * per_trial)
+            acc_trial = acc_view[trial]
+            if offsets is not None:
+                acc_trial += offsets[:, None]
+            for site, model in faults:
+                correction = self._site_correction(
+                    patches if shared else patches[trial], w_rows,
+                    out_channels, in_channels, kernel_elems, site, model,
+                )
+                if correction is not None:
+                    oc_sel, delta = correction
+                    acc_trial[:, oc_sel, :] += delta
+        if live:
+            TELEMETRY.tock("correction", start)
         # 34-bit accumulator saturation, in place.
         acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc)
-        return acc.reshape((groups * per_trial,) + out_shape)
-
-    def _gathered(
-        self,
-        node: QConv | QLinear,
-        x: np.ndarray,
-        weight: np.ndarray,
-        positions: tuple[np.ndarray, ...],
-    ) -> np.ndarray:
-        """Saturated ``(D, OC)`` accumulators of the listed output positions.
-
-        A conv gathers channels-last windows ``(D, K, K, IC)`` and contracts
-        them with the weights permuted to the same ``(ky, kx, ic)`` order;
-        integer sums are exact in any order.
-        """
-        start = TELEMETRY.tick()
-        if isinstance(node, QConv):
-            windows = window_view(x, node.kernel_size, node.stride, node.padding)
-            cols = windows[positions]  # (D, K, K, IC)
-            weight = weight.transpose(0, 2, 3, 1)
-        else:
-            cols = x[positions[0]]
-        depth = weight[0].size
-        acc = exact_matmul(cols.reshape(-1, depth), weight.reshape(-1, depth).T)
-        TELEMETRY.tock("suffix_forward", start)
-        return saturate(acc, ACCUMULATOR_WIDTH, out=acc)
+        if not conv:
+            return acc
+        return acc.reshape((groups * per_trial,) + out_hw + (out_channels,)).transpose(0, 3, 1, 2)
 
     def conv_accumulate(
         self,
@@ -320,34 +380,48 @@ class VectorisedEngine:
             x_q = flip_int8_bytes(x_q, activation_flips, per_sample=True)
         return x_q, weight, config.datapath_config()
 
-    def _apply_config(
+    def _folded(
         self,
-        acc_view: np.ndarray,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
-        out_channels: int,
+        w_rows: np.ndarray,
+        config: InjectionConfig,
         in_channels: int,
         kernel_elems: int,
-        config: InjectionConfig,
-    ) -> None:
-        """Add one configuration's correction terms to ``acc_view`` in place.
+    ) -> tuple[np.ndarray, np.ndarray | None, list[tuple[FaultSite, FaultModel]]]:
+        """``(weights, offsets, faults)``: one trial's constant faults as weight edits.
 
-        ``acc_view`` must be writable (a fresh copy or a slice of a fused
-        accumulator stack) and hold the *clean* accumulator of the samples
-        that ``cols`` describes.  Shared by the single-trial path and the
-        fused multi-trial path, so both produce bit-identical corrections.
+        A constant-override product fault on multiplier ``(k, m)`` replaces
+        every product of lane ``m`` into MAC ``k`` with its constant.  That
+        equals zeroing the ``(oc = k mod atomic_k, ic = m mod atomic_c)``
+        block of the trial's own copy of the channels-last ``(OC, R)``
+        weights and adding ``constant * channel_groups * K^2`` (padding lanes
+        count as terms) to the accumulators of those output channels before
+        the 34-bit saturation.  The terms are disjoint and the integer sums
+        exact, and an edited weight is never larger in magnitude, so the
+        GEMM's float32 certificate still holds.
+
+        ``weights`` is ``w_rows`` itself when nothing folds, ``offsets`` a
+        per-output-channel int64 vector (``None`` when every constant is
+        zero) and ``faults`` the faults left for correction terms:
+        value-dependent, cycle-dependent and accumulator-stage models.
         """
-        start = TELEMETRY.tick()
+        weights, offsets, faults = w_rows, None, []
+        atomic_k, atomic_c = self.geometry.atomic_k, self.geometry.atomic_c
+        terms = self.geometry.channel_groups(in_channels) * kernel_elems
         for site, model in config.faults.items():
-            site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
-            correction = self._site_correction(
-                cols, w_mat, out_channels, in_channels, kernel_elems, site, model
-            )
-            if correction is None:
+            constant = _constant(model)
+            if constant is None:
+                faults.append((site, model))
                 continue
-            oc_sel, delta = correction
-            acc_view[:, oc_sel, :] += delta
-        TELEMETRY.tock("correction", start)
+            site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
+            if weights is w_rows:
+                weights = w_rows.copy()
+            blocks = weights.reshape(len(weights), kernel_elems, in_channels)
+            blocks[site.mac_unit::atomic_k, :, site.multiplier::atomic_c] = 0
+            if constant:
+                if offsets is None:
+                    offsets = np.zeros(len(weights), dtype=np.int64)
+                offsets[site.mac_unit::atomic_k] += constant * terms
+        return weights, offsets, faults
 
     @staticmethod
     def _validate_stage_combination(config: InjectionConfig) -> None:
@@ -403,7 +477,7 @@ class VectorisedEngine:
             ((n * P + p) * KG + kg) * (CG * K^2) + cg * K^2 + e
 
         ``kg_sel`` holds the kernel group of each selected output channel and
-        ``inner`` the ``cg * K^2 + e`` term of each affected im2col row; the
+        ``inner`` the ``cg * K^2 + e`` term of each affected lane column; the
         result has shape ``(N, len(kg_sel), len(inner), P)`` matching the
         materialised products.
         """
@@ -419,8 +493,8 @@ class VectorisedEngine:
 
     def _accumulator_delta(
         self,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
+        patches: np.ndarray,
+        w_rows: np.ndarray,
         oc_sel: np.ndarray,
         in_channels: int,
         kernel_elems: int,
@@ -430,28 +504,28 @@ class VectorisedEngine:
 
         The fault transforms every partial sum the MAC unit forwards to the
         CACC — one per (channel group, kernel element) atomic operation — so
-        the affected partial sums are materialised by grouping the im2col
-        rows into atomic-C lanes (padding lanes contribute zero, exactly as
-        the zero-padded hardware lanes do) and the correction is the summed
-        difference between the faulty and the clean partials.
+        the affected partial sums are materialised by grouping the patch
+        columns into atomic-C lanes (padding lanes contribute zero, exactly
+        as the zero-padded hardware lanes do) and the correction is the
+        summed difference between the faulty and the clean partials.
         """
         atomic_c = self.geometry.atomic_c
         channel_groups = self.geometry.channel_groups(in_channels)
-        n_batch, _, positions = cols.shape
+        n_batch, positions, _ = patches.shape
         n_out = oc_sel.size
         padded_channels = channel_groups * atomic_c
 
         w_g = np.zeros((n_out, padded_channels, kernel_elems), dtype=np.int64)
         w_g[:, :in_channels, :] = (
-            w_mat[oc_sel].astype(np.int64).reshape(n_out, in_channels, kernel_elems)
+            w_rows[oc_sel].reshape(n_out, kernel_elems, in_channels).transpose(0, 2, 1)
         )
         w_g = w_g.reshape(n_out, channel_groups, atomic_c, kernel_elems)
         cols_g = np.zeros(
             (n_batch, padded_channels, kernel_elems, positions), dtype=np.int64
         )
-        cols_g[:, :in_channels] = (
-            cols.astype(np.int64).reshape(n_batch, in_channels, kernel_elems, positions)
-        )
+        cols_g[:, :in_channels] = patches.reshape(
+            n_batch, positions, kernel_elems, in_channels
+        ).transpose(0, 3, 2, 1)
         cols_g = cols_g.reshape(n_batch, channel_groups, atomic_c, kernel_elems, positions)
 
         # One partial sum per (sample, output channel, channel group, kernel
@@ -466,15 +540,21 @@ class VectorisedEngine:
 
     def _site_correction(
         self,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
+        patches: np.ndarray,
+        w_rows: np.ndarray,
         out_channels: int,
         in_channels: int,
         kernel_elems: int,
         site: FaultSite,
         model: FaultModel,
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Correction term added to ``acc[:, oc_sel, :]`` for one fault site."""
+        """Correction term added to ``acc[:, oc_sel, :]`` for one fault site.
+
+        ``patches`` are the ``(N, P, R)`` channels-last patches of the
+        samples whose ``(N, OC, P)`` accumulator the term corrects and
+        ``w_rows`` the ``(OC, R)`` channels-last weights.
+        """
+        site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
         atomic_c = self.geometry.atomic_c
         atomic_k = self.geometry.atomic_k
 
@@ -489,7 +569,7 @@ class VectorisedEngine:
                     "cycle-dependent accumulator-stage models are not supported"
                 )
             delta = self._accumulator_delta(
-                cols, w_mat, oc_sel, in_channels, kernel_elems, model
+                patches, w_rows, oc_sel, in_channels, kernel_elems, model
             )
             return oc_sel, delta
 
@@ -498,36 +578,38 @@ class VectorisedEngine:
         pad_lane_count = channel_groups - ic_real.size
         pad_terms = pad_lane_count * kernel_elems
 
-        # Row r of the im2col buffer holds (channel r // K^2, kernel elem
-        # r % K^2); the faulty lane touches every kernel element of its
-        # channels, i.e. the K^2-blocks starting at ic_real * K^2.
-        rows = (ic_real[:, None] * kernel_elems + np.arange(kernel_elems)[None, :]).ravel()
-        n_batch, _, positions = cols.shape
+        # The faulty lane touches every kernel element of its channels: the
+        # channels-last columns e * IC + ic, listed in (ic, e) order, the
+        # order the schedule's cycle indices follow.
+        columns = (np.arange(kernel_elems)[None, :] * in_channels + ic_real[:, None]).ravel()
+        n_batch, positions, _ = patches.shape
+        lanes = patches[:, :, columns]  # (N, P, R)
+        w_sub = w_rows[np.ix_(oc_sel, columns)]  # (O, R)
 
-        constant = model.constant_override()
-        if constant is not None and not model.value_dependent:
-            total_terms = rows.size + pad_terms
-            if rows.size:
-                w_sub = w_mat[np.ix_(oc_sel, rows)]
-                cols_sub = cols[:, rows, :]
-                true_contrib = exact_matmul(w_sub, cols_sub)
+        constant = _constant(model)
+        if constant is not None:
+            total_terms = columns.size + pad_terms
+            if columns.size:
+                true_contrib = exact_matmul(lanes.reshape(-1, columns.size), w_sub.T)
+                true_contrib = true_contrib.reshape(n_batch, positions, -1).transpose(0, 2, 1)
             else:
                 true_contrib = np.zeros((n_batch, oc_sel.size, positions), dtype=np.int64)
             delta = np.int64(constant) * total_terms - true_contrib
             return oc_sel, delta
 
+        # The affected products (N, O, R, P) of the value-dependent paths.
+        products = (
+            w_sub.astype(np.int64)[None, :, :, None]
+            * lanes.transpose(0, 2, 1).astype(np.int64)[:, None, :, :]
+        )
         if model.cycle_dependent:
             return oc_sel, self._cyclic_delta(
-                cols, w_mat, oc_sel, in_channels, kernel_elems, out_channels,
-                ic_real, rows, site, model,
+                products, oc_sel, in_channels, kernel_elems, out_channels,
+                ic_real, model,
             )
 
-        # Value-dependent path: materialise the affected products.
         delta = np.zeros((n_batch, oc_sel.size, positions), dtype=np.int64)
-        if rows.size:
-            w_sub = w_mat[np.ix_(oc_sel, rows)].astype(np.int64)  # (O, R)
-            cols_sub = cols[:, rows, :].astype(np.int64)  # (N, R, P)
-            products = w_sub[None, :, :, None] * cols_sub[:, None, :, :]  # (N, O, R, P)
+        if columns.size:
             faulty = model.apply(products, self.rng)
             delta += (faulty - products).sum(axis=2)
         if pad_terms:
@@ -538,15 +620,12 @@ class VectorisedEngine:
 
     def _cyclic_delta(
         self,
-        cols: np.ndarray,
-        w_mat: np.ndarray,
+        products: np.ndarray,
         oc_sel: np.ndarray,
         in_channels: int,
         kernel_elems: int,
         out_channels: int,
         ic_real: np.ndarray,
-        rows: np.ndarray,
-        site: FaultSite,
         model: FaultModel,
     ) -> np.ndarray:
         """Correction for a cycle-dependent product-stage fault on one site.
@@ -555,27 +634,24 @@ class VectorisedEngine:
         operation that produced it, so the cycle index of every affected
         term (real lanes *and* zero-padded lanes, which still cycle in
         hardware) is reconstructed from the schedule and handed to the
-        model together with the materialised products.
+        model together with the materialised ``(N, O, R, P)`` products.
         """
         atomic_c = self.geometry.atomic_c
         atomic_k = self.geometry.atomic_k
         channel_groups = self.geometry.channel_groups(in_channels)
         kernel_groups = self.geometry.kernel_groups(out_channels)
         pad_lane_count = channel_groups - ic_real.size
-        n_batch, _, positions = cols.shape
+        n_batch, _, _, positions = products.shape
         kg_sel = oc_sel // atomic_k
         elems = np.arange(kernel_elems, dtype=np.int64)
 
         delta = np.zeros((n_batch, oc_sel.size, positions), dtype=np.int64)
-        if rows.size:
+        if ic_real.size:
             inner = ((ic_real // atomic_c)[:, None] * kernel_elems + elems[None, :]).ravel()
             cycles = self._cycle_indices(
                 n_batch, positions, kernel_groups, channel_groups, kernel_elems,
                 kg_sel, inner,
             )
-            w_sub = w_mat[np.ix_(oc_sel, rows)].astype(np.int64)  # (O, R)
-            cols_sub = cols[:, rows, :].astype(np.int64)  # (N, R, P)
-            products = w_sub[None, :, :, None] * cols_sub[:, None, :, :]  # (N, O, R, P)
             faulty = model.apply_at(products, cycles)
             delta += (faulty - products).sum(axis=2)
         if pad_lane_count:

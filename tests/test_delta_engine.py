@@ -456,11 +456,15 @@ class TestIdleOpSkip:
         reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
         engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
         stem = loadable.model.node(_gemm_names(loadable)[0])
-        stem_w_mat = (stem.weight.shape[0], stem.weight[0].size)
+        stem_mapping = _gemm_ops(loadable)[0].mapping
+        # Channels-last rows (N * P, R) against (R, OC) weights; the spy
+        # logs the number of samples the rows cover.
+        stem_w_rows = (stem.weight[0].size, stem.weight.shape[0])
+        stem_positions = stem_mapping.out_h * stem_mapping.out_w
         stem_gemms = []
         matmul = engine_module.exact_matmul
         monkeypatch.setattr(engine_module, "exact_matmul", lambda a, b: (
-            a.shape == stem_w_mat and stem_gemms.append(b.shape)
+            b.shape == stem_w_rows and stem_gemms.append((a.shape[0] // stem_positions,))
         ) or matmul(a, b))
         hits = taped.tape.layer_hits
         logits = taped.execute_fused(loadable, images, configs, chunk_key=(0, 2))

@@ -425,6 +425,124 @@ class TestFaultEffectProperties:
         np.testing.assert_array_equal(both - clean, (only_a - clean) + (only_b - clean))
 
 
+#: Constant-override models, down to the 18-bit product-bus extremes; a
+#: non-zero constant adds an accumulator offset, stuck-at-0 adds none.
+FOLD_MODELS = [StuckAtZero(), StuckAtOne(), ConstantValue(-131072), ConstantValue(131071)]
+
+
+def _fused_matches_per_trial(engine, node, configs, x):
+    """Fused stacks (diverged and shared input) equal per-trial evaluations."""
+    per_trial = np.concatenate([engine.conv_accumulate(x, node, c) for c in configs])
+    stack = np.concatenate([x] * len(configs))
+    diverged = engine.conv_accumulate_fused(node, configs, len(x), x_stack=stack)
+    shared = engine.conv_accumulate_fused(node, configs, len(x), x_clean=x)
+    np.testing.assert_array_equal(diverged, per_trial)
+    np.testing.assert_array_equal(shared, per_trial)
+    return per_trial
+
+
+class TestConstantFoldEquivalence:
+    """Constant-override faults folded into per-trial weights.
+
+    A folded trial zeroes its faulty lane's weight block and adds the
+    constant times the lane's term count (padding lanes included) to the
+    affected output channels; these cases pin that against the scalar
+    engine, and the fused stacks against per-trial evaluation.
+    """
+
+    @pytest.mark.parametrize("model", FOLD_MODELS, ids=lambda m: m.label())
+    @pytest.mark.parametrize("in_channels", [3, 12, 20])
+    def test_padding_lanes_match_scalar(self, in_channels, model):
+        node, x = conv_case(in_channels, 12, 3, 1, 1, 3, batch=2, seed=in_channels)
+        # Lane 7 is all padding at 3 channels and partly padding at 12 or 20.
+        configs = [
+            InjectionConfig.single(FaultSite(1, 2), model),
+            InjectionConfig.uniform([FaultSite(5, 7), FaultSite(3, 0)], model),
+            InjectionConfig.fault_free(),
+        ]
+        per_trial = _fused_matches_per_trial(VectorisedEngine(PAPER_GEOMETRY), node, configs, x)
+        scalar = ScalarReferenceEngine(PAPER_GEOMETRY)
+        ref = np.concatenate([scalar.conv_accumulate(x, node, c) for c in configs])
+        np.testing.assert_array_equal(per_trial, ref)
+
+    def test_every_single_site_matches_scalar(self):
+        """The Fig. 3 heat-map configurations: each of the 64 sites alone."""
+        node, x = conv_case(12, 8, 3, 1, 1, 3, seed=64)
+        engine = VectorisedEngine(PAPER_GEOMETRY)
+        scalar = ScalarReferenceEngine(PAPER_GEOMETRY)
+        for value in (0, -1):
+            configs = [
+                InjectionConfig.single(site, ConstantValue(value))
+                for site in FaultUniverse().all_sites()
+            ]
+            per_trial = _fused_matches_per_trial(engine, node, configs, x)
+            ref = np.concatenate([scalar.conv_accumulate(x, node, c) for c in configs])
+            np.testing.assert_array_equal(per_trial, ref)
+
+    @pytest.mark.parametrize("model", FOLD_MODELS, ids=lambda m: m.label())
+    def test_linear_matches_scalar(self, model):
+        node = make_qlinear(20, 10, final=True, seed=7)
+        x = random_int8((3, 20), seed=8)
+        configs = [
+            InjectionConfig.single(FaultSite(1, 3), model),
+            InjectionConfig.uniform([FaultSite(0, 7), FaultSite(2, 4)], model),
+        ]
+        per_trial = _fused_matches_per_trial(VectorisedEngine(), node, configs, x)
+        scalar = ScalarReferenceEngine()
+        ref = np.concatenate([scalar.linear_accumulate(x, node, c) for c in configs])
+        np.testing.assert_array_equal(per_trial, ref)
+
+    def test_mixed_fused_group_matches_scalar(self):
+        """Folded constants beside bit-flip, transient and accumulator-stage
+        corrections on distinct MACs, within one trial and across a group."""
+        node, x = conv_case(12, 16, 3, 1, 1, 4, batch=2, seed=33)
+        const = {FaultSite(0, 1): ConstantValue(-131072), FaultSite(4, 6): StuckAtZero()}
+        others = {
+            FaultSite(1, 2): BitFlip(9),
+            FaultSite(2, 5): TransientCycleFault(value=-40, duty=0.5, salt=6),
+            FaultSite(3, 0): AccumulatorStuckAt(bit=14, stuck=1),
+        }
+        configs = [
+            InjectionConfig(faults={**const, **others}),
+            InjectionConfig(faults=const),
+            InjectionConfig(faults=others),
+            InjectionConfig.single(FaultSite(6, 3), StuckAtOne()),
+        ]
+        per_trial = _fused_matches_per_trial(VectorisedEngine(PAPER_GEOMETRY), node, configs, x)
+        scalar = ScalarReferenceEngine(PAPER_GEOMETRY)
+        ref = np.concatenate([scalar.conv_accumulate(x, node, c) for c in configs])
+        np.testing.assert_array_equal(per_trial, ref)
+
+
+class TestConstantFoldStructure:
+    """A diverged stack of stuck-at trials runs one GEMM per trial and no
+    correction term: the faults live in the trials' weights."""
+
+    @pytest.mark.parametrize("layer", ["conv", "linear"])
+    def test_one_gemm_per_trial_and_no_correction(self, layer, monkeypatch):
+        if layer == "conv":
+            node, x = conv_case(12, 16, 3, 1, 1, 4, batch=2, seed=5)
+        else:
+            node, x = make_qlinear(20, 10, final=True, seed=5), random_int8((2, 20), seed=6)
+        configs = [
+            InjectionConfig.single(FaultSite(1, 2), StuckAtZero()),
+            InjectionConfig.uniform([FaultSite(0, 0), FaultSite(7, 7)], StuckAtZero()),
+            InjectionConfig.single(FaultSite(3, 5), StuckAtOne()),
+        ]
+        engine = VectorisedEngine(PAPER_GEOMETRY)
+        expected = np.concatenate([engine.conv_accumulate(x, node, c) for c in configs])
+
+        def no_correction(*args, **kwargs):
+            raise AssertionError("a folded fault reached _site_correction")
+
+        monkeypatch.setattr(VectorisedEngine, "_site_correction", no_correction)
+        stack = np.concatenate([x] * len(configs))
+        GEMM_STATS.reset()
+        fused = engine.conv_accumulate_fused(node, configs, len(x), x_stack=stack)
+        assert GEMM_STATS.total_calls == GEMM_STATS.float32_calls == len(configs)
+        np.testing.assert_array_equal(fused, expected)
+
+
 class TestDeepContractionEquivalence:
     """3x3 convs deeper than one certified float32 GEMM (depth IC * 9 > 1023).
 
