@@ -11,6 +11,8 @@ logits are returned as raw int32 accumulators.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.accelerator.csb import ConfigSpaceBus
@@ -34,6 +36,26 @@ from repro.utils.telemetry import TELEMETRY
 def _row_index(positions: tuple[np.ndarray, ...]) -> tuple:
     """Index of the ``(D, C)`` rows of an ``(N, C, ...)`` array at positions."""
     return (positions[0], slice(None)) + tuple(positions[1:])
+
+
+def _changed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Positions (the ``(N, ...)`` index of ``(N, C, ...)`` arrays, or the
+    rows of ``(D, C)`` ones) where any channel of ``a`` differs from ``b``.
+
+    When the channels are innermost in memory (conv outputs are channels
+    last, gathered rows are ``(D, C)``), a position's channel flags are
+    read as machine words: a numpy reduction over a short contiguous axis
+    pays per output element, several times the cost of a few word passes.
+    """
+    differs = np.not_equal(a, b)
+    last = np.moveaxis(differs, 1, -1)
+    if not last.flags.c_contiguous:
+        return differs.any(axis=1)
+    words = last.view(f"u{math.gcd(last.shape[-1], 8)}")
+    changed = words[..., 0] != 0
+    for column in range(1, words.shape[-1]):
+        changed |= words[..., column] != 0
+    return changed
 
 
 def _flip_mask(shape: tuple[int, ...], flips: list[tuple[int, int]]) -> np.ndarray:
@@ -291,15 +313,14 @@ class NVDLAAccelerator:
           skipped: its output *is* the taped output.  Non-GEMM ops carry no
           fault site; a conv/FC op is idle when no configuration arms a
           datapath fault and no memory flip dwells at its GEMM index;
-        * a conv/FC op on the taped input with a live datapath fault, in a
-          group of several trials, lowers that input and runs its clean
-          GEMM **once** for the whole group and applies each trial's
-          correction terms to its slice of the accumulator stack (the tape
-          holds activations only).  On diverged inputs, or for a single
-          trial, the input is lowered once and each trial's constant
-          faults are folded into its own weights: one GEMM per trial with
-          edited weights (one for all unedited trials together), plus
-          correction terms only for the faults no weight edit expresses;
+        * a conv/FC op with a live datapath fault lowers its input once and
+          folds each trial's constant faults into that trial's own weights.
+          On the taped input (the tape holds activations only) it runs
+          **one** GEMM for the whole group against the distinct trial
+          weights side by side; on diverged inputs, one GEMM per trial with
+          edited weights (one for all unedited trials together).  Only the
+          faults no weight edit expresses add correction terms to a
+          trial's slice of the accumulator stack;
         * a single trial with no datapath fault re-executes only the dirty
           region: the output positions its dirty input positions reach
           through the op's window (plus the bytes an activation flip
@@ -480,7 +501,7 @@ class NVDLAAccelerator:
         else, the inputs there being the taped ones), or the taped object
         itself when no row differs from it."""
         index = _row_index(positions)
-        changed = np.not_equal(rows, reference[index]).any(axis=1)
+        changed = _changed(rows, reference[index])
         if not changed.any():
             return ("clean", reference, None)
         out = reference.copy(order="K")  # keep the taped (channels-last) layout
@@ -504,7 +525,7 @@ class NVDLAAccelerator:
             return ("stack", out, None)
         reference = entry.output
         if track:
-            dirty = np.not_equal(out, reference).any(axis=1)
+            dirty = _changed(out, reference)
             return ("stack", out, dirty) if dirty.any() else ("clean", reference, None)
         for g in range(groups):
             if not arrays_match(out[g * per_trial:(g + 1) * per_trial], reference):

@@ -32,10 +32,8 @@ the faulty layer is an ordinary GEMM.  Faults no weight edit expresses — the
 value-dependent models (bit flips, transient pulses), cycle-dependent ones
 and accumulator-stage ones — are evaluated as correction terms: the affected
 products (or partial sums) are materialised, transformed by the model and
-their difference re-summed onto the accumulator.  A group of trials sharing
-one input keeps one clean GEMM, so there every fault, constants included,
-is a correction term.  All paths are validated against the scalar reference
-engine in the test suite.
+their difference re-summed onto the accumulator.  Both paths are validated
+against the scalar reference engine in the test suite.
 
 Fast math
 ---------
@@ -57,6 +55,7 @@ same certificate.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -93,13 +92,6 @@ def config_fusable(config: InjectionConfig) -> bool:
     )
 
 
-def _constant(model: FaultModel) -> int | None:
-    """The constant a product-stage model drives onto the product bus, if any."""
-    if model.stage != "product" or model.value_dependent:
-        return None
-    return model.constant_override()
-
-
 class VectorisedEngine:
     """Fast lane-accurate engine for conv/FC layers on the MAC array.
 
@@ -115,6 +107,8 @@ class VectorisedEngine:
     ):
         self.geometry = geometry
         self.rng = rng or np.random.default_rng(0)
+        # id(conv weight) -> (weak reference to it, its channels-last rows).
+        self._weight_rows: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Layer evaluation (shared by conv and FC, one or many configurations)
@@ -138,30 +132,63 @@ class VectorisedEngine:
             x = x[positions]
         return x.reshape(-1, node.weight[0].size)
 
+    def _weight_rows_of(self, node: QConv, weight: np.ndarray) -> np.ndarray:
+        """A conv's channels-last ``(OC, R)`` weights, in ``(ky, kx, ic)`` order.
+
+        The node's own weights are permuted once and the read-only result
+        kept while they live; a memory-flipped copy (see
+        :meth:`_staged_operands`) is permuted on each call.
+        """
+        if weight is not node.weight:
+            return weight.transpose(0, 2, 3, 1).reshape(len(weight), -1)
+        key = id(weight)
+        cached = self._weight_rows.get(key)
+        if cached is not None and cached[0]() is weight:
+            return cached[1]
+        rows = weight.transpose(0, 2, 3, 1).reshape(len(weight), -1)
+        rows.flags.writeable = False
+        cache = self._weight_rows
+        self._weight_rows[key] = (weakref.ref(weight, lambda _: cache.pop(key, None)), rows)
+        return rows
+
     def _clean_parts(
-        self, node: QConv | QLinear, x: np.ndarray, weights: list[np.ndarray], record: bool
+        self,
+        node: QConv | QLinear,
+        x: np.ndarray,
+        weights: list[np.ndarray],
+        shared: bool,
+        record: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, acc)`` of one layer evaluation: lowering, then GEMMs.
 
-        ``weights`` holds channels-last ``(OC, R)`` weights for equal
-        consecutive blocks of the rows, one block per trial of a stack (or
-        one block for a shared input).  Consecutive blocks with the same
-        weights object share one GEMM, so an unedited stack still runs as
-        one GEMM and each trial with weight edits runs its own.  ``acc`` is
-        a fresh ``(rows, OC)`` buffer the caller may correct and saturate
-        in place.  ``record`` (the baseline pass that records the tape)
-        only names the profile stage the work is charged to.
+        ``weights`` holds each trial's channels-last ``(OC, R)`` weights.  On
+        a stack the rows are one equal block per trial, and consecutive
+        blocks with the same weights object share one GEMM, so an unedited
+        stack still runs as one GEMM and each trial with weight edits runs
+        its own.  A ``shared`` input is one block that every trial reads:
+        one GEMM runs it against all distinct weights side by side and each
+        trial takes its own columns.  ``acc`` is a fresh
+        ``(trials * block rows, OC)`` buffer the caller may correct and
+        saturate in place.  ``record`` (the baseline pass that records the
+        tape) only names the profile stage the work is charged to.
         """
         start = TELEMETRY.tick()
         rows = self._lowered(node, x)
-        span = len(rows) // len(weights)
-        parts, first = [], 0
-        for _, run in itertools.groupby(weights, key=id):
-            run = list(run)
-            stop = first + len(run) * span
-            parts.append(exact_matmul(rows[first:stop], run[0].T))
-            first = stop
-        acc = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if shared:
+            distinct = {id(w): w for w in weights}
+            slot = {key: index for index, key in enumerate(distinct)}
+            out = exact_matmul(rows, np.concatenate(list(distinct.values())).T)
+            by_weights = out.reshape(len(rows), len(distinct), -1).transpose(1, 0, 2)
+            acc = by_weights[[slot[id(w)] for w in weights]].reshape(-1, by_weights.shape[2])
+        else:
+            span = len(rows) // len(weights)
+            parts, first = [], 0
+            for _, run in itertools.groupby(weights, key=id):
+                run = list(run)
+                stop = first + len(run) * span
+                parts.append(exact_matmul(rows[first:stop], run[0].T))
+                first = stop
+            acc = parts[0] if len(parts) == 1 else np.concatenate(parts)
         TELEMETRY.tock("tape_build" if record else "suffix_forward", start)
         return rows, acc
 
@@ -181,17 +208,16 @@ class VectorisedEngine:
         Exactly one input form describes the layer input:
 
         * ``x_clean`` — one input shared by every trial (e.g. the taped
-          clean input).  With several trials the clean GEMM runs once for
-          the whole group and each trial's faults are evaluated as
-          correction terms on its slice of the accumulator stack.
+          clean input), lowered once and run in one GEMM against every
+          distinct trial weight set side by side.
         * ``x_stack`` — diverged inputs stacked as ``(G*N, ...)``, lowered
-          once for the group.
+          once for the group; each trial with weight edits runs its own
+          GEMM on its block.
 
-        On a stack, or for a single trial, every constant-override product
-        fault is folded into that trial's own weights (see :meth:`_folded`)
-        and each trial with folded faults runs one GEMM on its edited
-        weights; only the faults the fold cannot express (value-dependent,
-        cycle-dependent, accumulator-stage) become correction terms.
+        Every constant-override product fault is folded into its trial's
+        own weights (see :meth:`_folded`); only the faults the fold cannot
+        express (value-dependent, cycle-dependent, accumulator-stage)
+        become correction terms on the trial's slice of the accumulator.
 
         With a single configuration, its dwell-active memory faults corrupt
         the staged operands first (memory models never join a fused group,
@@ -242,7 +268,7 @@ class VectorisedEngine:
             )
             kernel_elems = k * k
             # The GEMM reads (ky, kx, ic) weight rows, like the lowered input.
-            w_rows = weight.transpose(0, 2, 3, 1).reshape(out_channels, -1)
+            w_rows = self._weight_rows_of(node, weight)
         else:
             in_channels = x.shape[1]
             out_channels, in_w = weight.shape
@@ -269,21 +295,11 @@ class VectorisedEngine:
         for config in configs:
             if config.enabled:
                 self._validate_stage_combination(config)
-        shared = x_stack is None and groups > 1
-        if shared:
-            # One clean GEMM serves the whole group; every fault of every
-            # trial becomes a correction term on that trial's slice.
-            edits = [(w_rows, None, config.faults.items()) for config in configs]
-        else:
-            edits = [
-                self._folded(w_rows, config, in_channels, kernel_elems) for config in configs
-            ]
+        edits = [self._folded(w_rows, config, in_channels, kernel_elems) for config in configs]
         if live:
             TELEMETRY.tock("correction", start)
-        weights = [w_rows] if shared else [w for w, _, _ in edits]
-        rows, acc = self._clean_parts(node, x, weights, record)
-        if shared:
-            acc = np.tile(acc, (groups, 1))
+        shared = x_stack is None and groups > 1
+        rows, acc = self._clean_parts(node, x, [w for w, _, _ in edits], shared, record)
 
         # (samples, positions, R) patches and the (samples, OC, positions)
         # view of the accumulator that the correction terms index.
@@ -408,7 +424,9 @@ class VectorisedEngine:
         atomic_k, atomic_c = self.geometry.atomic_k, self.geometry.atomic_c
         terms = self.geometry.channel_groups(in_channels) * kernel_elems
         for site, model in config.faults.items():
-            constant = _constant(model)
+            constant = None
+            if model.stage == "product" and not model.value_dependent:
+                constant = model.constant_override()
             if constant is None:
                 faults.append((site, model))
                 continue
@@ -550,9 +568,11 @@ class VectorisedEngine:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Correction term added to ``acc[:, oc_sel, :]`` for one fault site.
 
-        ``patches`` are the ``(N, P, R)`` channels-last patches of the
-        samples whose ``(N, OC, P)`` accumulator the term corrects and
-        ``w_rows`` the ``(OC, R)`` channels-last weights.
+        Serves the faults no weight edit expresses (constant overrides are
+        folded, see :meth:`_folded`).  ``patches`` are the ``(N, P, R)``
+        channels-last patches of the samples whose ``(N, OC, P)``
+        accumulator the term corrects and ``w_rows`` the ``(OC, R)``
+        channels-last weights.
         """
         site.validate(self.geometry.num_macs, self.geometry.muls_per_mac)
         atomic_c = self.geometry.atomic_c
@@ -585,17 +605,6 @@ class VectorisedEngine:
         n_batch, positions, _ = patches.shape
         lanes = patches[:, :, columns]  # (N, P, R)
         w_sub = w_rows[np.ix_(oc_sel, columns)]  # (O, R)
-
-        constant = _constant(model)
-        if constant is not None:
-            total_terms = columns.size + pad_terms
-            if columns.size:
-                true_contrib = exact_matmul(lanes.reshape(-1, columns.size), w_sub.T)
-                true_contrib = true_contrib.reshape(n_batch, positions, -1).transpose(0, 2, 1)
-            else:
-                true_contrib = np.zeros((n_batch, oc_sel.size, positions), dtype=np.int64)
-            delta = np.int64(constant) * total_terms - true_contrib
-            return oc_sel, delta
 
         # The affected products (N, O, R, P) of the value-dependent paths.
         products = (

@@ -457,14 +457,16 @@ class TestIdleOpSkip:
         engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
         stem = loadable.model.node(_gemm_names(loadable)[0])
         stem_mapping = _gemm_ops(loadable)[0].mapping
-        # Channels-last rows (N * P, R) against (R, OC) weights; the spy
-        # logs the number of samples the rows cover.
-        stem_w_rows = (stem.weight[0].size, stem.weight.shape[0])
+        # Channels-last rows (N * P, R) against (R, OC) weights, or the
+        # (R, u * OC) weights of u distinct trial weight sets side by side;
+        # the spy logs the number of samples the rows cover.
+        stem_depth, stem_oc = stem.weight[0].size, stem.weight.shape[0]
         stem_positions = stem_mapping.out_h * stem_mapping.out_w
         stem_gemms = []
         matmul = engine_module.exact_matmul
         monkeypatch.setattr(engine_module, "exact_matmul", lambda a, b: (
-            b.shape == stem_w_rows and stem_gemms.append((a.shape[0] // stem_positions,))
+            b.shape[0] == stem_depth and b.shape[1] % stem_oc == 0
+            and stem_gemms.append((a.shape[0] // stem_positions,))
         ) or matmul(a, b))
         hits = taped.tape.layer_hits
         logits = taped.execute_fused(loadable, images, configs, chunk_key=(0, 2))

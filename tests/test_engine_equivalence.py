@@ -515,11 +515,13 @@ class TestConstantFoldEquivalence:
 
 
 class TestConstantFoldStructure:
-    """A diverged stack of stuck-at trials runs one GEMM per trial and no
-    correction term: the faults live in the trials' weights."""
+    """Stuck-at trials run no correction term: the faults live in the
+    trials' weights.  A diverged stack runs one GEMM per trial, a shared
+    input one GEMM for the whole group."""
 
+    @pytest.mark.parametrize("form", ["stack", "shared"])
     @pytest.mark.parametrize("layer", ["conv", "linear"])
-    def test_one_gemm_per_trial_and_no_correction(self, layer, monkeypatch):
+    def test_one_gemm_per_trial_and_no_correction(self, layer, form, monkeypatch):
         if layer == "conv":
             node, x = conv_case(12, 16, 3, 1, 1, 4, batch=2, seed=5)
         else:
@@ -536,10 +538,14 @@ class TestConstantFoldStructure:
             raise AssertionError("a folded fault reached _site_correction")
 
         monkeypatch.setattr(VectorisedEngine, "_site_correction", no_correction)
-        stack = np.concatenate([x] * len(configs))
         GEMM_STATS.reset()
-        fused = engine.conv_accumulate_fused(node, configs, len(x), x_stack=stack)
-        assert GEMM_STATS.total_calls == GEMM_STATS.float32_calls == len(configs)
+        if form == "stack":
+            stack = np.concatenate([x] * len(configs))
+            fused = engine.conv_accumulate_fused(node, configs, len(x), x_stack=stack)
+            assert GEMM_STATS.total_calls == GEMM_STATS.float32_calls == len(configs)
+        else:
+            fused = engine.conv_accumulate_fused(node, configs, len(x), x_clean=x)
+            assert GEMM_STATS.total_calls == GEMM_STATS.float32_calls == 1
         np.testing.assert_array_equal(fused, expected)
 
 
