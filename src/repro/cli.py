@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.core.analysis import accuracy_drop_boxplots, heatmap_matrix, most_sensitive_site
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
-from repro.core.chaos import load_plan
+from repro.core.chaos import ChaosEvent, NetworkEvent, load_plan
 from repro.core.parallel import ParallelCampaignRunner, merge_runtime_stats
 from repro.core.registry import MODELS, STRATEGIES, axis_provenance, registry_digest, registry_schema
 from repro.core.stats import AdaptiveCampaignPlan
@@ -235,7 +235,7 @@ def _campaign_strategy_params(args: argparse.Namespace) -> dict:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     # Parse the chaos plan before the (expensive) platform build so a bad
     # --chaos-plan fails in milliseconds, not after model training.
-    chaos = load_plan(args.chaos_plan) if args.chaos_plan else None
+    chaos = load_plan(args.chaos_plan, ChaosEvent) if args.chaos_plan else None
     platform_spec, case = case_study_platform_spec(_case_spec(args))
     params = _campaign_strategy_params(args)
     strategy = STRATEGIES.build(
@@ -369,7 +369,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_shard_retries=args.max_shard_retries,
         shard_timeout=args.shard_timeout,
         poison_policy=args.poison_policy,
-        chaos=load_plan(args.chaos_plan) if args.chaos_plan else None,
+        chaos=load_plan(args.chaos_plan, ChaosEvent) if args.chaos_plan else None,
     )
     sweep = runner.run()
 
@@ -616,10 +616,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.chaos import load_network_plan
     from repro.service.coordinator import CampaignCoordinator
 
-    net_chaos = load_network_plan(args.net_chaos) if args.net_chaos else None
+    net_chaos = load_plan(args.net_chaos, NetworkEvent) if args.net_chaos else None
     coordinator = CampaignCoordinator(
         host=args.host,
         port=args.port,
@@ -648,7 +647,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.service.worker import WorkerAgent
 
     # Parse the chaos plan up front, same rationale as repro campaign.
-    chaos = load_plan(args.chaos_plan) if args.chaos_plan else None
+    chaos = load_plan(args.chaos_plan, ChaosEvent) if args.chaos_plan else None
     agent = WorkerAgent(
         args.coordinator,
         name=args.name,
@@ -924,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials per fused engine pass on the workers")
     serve.add_argument("--net-chaos", type=str, default="",
                        help="inject network faults for testing recovery: a JSON "
-                            "plan file or an inline "
+                            "plan file (the --chaos-plan format) or an inline "
                             "'seed=3,nodes=2,drops=1,partitions=1' spec")
     _add_log_level_argument(serve)
     _add_trace_argument(serve)

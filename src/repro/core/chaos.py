@@ -2,13 +2,17 @@
 
 Fault-injection campaigns study faults in the *accelerator*; this module
 injects faults into the *harness that runs them* — dead workers, hung
-workers, slow workers — so the recovery machinery of the lease book
-(:mod:`repro.core.leasebook`) can be exercised deterministically in tests
-and CI instead of waiting for real infrastructure failures.
+workers, slow workers, lost and duplicated requests — so the recovery
+machinery of the lease book (:mod:`repro.core.leasebook`) can be exercised
+deterministically in tests and CI instead of waiting for real
+infrastructure failures.
 
-A :class:`ChaosPlan` is a seeded, serialisable list of :class:`ChaosEvent`
-entries.  Each event names a logical point in a worker's life — *worker
-slot*, *lease attempt*, *records emitted so far* — and an action:
+A :class:`ChaosPlan` is a seeded, serialisable list of events of two
+families, told apart by their action names: :class:`NetworkEvent` network
+faults, struck by the fleet coordinator's :class:`NetworkChaos` at a
+node's n-th request, and :class:`ChaosEvent` worker faults, struck by the
+worker-side :class:`ChaosMonkey` at a *worker slot*, *lease attempt* and
+*records emitted so far*:
 
 * ``kill`` — the worker exits immediately with a nonzero code (after
   flushing its result queue, so records already produced survive — the
@@ -24,13 +28,16 @@ Events fire at *logical* points, never wall-clock ones, so a plan replays
 identically across runs and machines.  Because campaign trials are pure
 functions of ``(seed, index)``, a campaign disturbed by any plan must
 produce records byte-identical to an undisturbed run — the chaos test
-suite and the CI chaos gate assert exactly that.
+suite and the CI chaos and fleet gates assert exactly that.
 
-Plans come from three places:
+Plans come from three places, all through :func:`load_plan`, in one
+format for both families:
 
-* :meth:`ChaosPlan.seeded` — derive a plan from a seed (used by tests/CI);
-* a JSON file (``repro campaign --chaos-plan plan.json``);
-* a compact inline spec (``--chaos-plan "seed=3,workers=2,kills=1,hangs=1"``).
+* :meth:`ChaosPlan.seeded` / :meth:`ChaosPlan.seeded_network` — derive a
+  plan from a seed (used by tests/CI);
+* a JSON file (``--chaos-plan plan.json``, ``--net-chaos plan.json``);
+* a compact inline spec (``--chaos-plan "seed=3,workers=2,kills=1,hangs=1"``,
+  ``--net-chaos "seed=3,nodes=2,drops=1"``).
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
+from repro.utils.checked import Checked
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeededRNG
 
@@ -49,6 +57,10 @@ logger = get_logger(__name__)
 
 #: Actions a chaos event may take inside a worker.
 ACTIONS = ("kill", "hang", "delay")
+
+#: Actions a network chaos event may take at the coordinator's HTTP
+#: boundary (fleet execution, :mod:`repro.service`).
+NETWORK_ACTIONS = ("drop", "partition", "slow-link", "dup-delivery")
 
 #: Exit code of a chaos-killed worker (distinctive, so recovery logs and
 #: recovery provenance make the cause obvious).
@@ -61,10 +73,10 @@ HANG_SECONDS = 3600.0
 
 
 @dataclass(frozen=True)
-class ChaosEvent:
+class ChaosEvent(Checked):
     """One injected harness fault at a logical point in a worker's life."""
 
-    action: str
+    action: str = field(metadata={"choices": ACTIONS})
     #: Worker: the pool slot (lease ``w`` of a round runs on slot ``w``),
     #: or the node ordinal of a fleet worker.
     worker: int
@@ -76,55 +88,71 @@ class ChaosEvent:
     #: runs clean and the campaign can complete.
     attempt: int = 0
     #: Sleep duration for ``delay`` events (ignored for kill/hang).
-    seconds: float = 0.0
+    seconds: float = field(default=0.0, metadata={"min": 0.0, "omit_default": True})
 
-    def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
-            raise ValueError(
-                f"chaos action must be one of {'/'.join(ACTIONS)}, got {self.action!r}"
-            )
-        for name in ("worker", "after_records", "attempt"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"chaos event {name} must be a non-negative int, got {value!r}")
-        if self.seconds < 0:
-            raise ValueError(f"chaos event seconds must be >= 0, got {self.seconds!r}")
 
-    def to_dict(self) -> dict:
-        out = {
-            "action": self.action,
-            "worker": self.worker,
-            "after_records": self.after_records,
-            "attempt": self.attempt,
-        }
-        if self.seconds:
-            out["seconds"] = self.seconds
-        return out
+@dataclass(frozen=True)
+class NetworkEvent(Checked):
+    """One injected network fault at a logical point in a node's traffic.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosEvent":
-        if not isinstance(data, dict):
-            raise ValueError(f"chaos event must be an object, got {type(data).__name__}")
-        unknown = set(data) - {"action", "worker", "after_records", "attempt", "seconds"}
-        if unknown:
-            raise ValueError(f"chaos event has unknown keys {sorted(unknown)}")
-        try:
-            return cls(
-                action=data["action"],
-                worker=data["worker"],
-                after_records=data["after_records"],
-                attempt=data.get("attempt", 0),
-                seconds=float(data.get("seconds", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"chaos event {data!r} is missing key {exc}") from None
+    Events key on *request ordinals* — the n-th authenticated request the
+    coordinator receives from node ``node`` — never wall-clock time, so a
+    plan replays identically across runs:
+
+    * ``drop`` — the request is discarded before processing and the
+      connection closed without a response (a packet lost on the wire;
+      the client's bounded retry re-sends it);
+    * ``partition`` — like ``drop``, but for ``count`` consecutive
+      requests: the node is unreachable for a window, its heartbeats go
+      missing, and the coordinator reclaims its leases;
+    * ``slow-link`` — the request is delayed by ``seconds`` and then
+      processed normally (no recovery should trigger);
+    * ``dup-delivery`` — the request is applied twice (a retransmit the
+      original of which also arrived); every fleet endpoint must be
+      idempotent for records to stay byte-identical.
+    """
+
+    action: str = field(metadata={"choices": NETWORK_ACTIONS})
+    #: Node ordinal (registration order, == node_id).
+    node: int
+    #: Strike once the coordinator has seen this many prior requests from
+    #: the node (0 = the node's very first request).
+    after_requests: int
+    #: Window length for ``partition`` (number of consecutive requests).
+    count: int = field(default=1, metadata={"min": 1, "omit_default": True})
+    #: Delay for ``slow-link`` (ignored for the other actions).
+    seconds: float = field(default=0.0, metadata={"min": 0.0, "omit_default": True})
+
+
+#: Each event family with the actions that name it.
+_FAMILIES: dict[type, tuple[str, ...]] = {ChaosEvent: ACTIONS, NetworkEvent: NETWORK_ACTIONS}
+
+#: Inline-spec keywords of each seeded generator, keyed by the target-count
+#: keyword that selects it (``workers=`` or ``nodes=``).
+_INLINE_KEYS = {
+    "workers": ("kills", "hangs", "delays", "max_after"),
+    "nodes": ("drops", "partitions", "slow_links", "dups", "max_after", "partition_length"),
+}
+
+
+def _event_from_dict(data: Any) -> ChaosEvent | NetworkEvent:
+    """One plan-file event, its family told apart by its action name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"chaos event must be an object, got {type(data).__name__}")
+    for family, actions in _FAMILIES.items():
+        if data.get("action") in actions:
+            return family.from_dict(data)
+    raise ValueError(
+        f"chaos event action must be one of {'/'.join(ACTIONS + NETWORK_ACTIONS)}, "
+        f"got {data.get('action')!r}"
+    )
 
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """A deterministic, picklable fault plan for the campaign harness."""
+    """A deterministic, picklable fault plan for the harness and the fleet."""
 
-    events: tuple[ChaosEvent, ...] = field(default_factory=tuple)
+    events: tuple[ChaosEvent | NetworkEvent, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
@@ -136,7 +164,10 @@ class ChaosPlan:
         """The events that strike worker ``worker`` on lease ``attempt``."""
         return tuple(
             sorted(
-                (e for e in self.events if e.worker == worker and e.attempt == attempt),
+                (
+                    e for e in self.events
+                    if isinstance(e, ChaosEvent) and e.worker == worker and e.attempt == attempt
+                ),
                 key=lambda e: e.after_records,
             )
         )
@@ -156,7 +187,7 @@ class ChaosPlan:
         max_after: int = 3,
         delay_seconds: float = 0.05,
     ) -> "ChaosPlan":
-        """Derive a plan from a seed: which workers fail, where, and how.
+        """Derive a worker plan from a seed: which workers fail, where, and how.
 
         Strike points are drawn from ``[0, max_after]`` records into the
         first attempt; at most one kill-or-hang lands per worker (a worker
@@ -193,169 +224,8 @@ class ChaosPlan:
             )
         return cls(events=tuple(events))
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"events": [event.to_dict() for event in self.events]}
-
     @classmethod
-    def from_dict(cls, data: dict) -> "ChaosPlan":
-        if not isinstance(data, dict):
-            raise ValueError(f"chaos plan must be an object, got {type(data).__name__}")
-        unknown = set(data) - {"events"}
-        if unknown:
-            raise ValueError(f"chaos plan has unknown keys {sorted(unknown)}")
-        events = data.get("events", [])
-        if not isinstance(events, list):
-            raise ValueError(f"chaos plan 'events' must be an array, got {type(events).__name__}")
-        return cls(events=tuple(ChaosEvent.from_dict(e) for e in events))
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "ChaosPlan":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read chaos plan {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"chaos plan {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-
-def load_plan(spec: str) -> ChaosPlan:
-    """Build a :class:`ChaosPlan` from a CLI argument.
-
-    Accepts either a path to a JSON plan file, or a compact inline spec of
-    the form ``seed=<int>,workers=<int>[,kills=N][,hangs=N][,delays=N]``
-    feeding :meth:`ChaosPlan.seeded`.
-    """
-    spec = spec.strip()
-    if not spec:
-        raise ValueError("empty chaos plan spec")
-    if "=" not in spec or Path(spec).exists():
-        return ChaosPlan.from_file(spec)
-    params: dict[str, int] = {}
-    for item in spec.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in ("seed", "workers", "kills", "hangs", "delays", "max_after"):
-            raise ValueError(
-                f"bad chaos plan item {item.strip()!r}; expected "
-                "seed=<int>,workers=<int>[,kills=N][,hangs=N][,delays=N][,max_after=N] "
-                "or a path to a JSON plan file"
-            )
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise ValueError(f"chaos plan item {key!r} needs an integer, got {value!r}") from None
-    for required in ("seed", "workers"):
-        if required not in params:
-            raise ValueError(f"inline chaos plan spec needs {required}=<int> ({spec!r})")
-    seed = params.pop("seed")
-    workers = params.pop("workers")
-    return ChaosPlan.seeded(seed, workers, **params)
-
-
-#: Actions a network chaos event may take at the coordinator's HTTP
-#: boundary (fleet execution, :mod:`repro.service`).
-NETWORK_ACTIONS = ("drop", "partition", "slow-link", "dup-delivery")
-
-
-@dataclass(frozen=True)
-class NetworkEvent:
-    """One injected network fault at a logical point in a node's traffic.
-
-    Events key on *request ordinals* — the n-th authenticated request the
-    coordinator receives from node ``node`` — never wall-clock time, so a
-    plan replays identically across runs:
-
-    * ``drop`` — the request is discarded before processing and the
-      connection closed without a response (a packet lost on the wire;
-      the client's bounded retry re-sends it);
-    * ``partition`` — like ``drop``, but for ``count`` consecutive
-      requests: the node is unreachable for a window, its heartbeats go
-      missing, and the coordinator reclaims its leases;
-    * ``slow-link`` — the request is delayed by ``seconds`` and then
-      processed normally (no recovery should trigger);
-    * ``dup-delivery`` — the request is applied twice (a retransmit the
-      original of which also arrived); every fleet endpoint must be
-      idempotent for records to stay byte-identical.
-    """
-
-    action: str
-    #: Node ordinal (registration order, == node_id).
-    node: int
-    #: Strike once the coordinator has seen this many prior requests from
-    #: the node (0 = the node's very first request).
-    after_requests: int
-    #: Window length for ``partition`` (number of consecutive requests).
-    count: int = 1
-    #: Delay for ``slow-link`` (ignored for the other actions).
-    seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.action not in NETWORK_ACTIONS:
-            raise ValueError(
-                f"network chaos action must be one of {'/'.join(NETWORK_ACTIONS)}, "
-                f"got {self.action!r}"
-            )
-        for name in ("node", "after_requests"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(
-                    f"network chaos event {name} must be a non-negative int, got {value!r}"
-                )
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise ValueError(f"network chaos event count must be an int >= 1, got {self.count!r}")
-        if self.seconds < 0:
-            raise ValueError(f"network chaos event seconds must be >= 0, got {self.seconds!r}")
-
-    def to_dict(self) -> dict:
-        out = {
-            "action": self.action,
-            "node": self.node,
-            "after_requests": self.after_requests,
-        }
-        if self.count != 1:
-            out["count"] = self.count
-        if self.seconds:
-            out["seconds"] = self.seconds
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkEvent":
-        if not isinstance(data, dict):
-            raise ValueError(f"network chaos event must be an object, got {type(data).__name__}")
-        unknown = set(data) - {"action", "node", "after_requests", "count", "seconds"}
-        if unknown:
-            raise ValueError(f"network chaos event has unknown keys {sorted(unknown)}")
-        try:
-            return cls(
-                action=data["action"],
-                node=data["node"],
-                after_requests=data["after_requests"],
-                count=data.get("count", 1),
-                seconds=float(data.get("seconds", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"network chaos event {data!r} is missing key {exc}") from None
-
-
-@dataclass(frozen=True)
-class NetworkChaosPlan:
-    """A deterministic network-fault plan for the fleet coordinator."""
-
-    events: tuple[NetworkEvent, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @classmethod
-    def seeded(
+    def seeded_network(
         cls,
         seed: int,
         nodes: int,
@@ -367,8 +237,8 @@ class NetworkChaosPlan:
         max_after: int = 6,
         partition_length: int = 4,
         slow_seconds: float = 0.05,
-    ) -> "NetworkChaosPlan":
-        """Derive a plan from a seed: which nodes suffer what, and when."""
+    ) -> "ChaosPlan":
+        """Derive a network plan from a seed: which nodes suffer what, and when."""
         if nodes < 1:
             raise ValueError("network chaos plan needs nodes >= 1")
         rng = SeededRNG(seed).stream("net-chaos-plan")
@@ -391,75 +261,96 @@ class NetworkChaosPlan:
                 )
         return cls(events=tuple(events))
 
+    # ------------------------------------------------------------------
+    # Serialisation
+    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {"events": [event.to_dict() for event in self.events]}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NetworkChaosPlan":
+    def from_dict(cls, data: Any) -> "ChaosPlan":
         if not isinstance(data, dict):
-            raise ValueError(f"network chaos plan must be an object, got {type(data).__name__}")
+            raise ValueError(f"chaos plan must be an object, got {type(data).__name__}")
         unknown = set(data) - {"events"}
         if unknown:
-            raise ValueError(f"network chaos plan has unknown keys {sorted(unknown)}")
+            raise ValueError(f"chaos plan has unknown keys {sorted(unknown)}")
         events = data.get("events", [])
         if not isinstance(events, list):
-            raise ValueError(
-                f"network chaos plan 'events' must be an array, got {type(events).__name__}"
-            )
-        return cls(events=tuple(NetworkEvent.from_dict(e) for e in events))
+            raise ValueError(f"chaos plan 'events' must be an array, got {type(events).__name__}")
+        return cls(events=tuple(_event_from_dict(e) for e in events))
 
     @classmethod
-    def from_file(cls, path: Path | str) -> "NetworkChaosPlan":
+    def from_file(cls, path: Path | str) -> "ChaosPlan":
         path = Path(path)
         try:
             data = json.loads(path.read_text())
         except OSError as exc:
-            raise ValueError(f"cannot read network chaos plan {path}: {exc}") from exc
+            raise ValueError(f"cannot read chaos plan {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ValueError(f"network chaos plan {path} is not valid JSON: {exc}") from exc
+            raise ValueError(f"chaos plan {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
 
-def load_network_plan(spec: str) -> NetworkChaosPlan:
-    """Build a :class:`NetworkChaosPlan` from a CLI argument.
+def load_plan(spec: str, family: type | None = None) -> ChaosPlan:
+    """Build a :class:`ChaosPlan` from a CLI argument.
 
-    Accepts a path to a JSON plan file, or a compact inline spec of the
-    form ``seed=<int>,nodes=<int>[,drops=N][,partitions=N][,slow_links=N]
-    [,dups=N][,max_after=N][,partition_length=N]``.
+    Accepts a path to a JSON plan file, or a compact inline spec whose
+    ``workers=`` or ``nodes=`` key picks :meth:`ChaosPlan.seeded` or
+    :meth:`ChaosPlan.seeded_network` (keywords in :data:`_INLINE_KEYS`).
+    With ``family`` (:class:`ChaosEvent` or :class:`NetworkEvent`, the
+    events one executor strikes) a plan holding other events is rejected.
     """
     spec = spec.strip()
     if not spec:
-        raise ValueError("empty network chaos plan spec")
+        raise ValueError("empty chaos plan spec")
     if "=" not in spec or Path(spec).exists():
-        return NetworkChaosPlan.from_file(spec)
-    allowed = ("seed", "nodes", "drops", "partitions", "slow_links", "dups",
-               "max_after", "partition_length")
-    params: dict[str, int] = {}
-    for item in spec.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in allowed:
+        plan = ChaosPlan.from_file(spec)
+    else:
+        plan = _inline_plan(spec)
+    if family is not None:
+        stray = sorted({e.action for e in plan.events if not isinstance(e, family)})
+        if stray:
             raise ValueError(
-                f"bad network chaos plan item {item.strip()!r}; expected "
-                "seed=<int>,nodes=<int>[,drops=N][,partitions=N][,slow_links=N][,dups=N] "
-                "or a path to a JSON plan file"
+                f"chaos plan has {'/'.join(stray)} event(s), which this executor cannot "
+                f"strike; it takes only {'/'.join(_FAMILIES[family])} events"
+            )
+    return plan
+
+
+def _inline_plan(spec: str) -> ChaosPlan:
+    """The seeded plan an inline ``key=value,...`` spec describes."""
+    items = [item.partition("=") for item in spec.split(",")]
+    target = "nodes" if any(key.strip() == "nodes" for key, _, _ in items) else "workers"
+    allowed = ("seed", target, *_INLINE_KEYS[target])
+    params: dict[str, int] = {}
+    for raw_key, sep, value in items:
+        key = raw_key.strip()
+        if target == "nodes":
+            key = key.replace("-", "_")
+        if not sep or key not in allowed:
+            usages = " or ".join(
+                f"seed=<int>,{name}=<int>" + "".join(f"[,{k}=N]" for k in keys)
+                for name, keys in _INLINE_KEYS.items()
+            )
+            raise ValueError(
+                f"bad chaos plan item {(raw_key + sep + value).strip()!r}; expected "
+                f"{usages} or a path to a JSON plan file"
             )
         try:
             params[key] = int(value)
         except ValueError:
-            raise ValueError(
-                f"network chaos plan item {key!r} needs an integer, got {value!r}"
-            ) from None
-    for required in ("seed", "nodes"):
+            raise ValueError(f"chaos plan item {key!r} needs an integer, got {value!r}") from None
+    for required in ("seed", target):
         if required not in params:
-            raise ValueError(f"inline network chaos plan spec needs {required}=<int> ({spec!r})")
+            raise ValueError(f"inline chaos plan spec needs {required}=<int> ({spec!r})")
     seed = params.pop("seed")
-    nodes = params.pop("nodes")
-    return NetworkChaosPlan.seeded(seed, nodes, **params)
+    count = params.pop(target)
+    generator = ChaosPlan.seeded_network if target == "nodes" else ChaosPlan.seeded
+    return generator(seed, count, **params)
 
 
 class NetworkChaos:
-    """Coordinator-side executor of a :class:`NetworkChaosPlan`.
+    """Coordinator-side executor of a plan's :class:`NetworkEvent` entries.
 
     Counts authenticated requests per node and reports which events strike
     the current one.  Strictly logical (request ordinals, not wall-clock),
@@ -471,7 +362,7 @@ class NetworkChaos:
     the lock so a slow link never stalls other nodes' requests.
     """
 
-    def __init__(self, plan: NetworkChaosPlan | None):
+    def __init__(self, plan: ChaosPlan):
         self.plan = plan
         self._requests: dict[int, int] = {}
 
@@ -479,11 +370,9 @@ class NetworkChaos:
         """Consume one request ordinal for ``node``; return striking events."""
         ordinal = self._requests.get(node, 0)
         self._requests[node] = ordinal + 1
-        if self.plan is None:
-            return ()
         struck = []
         for event in self.plan.events:
-            if event.node != node:
+            if not isinstance(event, NetworkEvent) or event.node != node:
                 continue
             if event.action == "partition":
                 if event.after_requests <= ordinal < event.after_requests + event.count:

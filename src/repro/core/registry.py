@@ -55,6 +55,7 @@ from repro.faults.models import (
     WeightBitFlip,
 )
 from repro.utils.bitops import PARTIAL_SUM_WIDTH
+from repro.utils.checked import type_problem
 
 
 class _Sentinel:
@@ -75,60 +76,18 @@ REQUIRED = _Sentinel("REQUIRED")
 OPTIONAL = _Sentinel("OPTIONAL")
 
 
-def _type_error(expected: str, value: Any) -> str:
-    return f"must be {expected}, got {type(value).__name__} {value!r}"
-
-
-def _check_int(value: Any) -> str | None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        return _type_error("an integer", value)
-    return None
-
-
-def _check_float(value: Any) -> str | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return _type_error("a number", value)
-    return None
-
-
-def _check_str(value: Any) -> str | None:
-    if not isinstance(value, str):
-        return _type_error("a string", value)
-    return None
-
-
-def _check_bool(value: Any) -> str | None:
-    if not isinstance(value, bool):
-        return _type_error("a boolean", value)
-    return None
-
-
-def _check_seq(element_check: Callable[[Any], str | None], expected: str):
-    def check(value: Any) -> str | None:
-        if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
-            return _type_error(expected, value)
-        for item in value:
-            if element_check(item) is not None:
-                return _type_error(expected, value)
-        return None
-
-    return check
-
-
-#: type name -> (checker, converter).  Converters canonicalise the spec's
-#: JSON/TOML values (lists -> tuples, ints -> floats where a float is
-#: expected) so builders and provenance stamps see one representation.
-_TYPES: dict[str, tuple[Callable[[Any], str | None], Callable[[Any], Any]]] = {
-    "int": (_check_int, int),
-    "float": (_check_float, float),
-    "str": (_check_str, str),
-    "bool": (_check_bool, bool),
-    "seq[int]": (_check_seq(_check_int, "a list of integers"), lambda v: tuple(int(x) for x in v)),
-    "seq[float]": (
-        _check_seq(_check_float, "a list of numbers"),
-        lambda v: tuple(float(x) for x in v),
-    ),
-    "seq[str]": (_check_seq(_check_str, "a list of strings"), lambda v: tuple(str(x) for x in v)),
+#: type name -> (its :data:`repro.utils.checked.TYPES` type, converter).
+#: Converters canonicalise the spec's JSON/TOML values (lists -> tuples,
+#: ints -> floats where a float is expected) so builders and provenance
+#: stamps see one representation.
+_TYPES: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "int": ("int", int),
+    "float": ("float", float),
+    "str": ("str", str),
+    "bool": ("bool", bool),
+    "seq[int]": ("tuple[int, ...]", lambda v: tuple(int(x) for x in v)),
+    "seq[float]": ("tuple[float, ...]", lambda v: tuple(float(x) for x in v)),
+    "seq[str]": ("tuple[str, ...]", lambda v: tuple(str(x) for x in v)),
 }
 
 
@@ -154,7 +113,7 @@ class ParamSpec:
 
     def check(self, value: Any) -> str | None:
         """``None`` if ``value`` fits this parameter's type, else the problem."""
-        return _TYPES[self.type][0](value)
+        return type_problem(_TYPES[self.type][0], value)
 
     def convert(self, value: Any) -> Any:
         return _TYPES[self.type][1](value)

@@ -89,6 +89,7 @@ from repro.core.results import CampaignResult
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.strategies import InjectionStrategy
 from repro.faults.models import FaultModel
+from repro.utils.checked import type_problem
 from repro.utils.durable import durable_write_text
 from repro.utils.jsonsafe import dump_json_safe
 from repro.utils.logging import get_logger
@@ -689,6 +690,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     return _dedup(errors)
 
 
+#: Scalar spec keys and their :data:`repro.utils.checked.TYPES` types.
+_SPEC_SCALARS = {
+    "images": "int", "seed": "int", "batch_size": "int", "max_shard_retries": "int",
+    "shard_timeout": "float", "retry_backoff": "float",
+}
+
+
 def validate_spec_data(data: dict) -> list[str]:
     """Every problem of a raw spec dict (as loaded from TOML/JSON).
 
@@ -730,24 +738,14 @@ def validate_spec_data(data: dict) -> list[str]:
         if len(names) != len(set(names)):
             errors.append(f"duplicate names in {key!r}: {sorted(names)}")
 
-    for key in ("images", "seed", "batch_size", "max_shard_retries"):
+    for key, type_name in _SPEC_SCALARS.items():
         if key in data:
             value = data.pop(key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(
-                    f"spec key {key!r} must be an integer, "
-                    f"got {type(value).__name__} {value!r}"
-                )
+            problem = type_problem(type_name, value)
+            if problem:
+                errors.append(f"spec key {key!r} {problem}")
             elif key == "max_shard_retries" and value < 0:
                 errors.append(f"spec key 'max_shard_retries' must be >= 0, got {value}")
-    for key in ("shard_timeout", "retry_backoff"):
-        if key in data:
-            value = data.pop(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                errors.append(
-                    f"spec key {key!r} must be a number, "
-                    f"got {type(value).__name__} {value!r}"
-                )
             elif key == "shard_timeout" and value <= 0:
                 errors.append(f"spec key 'shard_timeout' must be positive, got {value}")
             elif key == "retry_backoff" and value < 0:

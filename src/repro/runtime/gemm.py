@@ -14,14 +14,12 @@ on the float BLAS kernels **without losing a single bit**:
 
 * every operand, every product and every partial sum along the way is an
   integer;
-* IEEE-754 binary64 represents all integers with magnitude < 2**53 exactly,
-  and binary32 all integers with magnitude < 2**24;
+* IEEE-754 binary32 represents all integers with magnitude < 2**24 exactly;
 * the magnitude of any partial sum of the contraction is bounded by
   ``depth * max|w| * max|x|`` (``depth`` = accumulation length), no matter
   in which order BLAS blocks and reorders the additions;
-* therefore, when that bound is below the float type's exact-integer range,
-  the float GEMM computes the mathematically exact result and the cast back
-  to int64 is lossless.
+* therefore, when that bound is below 2**24, the float32 GEMM computes the
+  mathematically exact result and the cast back to int64 is lossless.
 
 For int8 x int8 operands the products are at most ``128 * 128 = 2**14``, so
 one float32 SGEMM is exact up to an accumulation depth of 1023 (``IC * K**2``;
@@ -32,38 +30,36 @@ contraction is cut into chunks no deeper than
 as one float32 SGEMM that the argument above certifies on its own, and the
 chunk results are summed in int64, where nothing can round.  The deepest
 3x3 ResNet-18 layers (depth 1152 in the case study, 4608 at full width)
-therefore stay on float32.  Float64 DGEMM, exact up to a bound of 2**53,
-is left to operands whose single products reach 2**24 (int16 x int16), to
-8-bit x 16-bit pairs (whose 2-3 term chunks would be slower than one DGEMM)
-and to wide buffers (int64 with a data-dependent bound); no call site in
-``src/`` produces any of them on the case-study platform.  When the bound
-cannot be certified at all the implementation transparently falls back to
-the original int64 contraction, so :func:`exact_matmul` is *always*
-bit-exact.
+therefore stay on float32.  Everything float32 cannot certify — operands
+whose single products reach 2**24 (int16 x int16), 8-bit x 16-bit pairs
+(whose 2-3 term chunks are not worth a split) and wide buffers (int64 with
+a large data-dependent bound) — runs the original int64 contraction, so
+:func:`exact_matmul` is *always* bit-exact.  No call site in ``src/``
+produces such operands on the case-study platform: every one passes int8.
+The int64 tier doubles as the differential oracle of the float32 one.
 
 The backend can be forced (for benchmarking and differential testing) with
 :func:`set_gemm_backend`, the :func:`gemm_backend` context manager or the
 ``REPRO_GEMM_BACKEND`` environment variable (``auto`` / ``float32`` /
-``float64`` / ``int64``).  Forced float backends still respect the exactness
-bound: a request that cannot be certified falls back to a wider type rather
-than ever returning a wrong result.
+``int64``).  A forced ``float32`` still respects the exactness bound: a
+request that cannot be certified falls back to int64 rather than ever
+returning a wrong result.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 #: Largest magnitude for which every integer is exactly representable in
-#: IEEE-754 binary32 (2**24) / binary64 (2**53).
+#: IEEE-754 binary32.
 FLOAT32_EXACT_BOUND = 1 << 24
-FLOAT64_EXACT_BOUND = 1 << 53
 
 #: Valid backend names accepted by :func:`set_gemm_backend`.
-BACKENDS = ("auto", "float32", "float64", "int64")
+BACKENDS = ("auto", "float32", "int64")
 
 #: Worst-case |value| per integer dtype (note: |int8 min| = 128, not 127).
 _DTYPE_BOUNDS = {
@@ -77,8 +73,7 @@ _DTYPE_BOUNDS = {
 #: Shallowest K-chunk worth a split-K float32 GEMM.  Narrow pairs certify
 #: chunks of either >= 256 terms (8-bit x 8-bit, bool x anything) or <= 3
 #: (8-bit x 16-bit); the latter would split into hundreds of tiny SGEMMs,
-#: slower than the one float64 DGEMM they keep (at the case study's
-#: layer-4 shape, split-K only beats DGEMM from chunks of ~32 terms up).
+#: so those pairs take the int64 contraction instead.
 _MIN_CHUNK_DEPTH = 64
 
 
@@ -87,9 +82,11 @@ class GemmStats:
     """Counters of which kernel served each :func:`exact_matmul` call."""
 
     float32_calls: int = 0
+    #: Always 0: the float64 tier is retired; the counter stays because
+    #: trace readers still report it.
     float64_calls: int = 0
     int64_calls: int = 0
-    #: ``auto``/float requests demoted to a wider path by the exactness bound.
+    #: ``auto``/``float32`` requests sent to int64 by the exactness bound.
     bound_fallbacks: int = 0
 
     @property
@@ -97,18 +94,11 @@ class GemmStats:
         return self.float32_calls + self.float64_calls + self.int64_calls
 
     def reset(self) -> None:
-        self.float32_calls = 0
-        self.float64_calls = 0
-        self.int64_calls = 0
-        self.bound_fallbacks = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "float32_calls": self.float32_calls,
-            "float64_calls": self.float64_calls,
-            "int64_calls": self.int64_calls,
-            "bound_fallbacks": self.bound_fallbacks,
-        }
+        return asdict(self)
 
 
 #: Process-global counters (each campaign worker process has its own copy).
@@ -193,27 +183,6 @@ def _float32_chunk_depth(a: np.ndarray, b: np.ndarray) -> int:
     return (FLOAT32_EXACT_BOUND - 1) // (a_bound * b_bound)
 
 
-def _resolve_backend(bound: int, chunk_depth: int) -> str:
-    """Map the requested float/auto backend + exactness bound to a safe kernel.
-
-    ``float32`` includes split-K: a contraction too deep for one certified
-    SGEMM still stays on float32 when its narrow operands certify chunks
-    of at least ``_MIN_CHUNK_DEPTH``.  (A forced ``int64`` backend
-    short-circuits before the bound is computed.)
-    """
-    requested = _backend
-    if requested in ("auto", "float32") and (
-        bound < FLOAT32_EXACT_BOUND or chunk_depth >= _MIN_CHUNK_DEPTH
-    ):
-        return "float32"
-    if bound < FLOAT64_EXACT_BOUND:
-        if requested == "float32":
-            GEMM_STATS.bound_fallbacks += 1
-        return "float64"
-    GEMM_STATS.bound_fallbacks += 1
-    return "int64"
-
-
 def _split_k_matmul(a: np.ndarray, b: np.ndarray, chunk_depth: int) -> np.ndarray:
     """``a @ b`` as float32 GEMMs over K-chunks no deeper than ``chunk_depth``.
 
@@ -267,8 +236,10 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _int64_matmul(a, b)
     bound = accumulation_bound(a, b)
     chunk_depth = _float32_chunk_depth(a, b)
-    kernel = _resolve_backend(bound, chunk_depth)
-    if kernel == "float32":
+    # float32 includes split-K: a contraction too deep for one certified
+    # SGEMM stays on float32 when its narrow operands certify chunks of at
+    # least _MIN_CHUNK_DEPTH.
+    if bound < FLOAT32_EXACT_BOUND or chunk_depth >= _MIN_CHUNK_DEPTH:
         # One call, however many chunks: the tier counters count calls.
         GEMM_STATS.float32_calls += 1
         if bound >= FLOAT32_EXACT_BOUND:
@@ -276,8 +247,6 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # All products and partial sums are integers < 2**24, so SGEMM is
         # exact and the int64 cast truncates nothing.
         return np.matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.int64)
-    if kernel == "float64":
-        GEMM_STATS.float64_calls += 1
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    GEMM_STATS.bound_fallbacks += 1
     GEMM_STATS.int64_calls += 1
     return _int64_matmul(a, b)

@@ -28,7 +28,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.core.chaos import NetworkChaos, NetworkChaosPlan
+from repro.core.chaos import ChaosPlan, NetworkChaos
 from repro.core.sweep import ExperimentSpec
 from repro.service.jobs import JOB_DONE, JOB_FAILED, FleetJob
 from repro.service.protocol import (
@@ -89,7 +89,7 @@ class CampaignCoordinator:
         retry_backoff: float = 0.25,
         poison_policy: str = "raise",
         fused_trials: int = 8,
-        net_chaos: NetworkChaosPlan | None = None,
+        net_chaos: ChaosPlan | None = None,
         clock=time.monotonic,
     ):
         if heartbeat_interval <= 0:
@@ -282,7 +282,8 @@ class CampaignCoordinator:
                 return
             body = handler.rfile.read(length)
             message = parse_message(json.loads(body.decode("utf-8")))
-        except (WireError, ValueError, UnicodeDecodeError) as exc:
+        # RecursionError: JSON nested too deep to parse fits under the cap.
+        except (WireError, ValueError, UnicodeDecodeError, RecursionError) as exc:
             self._reply(handler, 400, {"error": f"malformed request: {exc}"})
             return
 

@@ -12,12 +12,19 @@ and every message round-trips exactly::
 (the Hypothesis suite in ``tests/test_service_protocol.py`` enforces this
 for every message type).
 
+The checks live in one place, :class:`repro.utils.checked.Checked`, which
+every message derives from: each field is checked against its annotation
+on construction, and the few domain bounds (a minimum, a non-empty job id,
+the allowed job states) are declared once in the field's metadata.  A
+message class here is only its field list.
+
 Conventions
 -----------
 
 * ``attempt`` fields carry the **token attempt** of a
   :class:`repro.core.leasebook.ShardLease` (first service of a lease is
   attempt ``0``), the same token every transport of the lease book uses.
+* Integers are non-negative unless a field sets another minimum.
 * Floats must be finite: JSON has no portable NaN/Inf, and a baseline of
   NaN would silently break the determinism cross-check.
 * Record payloads travel as the plain dicts of
@@ -27,9 +34,10 @@ Conventions
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
+
+from repro.utils.checked import Checked
 
 
 class WireError(ValueError):
@@ -39,79 +47,20 @@ class WireError(ValueError):
 #: Lifecycle states a job status message may report.
 JOB_STATES = ("queued", "running", "done", "failed")
 
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_int(owner: str, name: str, value: Any, minimum: int = 0) -> None:
-    if not _is_int(value) or value < minimum:
-        raise WireError(f"{owner}.{name} must be an int >= {minimum}, got {value!r}")
-
-
-def _check_str(owner: str, name: str, value: Any, *, allow_empty: bool = True) -> None:
-    if not isinstance(value, str) or (not allow_empty and not value):
-        raise WireError(f"{owner}.{name} must be a {'' if allow_empty else 'non-empty '}string, "
-                        f"got {value!r}")
-
-
-def _check_bool(owner: str, name: str, value: Any) -> None:
-    if not isinstance(value, bool):
-        raise WireError(f"{owner}.{name} must be a bool, got {value!r}")
-
-
-def _check_float(owner: str, name: str, value: Any, *, minimum: float | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise WireError(f"{owner}.{name} must be a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise WireError(f"{owner}.{name} must be >= {minimum}, got {value!r}")
-
-
-def _check_opt_float(owner: str, name: str, value: Any) -> None:
-    if value is not None:
-        _check_float(owner, name, value)
-
-
-def _check_dict(owner: str, name: str, value: Any) -> None:
-    if not isinstance(value, dict):
-        raise WireError(f"{owner}.{name} must be an object, got {type(value).__name__}")
+#: Field metadata of a job id, which is never empty.
+_JOB_ID = {"nonempty": True}
 
 
 @dataclass(frozen=True)
-class Message:
-    """Base of every wire message: symmetric to_wire/from_wire with checks."""
+class Message(Checked):
+    """Base of every wire message, checked on init; :func:`parse_message`
+    inverts :meth:`to_wire`."""
 
     TYPE: ClassVar[str] = ""
+    ERROR = WireError
 
     def to_wire(self) -> dict:
-        out: dict[str, Any] = {"type": self.TYPE}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "Message":
-        if not isinstance(data, dict):
-            raise WireError(f"wire message must be an object, got {type(data).__name__}")
-        if data.get("type") != cls.TYPE:
-            raise WireError(f"expected message type {cls.TYPE!r}, got {data.get('type')!r}")
-        payload = {key: value for key, value in data.items() if key != "type"}
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise WireError(f"{cls.TYPE} message has unknown keys {sorted(unknown)}")
-        required = {
-            f.name
-            for f in fields(cls)
-            if f.default is MISSING and f.default_factory is MISSING
-        }
-        missing = required - set(payload)
-        if missing:
-            raise WireError(f"{cls.TYPE} message is missing keys {sorted(missing)}")
-        return cls(**payload)
+        return {"type": self.TYPE, **self.to_dict()}
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +73,6 @@ class Register(Message):
     TYPE = "register"
     name: str
 
-    def __post_init__(self) -> None:
-        _check_str(self.TYPE, "name", self.name)
-
 
 @dataclass(frozen=True)
 class Registered(Message):
@@ -134,13 +80,8 @@ class Registered(Message):
 
     TYPE = "registered"
     node_id: int
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 10.0
-
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "node_id", self.node_id)
-        _check_float(self.TYPE, "heartbeat_interval", self.heartbeat_interval, minimum=0.0)
-        _check_float(self.TYPE, "heartbeat_timeout", self.heartbeat_timeout, minimum=0.0)
+    heartbeat_interval: float = field(default=1.0, metadata={"min": 0.0})
+    heartbeat_timeout: float = field(default=10.0, metadata={"min": 0.0})
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +93,6 @@ class LeaseRequest(Message):
 
     TYPE = "lease-request"
     node_id: int
-
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "node_id", self.node_id)
 
 
 @dataclass(frozen=True)
@@ -168,32 +106,16 @@ class LeaseGrant(Message):
     """
 
     TYPE = "lease-grant"
-    job_id: str
+    job_id: str = field(metadata=_JOB_ID)
     scenario_index: int
     scenario: dict
     lease_id: int
     attempt: int
-    indices: tuple = field(default_factory=tuple)
-    seed: int = 0
-    images: int = 64
-    batch_size: int = 64
-    fused_trials: int = 8
-
-    def __post_init__(self) -> None:
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
-        _check_int(self.TYPE, "scenario_index", self.scenario_index)
-        _check_dict(self.TYPE, "scenario", self.scenario)
-        _check_int(self.TYPE, "lease_id", self.lease_id)
-        _check_int(self.TYPE, "attempt", self.attempt)
-        if not isinstance(self.indices, (list, tuple)):
-            raise WireError(f"{self.TYPE}.indices must be an array, got {self.indices!r}")
-        for index in self.indices:
-            _check_int(self.TYPE, "indices[]", index)
-        object.__setattr__(self, "indices", tuple(self.indices))
-        _check_int(self.TYPE, "seed", self.seed, minimum=-(2**63))
-        _check_int(self.TYPE, "images", self.images, minimum=1)
-        _check_int(self.TYPE, "batch_size", self.batch_size, minimum=1)
-        _check_int(self.TYPE, "fused_trials", self.fused_trials, minimum=1)
+    indices: tuple[int, ...] = ()
+    seed: int = field(default=0, metadata={"min": -(2**63)})
+    images: int = field(default=64, metadata={"min": 1})
+    batch_size: int = field(default=64, metadata={"min": 1})
+    fused_trials: int = field(default=8, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -201,10 +123,7 @@ class NoWork(Message):
     """Nothing leasable right now; ask again after ``retry_after`` seconds."""
 
     TYPE = "no-work"
-    retry_after: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_float(self.TYPE, "retry_after", self.retry_after, minimum=0.0)
+    retry_after: float = field(default=0.5, metadata={"min": 0.0})
 
 
 # ----------------------------------------------------------------------
@@ -222,30 +141,14 @@ class RecordBatch(Message):
 
     TYPE = "record-batch"
     node_id: int
-    job_id: str
+    job_id: str = field(metadata=_JOB_ID)
     lease_id: int
     attempt: int
     scenario_index: int
-    records: tuple = field(default_factory=tuple)
+    records: tuple[dict, ...] = ()
     baseline_accuracy: float | None = None
     inferences_per_second: float | None = None
-    num_images: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "node_id", self.node_id)
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
-        _check_int(self.TYPE, "lease_id", self.lease_id)
-        _check_int(self.TYPE, "attempt", self.attempt)
-        _check_int(self.TYPE, "scenario_index", self.scenario_index)
-        if not isinstance(self.records, (list, tuple)):
-            raise WireError(f"{self.TYPE}.records must be an array, got {self.records!r}")
-        for record in self.records:
-            _check_dict(self.TYPE, "records[]", record)
-        object.__setattr__(self, "records", tuple(self.records))
-        _check_opt_float(self.TYPE, "baseline_accuracy", self.baseline_accuracy)
-        _check_opt_float(self.TYPE, "inferences_per_second", self.inferences_per_second)
-        if self.num_images is not None:
-            _check_int(self.TYPE, "num_images", self.num_images, minimum=1)
+    num_images: int | None = field(default=None, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -258,10 +161,6 @@ class BatchAck(Message):
     accepted: int
     current: bool = True
 
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "accepted", self.accepted)
-        _check_bool(self.TYPE, "current", self.current)
-
 
 # ----------------------------------------------------------------------
 # Heartbeats and completion
@@ -272,15 +171,9 @@ class Heartbeat(Message):
 
     TYPE = "heartbeat"
     node_id: int
-    job_id: str
+    job_id: str = field(metadata=_JOB_ID)
     lease_id: int
     attempt: int
-
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "node_id", self.node_id)
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
-        _check_int(self.TYPE, "lease_id", self.lease_id)
-        _check_int(self.TYPE, "attempt", self.attempt)
 
 
 @dataclass(frozen=True)
@@ -289,9 +182,6 @@ class HeartbeatAck(Message):
 
     TYPE = "heartbeat-ack"
     current: bool
-
-    def __post_init__(self) -> None:
-        _check_bool(self.TYPE, "current", self.current)
 
 
 @dataclass(frozen=True)
@@ -305,19 +195,11 @@ class LeaseComplete(Message):
 
     TYPE = "lease-complete"
     node_id: int
-    job_id: str
+    job_id: str = field(metadata=_JOB_ID)
     lease_id: int
     attempt: int
     ok: bool = True
     error: str = ""
-
-    def __post_init__(self) -> None:
-        _check_int(self.TYPE, "node_id", self.node_id)
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
-        _check_int(self.TYPE, "lease_id", self.lease_id)
-        _check_int(self.TYPE, "attempt", self.attempt)
-        _check_bool(self.TYPE, "ok", self.ok)
-        _check_str(self.TYPE, "error", self.error)
 
 
 @dataclass(frozen=True)
@@ -326,9 +208,6 @@ class CompleteAck(Message):
 
     TYPE = "complete-ack"
     accepted: bool
-
-    def __post_init__(self) -> None:
-        _check_bool(self.TYPE, "accepted", self.accepted)
 
 
 # ----------------------------------------------------------------------
@@ -341,19 +220,13 @@ class JobSubmit(Message):
     TYPE = "job-submit"
     spec: dict
 
-    def __post_init__(self) -> None:
-        _check_dict(self.TYPE, "spec", self.spec)
-
 
 @dataclass(frozen=True)
 class JobAccepted(Message):
     """The queued job's identity."""
 
     TYPE = "job-accepted"
-    job_id: str
-
-    def __post_init__(self) -> None:
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
+    job_id: str = field(metadata=_JOB_ID)
 
 
 @dataclass(frozen=True)
@@ -361,8 +234,8 @@ class JobStatus(Message):
     """Progress snapshot of one job."""
 
     TYPE = "job-status"
-    job_id: str
-    state: str
+    job_id: str = field(metadata=_JOB_ID)
+    state: str = field(metadata={"choices": JOB_STATES})
     scenarios_total: int = 0
     scenarios_done: int = 0
     trials_total: int = 0
@@ -373,28 +246,9 @@ class JobStatus(Message):
     error: str = ""
     artifacts_dir: str = ""
 
-    def __post_init__(self) -> None:
-        _check_str(self.TYPE, "job_id", self.job_id, allow_empty=False)
-        if self.state not in JOB_STATES:
-            raise WireError(
-                f"{self.TYPE}.state must be one of {'/'.join(JOB_STATES)}, got {self.state!r}"
-            )
-        for name in ("scenarios_total", "scenarios_done", "trials_total",
-                     "trials_done", "leases", "reclaimed", "nodes"):
-            _check_int(self.TYPE, name, getattr(self, name))
-        _check_str(self.TYPE, "error", self.error)
-        _check_str(self.TYPE, "artifacts_dir", self.artifacts_dir)
-
 
 #: Every concrete message class, keyed by its wire ``type``.
-MESSAGE_TYPES: dict[str, type[Message]] = {
-    cls.TYPE: cls
-    for cls in (
-        Register, Registered, LeaseRequest, LeaseGrant, NoWork,
-        RecordBatch, BatchAck, Heartbeat, HeartbeatAck,
-        LeaseComplete, CompleteAck, JobSubmit, JobAccepted, JobStatus,
-    )
-}
+MESSAGE_TYPES: dict[str, type[Message]] = {cls.TYPE: cls for cls in Message.__subclasses__()}
 
 
 def parse_message(data: Any) -> Message:
@@ -402,7 +256,8 @@ def parse_message(data: Any) -> Message:
     if not isinstance(data, dict):
         raise WireError(f"wire message must be an object, got {type(data).__name__}")
     kind = data.get("type")
-    cls = MESSAGE_TYPES.get(kind)
+    # A list or object type would raise TypeError from the lookup, not WireError.
+    cls = MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise WireError(f"unknown wire message type {kind!r}")
-    return cls.from_wire(data)
+    return cls.from_dict({key: value for key, value in data.items() if key != "type"})

@@ -26,7 +26,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.campaign import CampaignConfig
-from repro.core.chaos import KILL_EXIT_CODE, ChaosEvent, ChaosMonkey, ChaosPlan, load_plan
+from repro.core.chaos import (
+    KILL_EXIT_CODE,
+    ChaosEvent,
+    ChaosMonkey,
+    ChaosPlan,
+    NetworkEvent,
+    load_plan,
+)
 from repro.core.leasebook import LeaseBook, LeaseState, PoisonShardError
 from repro.core.parallel import ParallelCampaignRunner, WorkerPool, load_checkpoint
 from repro.core.results import CampaignResult
@@ -74,11 +81,32 @@ def reference(tiny_platform_spec, tiny_dataset):
 # Plan construction and serialisation
 # ----------------------------------------------------------------------
 class TestChaosPlan:
-    def test_seeded_plans_are_deterministic(self):
-        a = ChaosPlan.seeded(3, 4, kills=2, hangs=1, delays=1)
-        b = ChaosPlan.seeded(3, 4, kills=2, hangs=1, delays=1)
+    @pytest.mark.parametrize("generator,counts", [
+        (ChaosPlan.seeded, {"kills": 2, "hangs": 1, "delays": 1}),
+        (ChaosPlan.seeded_network, {"drops": 2, "partitions": 1, "slow_links": 1, "dups": 1}),
+    ])
+    def test_seeded_plans_are_deterministic(self, generator, counts):
+        a = generator(3, 4, **counts)
+        b = generator(3, 4, **counts)
         assert a == b
-        assert a != ChaosPlan.seeded(4, 4, kills=2, hangs=1, delays=1)
+        assert a != generator(4, 4, **counts)
+
+    def test_seeded_draws_are_pinned(self):
+        # The CI chaos gate's spec and a network spec: replaying a plan
+        # depends on these draws never moving.
+        assert load_plan("seed=3,workers=2,kills=1,hangs=1").to_dict() == {"events": [
+            {"action": "kill", "worker": 1, "after_records": 3, "attempt": 0},
+            {"action": "hang", "worker": 0, "after_records": 0, "attempt": 0},
+        ]}
+        assert load_plan("seed=5,nodes=3,drops=2,partitions=1,slow_links=1,dups=1").to_dict() == {
+            "events": [
+                {"action": "drop", "node": 1, "after_requests": 3},
+                {"action": "drop", "node": 1, "after_requests": 2},
+                {"action": "partition", "node": 0, "after_requests": 4, "count": 4},
+                {"action": "slow-link", "node": 2, "after_requests": 0, "seconds": 0.05},
+                {"action": "dup-delivery", "node": 0, "after_requests": 4},
+            ]
+        }
 
     def test_seeded_at_most_one_fatal_event_per_worker(self):
         plan = ChaosPlan.seeded(11, 4, kills=2, hangs=2)
@@ -99,6 +127,21 @@ class TestChaosPlan:
         with pytest.raises(ValueError, match="seconds"):
             ChaosEvent("delay", 0, 0, seconds=-1.0)
 
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), "nan", "1.5", [1], True,
+    ], ids=["nan", "inf", "str-nan", "str", "list", "true"])
+    @pytest.mark.parametrize("event", [
+        {"action": "delay", "worker": 0, "after_records": 0},
+        {"action": "slow-link", "node": 0, "after_requests": 0},
+    ], ids=["worker", "network"])
+    def test_seconds_must_be_a_finite_number(self, event, seconds):
+        # A bad sleep must fail when the plan loads, not at strike time.
+        family = ChaosEvent if "worker" in event else NetworkEvent
+        with pytest.raises(ValueError, match="seconds"):
+            family(**event, seconds=seconds)
+        with pytest.raises(ValueError, match="seconds"):
+            ChaosPlan.from_dict({"events": [{**event, "seconds": seconds}]})
+
     def test_for_worker_filters_and_sorts(self):
         plan = ChaosPlan(events=(
             ChaosEvent("delay", 0, 3, seconds=0.1),
@@ -110,8 +153,12 @@ class TestChaosPlan:
         assert [e.action for e in plan.for_worker(0, 1)] == ["kill"]
         assert plan.for_worker(2, 0) == ()
 
-    def test_round_trips_through_dict_and_file(self, tmp_path):
-        plan = ChaosPlan.seeded(7, 3, kills=1, hangs=1, delays=2)
+    @pytest.mark.parametrize("plan", [
+        ChaosPlan.seeded(7, 3, kills=1, hangs=1, delays=2),
+        ChaosPlan.seeded_network(7, 3, drops=2, partitions=1, slow_links=1, dups=1),
+        ChaosPlan(ChaosPlan.seeded(7, 3).events + ChaosPlan.seeded_network(7, 3).events),
+    ], ids=["workers", "nodes", "mixed"])
+    def test_round_trips_through_dict_and_file(self, tmp_path, plan):
         assert ChaosPlan.from_dict(plan.to_dict()) == plan
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()))
@@ -125,23 +172,36 @@ class TestChaosPlan:
             ChaosEvent.from_dict({"action": "kill", "worker": 0,
                                   "after_records": 0, "when": "now"})
 
-    def test_load_plan_inline_spec(self):
-        plan = load_plan("seed=3, workers=2, kills=1, hangs=1")
-        assert plan == ChaosPlan.seeded(3, 2, kills=1, hangs=1)
+    @pytest.mark.parametrize("spec,expected,expected_actions", [
+        ("seed=3, workers=2, kills=1, hangs=1",
+         ChaosPlan.seeded(3, 2, kills=1, hangs=1), ["hang", "kill"]),
+        ("seed=3, nodes=2, drops=1, partitions=1, slow-links=1",
+         ChaosPlan.seeded_network(3, 2, drops=1, partitions=1, slow_links=1),
+         ["drop", "partition", "slow-link"]),
+    ], ids=["workers", "nodes"])
+    def test_load_plan_inline_spec(self, spec, expected, expected_actions):
+        plan = load_plan(spec)
+        assert plan == expected
         actions = sorted(e.action for e in plan.events)
-        assert actions == ["hang", "kill"]
+        assert actions == expected_actions
 
-    @pytest.mark.parametrize("spec,match", [
-        ("", "empty"),
-        ("seed=1", "needs workers"),
-        ("workers=2,kills=1", "needs seed"),
-        ("seed=x,workers=2", "integer"),
-        ("seed=1,workers=2,boom=3", "bad chaos plan item"),
-        ("no-such-file.json", "cannot read"),
+    @pytest.mark.parametrize("spec,match,family", [
+        ("", "empty", None),
+        ("seed=1", "needs workers", None),
+        ("workers=2,kills=1", "needs seed", None),
+        ("seed=x,workers=2", "integer", None),
+        ("seed=1,workers=2,boom=3", "bad chaos plan item", None),
+        ("no-such-file.json", "cannot read", None),
+        ("seed=1,nodes=2,kills=1", "bad chaos plan item", None),
+        ("seed=1,workers=2,nodes=2", "bad chaos plan item", None),
+        ("seed=1,nodes=0", "nodes >= 1", None),
+        # A worker plan to --net-chaos, a network plan to --chaos-plan.
+        ("seed=3,workers=2,kills=1", "cannot strike", NetworkEvent),
+        ("seed=3,nodes=2,drops=1", "cannot strike", ChaosEvent),
     ])
-    def test_load_plan_bad_specs(self, spec, match):
+    def test_load_plan_bad_specs(self, spec, match, family):
         with pytest.raises(ValueError, match=match):
-            load_plan(spec)
+            load_plan(spec, family)
 
     def test_monkey_fires_events_in_order(self):
         plan = ChaosPlan(events=(ChaosEvent("delay", 0, 2, seconds=0.0),

@@ -295,6 +295,25 @@ class TestValidateAndCleanErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,event", [
+        (["campaign", "--chaos-plan"],
+         {"action": "delay", "worker": 0, "after_records": 0, "seconds": [1]}),
+        (["serve", "--port", "0", "--net-chaos"],
+         {"action": "slow-link", "node": 0, "after_requests": 0, "seconds": [1]}),
+        # A plan of the other executor's events.
+        (["campaign", "--chaos-plan"], {"action": "drop", "node": 0, "after_requests": 0}),
+        (["serve", "--port", "0", "--net-chaos"],
+         {"action": "kill", "worker": 0, "after_records": 0}),
+    ], ids=["campaign-seconds", "serve-seconds", "campaign-network", "serve-worker"])
+    def test_broken_chaos_plan_is_a_clean_error(self, tmp_path, capsys, argv, event):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": [event]}))
+        assert main([*argv, str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_malformed_toml_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "mangled.toml"
         path.write_text("[[faults]\nname =")

@@ -29,7 +29,6 @@ from repro.core.chaos import (
     KILL_EXIT_CODE,
     ChaosEvent,
     ChaosPlan,
-    NetworkChaosPlan,
     NetworkEvent,
 )
 from repro.core.parallel import PlatformSpec
@@ -188,7 +187,7 @@ class TestFleetByteIdentity:
         # Recovery must re-run only what was lost and converge on bytes
         # identical to the undisturbed serial run.
         kill = ChaosPlan((ChaosEvent(action="kill", worker=0, after_records=1),))
-        partition = NetworkChaosPlan(
+        partition = ChaosPlan(
             (NetworkEvent(action="partition", node=1, after_requests=4, count=6),)
         )
         fleet_dir, status, outcomes = run_fleet(
@@ -250,7 +249,7 @@ class TestFleetByteIdentity:
         assert_byte_identical(serial_artifacts, fleet_dir)
 
     def test_dup_delivery_is_idempotent(self, tmp_path, fleet_resolver, serial_artifacts):
-        dups = NetworkChaosPlan(
+        dups = ChaosPlan(
             tuple(
                 NetworkEvent(action="dup-delivery", node=0, after_requests=n)
                 for n in (1, 2, 3, 4, 5)
@@ -646,6 +645,13 @@ class TestCoordinatorFuzz:
             assert job.status() == before
 
         check()
+
+    def test_unparseable_nesting_and_unhashable_type_get_400(self, live):
+        coordinator, job = live
+        before = job.status()
+        for body in (b"[" * 100_000 + b"]" * 100_000, b'{"type": []}', b'{"type": {}}'):
+            assert _post(coordinator, body) == 400
+        assert job.status() == before
 
     def test_negative_content_length_is_rejected_without_reading(self, live):
         coordinator, job = live

@@ -21,7 +21,6 @@ from repro.faults.sites import FaultSite
 from repro.runtime import gemm
 from repro.runtime.gemm import (
     FLOAT32_EXACT_BOUND,
-    FLOAT64_EXACT_BOUND,
     GEMM_STATS,
     _int64_matmul,
     accumulation_bound,
@@ -73,34 +72,37 @@ class TestExactMatmulProperty:
         assert GEMM_STATS.float32_calls == 1
         np.testing.assert_array_equal(result, np.full((2, 4, 5), depth * 16384, dtype=np.int64))
 
-    def test_worst_case_magnitudes_float64_tier(self):
+    def test_worst_case_magnitudes_split_k(self):
         # One more accumulation step crosses the single-SGEMM bound (the
         # result, 2**24, is exactly the first integer float32 cannot hold +0).
         # Two int8 operands still certify 1023-deep chunks, so split-K keeps
-        # the call on float32: the float64 tier is left to wide operands.
+        # the call on float32.
         depth = 1024
         w = np.full((3, depth), -128, dtype=np.int8)
         cols = np.full((1, depth, 3), -128, dtype=np.int8)
-        assert FLOAT32_EXACT_BOUND <= accumulation_bound(w, cols) < FLOAT64_EXACT_BOUND
+        assert FLOAT32_EXACT_BOUND <= accumulation_bound(w, cols)
         GEMM_STATS.reset()
         result = exact_matmul(w, cols)
         assert GEMM_STATS.float32_calls == 1
         np.testing.assert_array_equal(result, np.full((1, 3, 3), depth * 16384, dtype=np.int64))
 
-    def test_int16_extremes_use_float64(self):
+    def test_int16_extremes_use_int64(self):
+        # A single int16 x int16 product reaches 2**30: no float32 chunk can
+        # certify it, so the exact int64 contraction serves the call.
         w = np.full((2, 8), np.iinfo(np.int16).min, dtype=np.int16)
         cols = np.full((1, 8, 2), np.iinfo(np.int16).min, dtype=np.int16)
         GEMM_STATS.reset()
         result = exact_matmul(w, cols)
-        assert GEMM_STATS.float64_calls == 1
+        assert GEMM_STATS.int64_calls == 1
+        np.testing.assert_array_equal(result, np.full((1, 2, 2), 8 << 30, dtype=np.int64))
         np.testing.assert_array_equal(result, reference_int64(w, cols))
 
     def test_overflow_bound_forces_int64_fallback(self):
-        # 2**31 * 2**31 = 2**62 cannot be certified for float64 (bound >=
-        # 2**53): the core must refuse BLAS and produce the exact value.
+        # 2**31 * 2**31 = 2**62 cannot be certified for float32 (bound >=
+        # 2**24): the core must refuse BLAS and produce the exact value.
         a = np.array([[1 << 31]], dtype=np.int64)
         b = np.array([[[1 << 31]]], dtype=np.int64)
-        assert accumulation_bound(a, b) >= FLOAT64_EXACT_BOUND
+        assert accumulation_bound(a, b) >= FLOAT32_EXACT_BOUND
         GEMM_STATS.reset()
         result = exact_matmul(a, b)
         assert GEMM_STATS.int64_calls == 1
@@ -256,23 +258,6 @@ class TestSplitK:
         np.testing.assert_array_equal(exact_matmul(a, b), _int64_matmul(a, b))
         assert GEMM_STATS.float32_calls == 1 and GEMM_STATS.float64_calls == 0
 
-    def test_forced_float64_keeps_dgemm(self):
-        w = np.full((2, 1152), -128, dtype=np.int8)
-        cols = np.full((1, 1152, 2), -128, dtype=np.int8)
-        GEMM_STATS.reset()
-        with gemm_backend("float64"):
-            result = exact_matmul(w, cols)
-        assert GEMM_STATS.float64_calls == 1 and GEMM_STATS.float32_calls == 0
-        np.testing.assert_array_equal(result, np.full((1, 2, 2), 1152 << 14))
-
-    def test_eight_by_sixteen_bit_pairs_keep_dgemm(self):
-        # int8 x int16 certifies chunks of only 3 terms: not worth a split.
-        rng = np.random.default_rng(9)
-        a = _operand(rng, (3, 1024), np.int8, "random")
-        b = _operand(rng, (1024, 2), np.int16, "random")
-        GEMM_STATS.reset()
-        np.testing.assert_array_equal(exact_matmul(a, b), _int64_matmul(a, b))
-        assert GEMM_STATS.float64_calls == 1 and GEMM_STATS.bound_fallbacks == 0
 
 
 class TestBackendSelection:
@@ -303,7 +288,7 @@ class TestBackendSelection:
         GEMM_STATS.reset()
         with gemm_backend("float32"):
             result = exact_matmul(w16, cols16)
-        assert GEMM_STATS.float64_calls == 1
+        assert GEMM_STATS.int64_calls == 1
         assert GEMM_STATS.bound_fallbacks == 1
         np.testing.assert_array_equal(result, np.full((1, 2, 2), 1 << 30, dtype=np.int64))
 

@@ -189,6 +189,12 @@ def test_bool_is_not_an_int():
         LeaseRequest(node_id=True)
 
 
+def test_unhashable_type_rejected():
+    for bad in ([], {}, ["register"]):
+        with pytest.raises(WireError, match="unknown wire message type"):
+            parse_message({"type": bad})
+
+
 def test_non_object_payloads_rejected():
     for bad in (None, 3, "register", ["register"]):
         with pytest.raises(WireError):
