@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from repro.accelerator.csb import ConfigSpaceBus
-from repro.accelerator.engine import VectorisedEngine, config_fusable
+from repro.accelerator.engine import VectorisedEngine, clamp_free, config_fusable
 from repro.accelerator.geometry import ArrayGeometry, PAPER_GEOMETRY
 from repro.accelerator.pdp import PDP, max_pool_int8
 from repro.accelerator.reference import ScalarReferenceEngine
@@ -488,7 +488,9 @@ class NVDLAAccelerator:
         )
         acc = accumulate(node, configs, per_trial, **source)
         start = TELEMETRY.tick()
-        out = self.sdp.conv_post_owned(acc, node, channel_axis=1)
+        out = self.sdp.conv_post_owned(
+            acc, node, channel_axis=1, clamp_free=clamp_free(node, configs, self.geometry)
+        )
         TELEMETRY.tock("requant", start)
         return out
 

@@ -69,7 +69,7 @@ from repro.faults.sites import FaultSite
 from repro.nn.functional import conv_output_size, im2col, window_view  # noqa: F401
 from repro.quant.qlayers import QConv, QLinear
 from repro.runtime.gemm import exact_matmul
-from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
+from repro.utils.bitops import ACCUMULATOR_WIDTH, PRODUCT_WIDTH, saturate
 from repro.utils.telemetry import TELEMETRY
 
 
@@ -90,6 +90,32 @@ def config_fusable(config: InjectionConfig) -> bool:
         getattr(model, "rng_free", False) and model.stage != "memory"
         for model in config.faults.values()
     )
+
+
+def clamp_free(
+    node: QConv | QLinear, configs: list[InjectionConfig], geometry: ArrayGeometry
+) -> bool:
+    """True when no 34-bit accumulator clamp can fire in this layer evaluation.
+
+    Every product-stage fault model drives the signed 18-bit product bus,
+    memory faults flip int8 operand bytes that stay int8, and a folded
+    constant is one product-bus value per term, so no product exceeds
+    ``2**17`` in magnitude.  An accumulator sums ``pad_channels(IC) * K**2``
+    terms (padding lanes included), so when that many ``2**17`` plus the
+    largest ``|bias|`` stays below ``2**33`` neither the engine's clamp nor
+    the SDP's (after the bias add) can fire, and both may be skipped.  An
+    armed accumulator-stage fault drives partial sums instead, which keeps
+    the clamps.
+    """
+    if any(
+        model.stage == "accumulator" for config in configs for model in config.faults.values()
+    ):
+        return False
+    weight = node.weight
+    kernel_elems = weight[0, 0].size if isinstance(node, QConv) else 1
+    terms = geometry.pad_channels(weight.shape[1]) * kernel_elems
+    bias = int(np.abs(node.bias.astype(np.int64, copy=False)).max(initial=0))
+    return (terms << (PRODUCT_WIDTH - 1)) + bias < 1 << (ACCUMULATOR_WIDTH - 1)
 
 
 class VectorisedEngine:
@@ -203,7 +229,10 @@ class VectorisedEngine:
         record: bool,
         positions: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
-        """Saturated accumulators of ``len(configs)`` trials of one layer.
+        """Accumulators of ``len(configs)`` trials of one layer, 34-bit saturated.
+
+        The saturation pass is skipped when :func:`clamp_free` certifies
+        that it cannot fire, which leaves the values identical.
 
         Exactly one input form describes the layer input:
 
@@ -282,13 +311,14 @@ class VectorisedEngine:
             kernel_elems = 1
             w_rows = weight
 
+        certified = clamp_free(node, configs, self.geometry)
         if positions is not None:
             if any(config.enabled for config in configs):
                 raise ValueError("gathered positions carry no datapath fault correction")
             start = TELEMETRY.tick()
             acc = exact_matmul(self._lowered(node, x, positions), w_rows.T)
             TELEMETRY.tock("suffix_forward", start)
-            return saturate(acc, ACCUMULATOR_WIDTH, out=acc)
+            return acc if certified else saturate(acc, ACCUMULATOR_WIDTH, out=acc)
 
         live = any(config.enabled for config in configs)
         start = TELEMETRY.tick()
@@ -321,8 +351,9 @@ class VectorisedEngine:
                     acc_trial[:, oc_sel, :] += delta
         if live:
             TELEMETRY.tock("correction", start)
-        # 34-bit accumulator saturation, in place.
-        acc = saturate(acc, ACCUMULATOR_WIDTH, out=acc)
+        # 34-bit accumulator saturation, in place, unless it cannot fire.
+        if not certified:
+            saturate(acc, ACCUMULATOR_WIDTH, out=acc)
         if not conv:
             return acc
         return acc.reshape((groups * per_trial,) + out_hw + (out_channels,)).transpose(0, 3, 1, 2)

@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.accelerator.multiplier import Int8Multiplier
-from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultModel
 
 
@@ -44,11 +43,6 @@ class MACUnit:
         """Attach a fault model to multiplier ``lane``."""
         self._check_lane(lane)
         self.multipliers[lane].set_fault_model(model)
-
-    def set_injector(self, lane: int, injector: FaultInjector) -> None:
-        """Attach a bit-level injector to multiplier ``lane``."""
-        self._check_lane(lane)
-        self.multipliers[lane].injector = injector
 
     def clear_faults(self) -> None:
         for multiplier in self.multipliers:

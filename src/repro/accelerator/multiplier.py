@@ -80,10 +80,6 @@ class Int8Multiplier:
             return int(faulty[0])
         return product
 
-    def fault_free_product(self, a: int, b: int) -> int:
-        """The product the multiplier would produce with no fault (for tests)."""
-        return int(a) * int(b)
-
     def product_bus(self, a: int, b: int) -> int:
         """The unsigned 18-bit pattern observed on the (possibly faulty) bus."""
         return int(to_unsigned(self.multiply(a, b), PRODUCT_WIDTH))

@@ -71,9 +71,6 @@ class ResourceReport:
     def device_lut_fraction(self, device_luts: int = XCZU7EV_LUTS) -> float:
         return self.luts / device_luts
 
-    def device_ff_fraction(self, device_ffs: int = XCZU7EV_FFS) -> float:
-        return self.ffs / device_ffs
-
 
 @dataclass
 class ResourceModel:

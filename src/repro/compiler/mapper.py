@@ -41,15 +41,6 @@ class ConvMapping:
         """Total atomic operations (= CMAC cycles) of the layer."""
         return self.out_h * self.out_w * self.kernel_groups * self.atomic_ops_per_output
 
-    @property
-    def total_products(self) -> int:
-        """Total multiplier products computed, including padding lanes."""
-        return self.total_atomic_ops  # each atomic op uses every multiplier once
-
-    def products_per_multiplier(self) -> int:
-        """Products computed by each individual multiplier during the layer."""
-        return self.total_atomic_ops
-
 
 class Mapper:
     """Computes :class:`ConvMapping` records and lane assignments."""

@@ -55,9 +55,6 @@ class BoxPlotSeries:
     def positions(self) -> list[int]:
         return sorted(self.boxes)
 
-    def medians(self) -> list[float]:
-        return [self.boxes[p].median for p in self.positions()]
-
     def means(self) -> list[float]:
         return [self.boxes[p].mean for p in self.positions()]
 

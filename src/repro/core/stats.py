@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.utils.checked import type_problem
 from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results -> stats)
@@ -449,6 +450,28 @@ def sdc_count(counts: dict[str, int]) -> int:
 ADAPTIVE_METRICS = ("mean_drop", "sdc_rate")
 
 
+#: Type name (see :data:`repro.utils.checked.TYPES`) of each adaptive plan key.
+_PLAN_KEY_TYPES = {
+    "target_half_width": "float",
+    "round_size": "int",
+    "confidence": "float",
+    "metric": "str",
+    "min_rounds": "int",
+    "max_trials": "int",
+}
+
+
+def _checked_plan_value(what: str, type_name: str, value):
+    """``value`` if it is of type ``type_name`` (an integer widened to float
+    for a float key), else a ``ValueError`` naming ``what``."""
+    problem = type_problem(type_name, value)
+    if problem is None and type_name == "float" and not math.isfinite(value):
+        problem = f"must be a finite number, got {value!r}"
+    if problem is not None:
+        raise ValueError(f"{what} {problem}")
+    return float(value) if type_name == "float" else value
+
+
 @dataclass(frozen=True)
 class AdaptiveCampaignPlan:
     """Confidence-bounded trial budgeting for a campaign.
@@ -564,39 +587,40 @@ class AdaptiveCampaignPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptiveCampaignPlan":
+        """Load a plan from outside input (an ``[adaptive]`` table, a header).
+
+        Values are checked, never coerced: a bool, a string where a number
+        belongs, a non-integer count or a non-finite number is a
+        ``ValueError`` naming the key.
+        """
         data = dict(data)
         thresholds = data.pop("thresholds", None)
-        kwargs = {}
-        for key in ("target_half_width", "confidence"):
-            if key in data:
-                kwargs[key] = float(data.pop(key))
-        for key in ("round_size", "min_rounds"):
-            if key in data:
-                kwargs[key] = int(data.pop(key))
-        if "metric" in data:
-            kwargs["metric"] = str(data.pop("metric"))
-        if "max_trials" in data:
-            raw = data.pop("max_trials")
-            kwargs["max_trials"] = None if raw is None else int(raw)
+        kwargs = {key: data.pop(key) for key in _PLAN_KEY_TYPES if key in data}
         if data:
             raise ValueError(f"unknown adaptive plan keys {sorted(data)}")
         if "target_half_width" not in kwargs:
             raise ValueError("adaptive plan needs a 'target_half_width'")
+        for key, value in kwargs.items():
+            if not (key == "max_trials" and value is None):
+                kwargs[key] = _checked_plan_value(
+                    f"adaptive plan key {key!r}", _PLAN_KEY_TYPES[key], value
+                )
         if thresholds is not None:
             thresholds = dict(thresholds)
-            chance = thresholds.pop("chance_accuracy", None)
-            known = {"masked_epsilon", "tolerable_drop", "critical_drop"}
+            known = {"masked_epsilon", "tolerable_drop", "critical_drop", "chance_accuracy"}
             unknown = set(thresholds) - known
             if unknown:
                 raise ValueError(
                     f"unknown adaptive plan thresholds keys {sorted(unknown)}; "
-                    f"expected a subset of {sorted(known | {'chance_accuracy'})}"
+                    f"expected a subset of {sorted(known)}"
                 )
+            for key, value in thresholds.items():
+                if not (key == "chance_accuracy" and value is None):
+                    thresholds[key] = _checked_plan_value(
+                        f"invalid adaptive plan thresholds: {key!r}", "float", value
+                    )
             try:
-                kwargs["thresholds"] = OutcomeThresholds(
-                    chance_accuracy=None if chance is None else float(chance),
-                    **{k: float(v) for k, v in thresholds.items()},
-                )
+                kwargs["thresholds"] = OutcomeThresholds(**thresholds)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid adaptive plan thresholds: {exc}") from None
         return cls(**kwargs)

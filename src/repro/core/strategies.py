@@ -128,10 +128,6 @@ class InjectionStrategy:
         return stages.pop()
 
 
-def _value_of(model: FaultModel) -> int | None:
-    return model.constant_override()
-
-
 @dataclass
 class RandomMultipliers(InjectionStrategy):
     """Random multiplier subsets, swept over fault counts and injected values.

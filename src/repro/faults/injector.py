@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.faults.models import FaultModel
-from repro.faults.sites import FaultSite, MemorySite, site_sort_key
+from repro.faults.sites import FaultSite, site_sort_key
 from repro.utils.bitops import PRODUCT_WIDTH, to_signed, to_unsigned
 
 
@@ -120,12 +120,6 @@ class InjectionConfig:
         if site in self.faults:
             raise ValueError(f"site {site} is already armed")
         self.faults[site] = model
-
-    def memory_faults(self) -> dict[MemorySite, FaultModel]:
-        """The memory-resident (CBUF/CSB) part of this configuration."""
-        return {
-            site: model for site, model in self.faults.items() if model.stage == "memory"
-        }
 
     def datapath_config(self) -> "InjectionConfig":
         """This configuration minus its memory-resident faults.

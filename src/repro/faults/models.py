@@ -32,7 +32,6 @@ import numpy as np
 from repro.utils.bitops import (
     PARTIAL_SUM_WIDTH,
     PRODUCT_WIDTH,
-    saturate,
     to_signed,
     to_unsigned,
 )
@@ -489,13 +488,3 @@ def flip_int8_bytes(
         for offset, bit in offsets_and_bits:
             view[offset % size] ^= np.uint8(1 << bit)
     return out
-
-
-def saturate_product(values: np.ndarray) -> np.ndarray:
-    """Clamp injected values onto the representable 18-bit signed range.
-
-    Fault models already validate their constants, but arithmetic on faulty
-    values (e.g. in tests) can overflow the bus; this helper re-applies the
-    hardware truncation.
-    """
-    return saturate(np.asarray(values, dtype=np.int64), PRODUCT_WIDTH)

@@ -24,14 +24,6 @@ def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Xavier/Glorot uniform initialisation."""
-    fan_in = _fan_in(shape)
-    fan_out = _fan_out(shape)
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (biases, BN beta)."""
     return np.zeros(shape, dtype=np.float32)
@@ -47,16 +39,6 @@ def _fan_in(shape: tuple[int, ...]) -> int:
         return shape[1] * shape[2] * shape[3]
     if len(shape) == 2:
         return shape[1]
-    if len(shape) == 1:
-        return shape[0]
-    raise ValueError(f"unsupported weight shape {shape}")
-
-
-def _fan_out(shape: tuple[int, ...]) -> int:
-    if len(shape) == 4:
-        return shape[0] * shape[2] * shape[3]
-    if len(shape) == 2:
-        return shape[0]
     if len(shape) == 1:
         return shape[0]
     raise ValueError(f"unsupported weight shape {shape}")

@@ -141,61 +141,63 @@ def rounding_right_shift(values: np.ndarray, shift: int) -> np.ndarray:
     return np.where(values >= 0, positive, negative)
 
 
-def requantize_owned(
+def requantize_in_place(
     accumulator: np.ndarray,
     params: RequantParams,
+    bias: np.ndarray | None = None,
     channel_axis: int = 1,
     relu: bool = False,
-    saturate_to_int8: bool = True,
 ) -> np.ndarray:
-    """Bit-identical :func:`requantize` tuned for the delta trial engine.
+    """int8 :func:`requantize` of ``accumulator + bias``, computed in place.
 
-    A fault-injection trial requantises every layer of every evaluation
-    batch, so this hot path trims the elementwise passes of the reference
-    implementation without changing a single output bit:
+    The SDP requantises every conv/FC output of every trial, so this path
+    makes as few passes over the accumulator as it can without changing a
+    single output bit:
 
-    * the scaled value is built once (``acc * multiplier`` widened to
-      int64) and every subsequent step mutates it in place — no
-      ``np.where`` triple or intermediate temporaries;
-    * round-half-away-from-zero for negatives uses the identity
-      ``-((-v + o) >> s) == (v + o - 1) >> s`` (``o = 2**(s-1)``), one
-      boolean mask instead of a second shifted copy;
-    * fused ReLU layers skip the negative-rounding work entirely: a
-      negative scaled value rounds to a non-positive integer under either
-      rounding rule and the ReLU clamp maps it to 0 regardless.
+    * the bias rides in the rounding offset: with ``o = 2**(s-1)``,
+      ``((acc + bias) * M + o) >> s == (acc * M + (bias * M + o)) >> s``,
+      so it costs one per-channel vector instead of a pass;
+    * round-half-away-from-zero for a negative ``v = (acc + bias) * M``
+      uses ``-((-v + o) >> s) == (v + o - 1) >> s``: one mask of the
+      offset sums below ``o``;
+    * fused ReLU layers skip that mask: a negative ``v`` rounds to a
+      non-positive integer under either rule and the ReLU clamp maps it
+      to 0 regardless;
+    * the clip writes straight into the fresh int8 result, which keeps the
+      accumulator's memory layout.
 
-    The input array is never modified (the first multiply allocates), but
-    callers should treat the returned buffer as freshly owned.  Certified
-    equal to :func:`requantize` over the full accumulator range by the
-    quantisation property suite.
+    ``accumulator`` must be a writeable int64 array the caller owns; it is
+    overwritten.  Exact while ``acc * M``, ``bias * M`` and their sum fit in
+    int64; the SDP passes 34-bit accumulators and biases and 16-bit
+    multipliers, below ``2**51``.  Certified equal to :func:`requantize` by
+    ``tests/test_delta_engine.py::TestRequantizeInPlace``.
     """
-    acc = np.asarray(accumulator)
-    multiplier = params.multiplier
-    if multiplier.ndim == 1:
-        shape = [1] * acc.ndim
-        shape[channel_axis] = -1
-        multiplier = multiplier.reshape(shape)
-    scaled = np.multiply(acc, multiplier, dtype=np.int64)
+    acc = accumulator
+    multiplier = _along(params.multiplier, acc.ndim, channel_axis)
     shift = params.shift
+    rounding = (1 << shift) >> 1
+    np.multiply(acc, multiplier, out=acc)
+    if bias is not None:
+        offset = _along(np.asarray(bias, dtype=np.int64), acc.ndim, channel_axis)
+        np.add(acc, offset * multiplier + rounding, out=acc)
+    elif rounding:
+        acc += rounding
     if shift:
-        offset = np.int64(1) << np.int64(shift - 1)
-        if relu and saturate_to_int8:
-            # Negative values round to <= 0 under both rules; the ReLU
-            # clamp erases the difference, so the positive-branch formula
-            # is safe for the whole array.
-            scaled += offset
-            scaled >>= np.int64(shift)
-        else:
-            negative = scaled < 0
-            scaled += offset
-            np.subtract(scaled, negative, out=scaled, casting="unsafe")
-            scaled >>= np.int64(shift)
-    if saturate_to_int8:
-        np.clip(scaled, 0 if relu else INT8_MIN, INT8_MAX, out=scaled)
-        return scaled.astype(np.int8)
-    if relu:
-        np.maximum(scaled, 0, out=scaled)
-    return scaled
+        if not relu:
+            np.subtract(acc, acc < rounding, out=acc, casting="unsafe")
+        acc >>= shift
+    out = np.empty_like(acc, dtype=np.int8)
+    np.clip(acc, 0 if relu else INT8_MIN, INT8_MAX, out=out, casting="unsafe")
+    return out
+
+
+def _along(values: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """A per-channel vector shaped to broadcast along ``axis``; others as is."""
+    if values.ndim != 1:
+        return values
+    shape = [1] * ndim
+    shape[axis] = -1
+    return values.reshape(shape)
 
 
 def requantize(
@@ -224,11 +226,7 @@ def requantize(
         values.
     """
     acc = np.asarray(accumulator, dtype=np.int64)
-    multiplier = params.multiplier
-    if multiplier.ndim == 1:
-        shape = [1] * acc.ndim
-        shape[channel_axis] = -1
-        multiplier = multiplier.reshape(shape)
+    multiplier = _along(params.multiplier, acc.ndim, channel_axis)
     scaled = rounding_right_shift(acc * multiplier, params.shift)
     if relu:
         scaled = np.maximum(scaled, 0)

@@ -87,12 +87,6 @@ class RuntimeStatistics:
             key = "(other)"
         self.per_config_images[key] = self.per_config_images.get(key, 0) + batch_size
 
-    @property
-    def images_per_second(self) -> float:
-        if self.wall_seconds == 0:
-            return 0.0
-        return self.images / self.wall_seconds
-
 
 class Runtime:
     """Loads a loadable onto an accelerator and runs inference jobs."""

@@ -295,6 +295,20 @@ class TestValidateAndCleanErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_bad_adaptive_table_is_a_clean_error(self, tmp_path, capsys):
+        spec = dict(self.GOOD_SPEC, adaptive={
+            "target_half_width": True, "round_size": "8", "max_trials": 12.9,
+        })
+        path = tmp_path / "adaptive.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path), "--list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'target_half_width' must be a number, got bool True" in captured.err
+        assert "Traceback" not in captured.err
+        assert main(["validate", "--spec", str(path)]) == 1
+        assert "invalid [adaptive] table" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,event", [
         (["campaign", "--chaos-plan"],
          {"action": "delay", "worker": 0, "after_records": 0, "seconds": [1]}),

@@ -49,7 +49,7 @@ from repro.quant.qlayers import QMaxPool
 from repro.quant.qscheme import (
     RequantParams,
     requantize,
-    requantize_owned,
+    requantize_in_place,
 )
 
 from tests.conftest import make_qconv, make_qlinear, random_int8
@@ -958,36 +958,44 @@ class TestCleanForwardTape:
 # ----------------------------------------------------------------------
 # Requantisation fast path == reference (bit level)
 # ----------------------------------------------------------------------
-class TestRequantizeOwned:
-    @settings(max_examples=60, deadline=None)
+class TestRequantizeInPlace:
+    @settings(max_examples=80, deadline=None)
     @given(
         shift=st.integers(0, 24),
         relu=st.booleans(),
-        saturate=st.booleans(),
+        biased=st.booleans(),
         per_channel=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_reference_over_accumulator_range(
-        self, shift, relu, saturate, per_channel, seed
-    ):
+    def test_offset_form_matches_reference(self, shift, relu, biased, per_channel, seed):
+        """``(acc*M + (bias*M + o)) >> s`` equals the reference requant of
+        ``acc + bias`` over the certified range ``|acc + bias| < 2**33``,
+        rounding ties included."""
         rng = np.random.default_rng(seed)
-        acc = rng.integers(-(1 << 33), 1 << 33, size=(3, 4, 5), dtype=np.int64)
-        # Include exact rounding-boundary values.
-        if shift:
-            acc[0, 0, 0] = 1 << (shift - 1)
-            acc[0, 0, 1] = -(1 << (shift - 1))
+        bias = rng.integers(-(1 << 20), 1 << 20, size=4, dtype=np.int64)
+        span = (1 << 33) - (1 << 20)
+        acc = rng.integers(-span, span, size=(3, 4, 5), dtype=np.int64)
+        # Odd multipliers turn an odd multiple of 2**(s-1) into a tie.
         multiplier = rng.integers(1, 1 << 16, size=(4,) if per_channel else (), dtype=np.int64)
+        multiplier |= 1
+        if shift:
+            half = 1 << (shift - 1)
+            acc[0, :, :4] = np.array([half, -half, 3 * half, -3 * half]) - bias[:, None]
+        if not biased:
+            # The uncertified path requantises saturated 34-bit sums.
+            acc[0, :, :4] += bias[:, None]
+            acc[1, 0, :2] = [-(1 << 33), (1 << 33) - 1]
+            bias = None
         params = RequantParams(multiplier=multiplier, shift=shift)
-        expected = requantize(acc, params, channel_axis=1, relu=relu, saturate_to_int8=saturate)
-        actual = requantize_owned(
-            acc.copy(), params, channel_axis=1, relu=relu, saturate_to_int8=saturate
-        )
+        total = acc if bias is None else acc + bias[None, :, None]
+        expected = requantize(total, params, channel_axis=1, relu=relu)
+        actual = requantize_in_place(acc.copy(), params, bias, channel_axis=1, relu=relu)
         np.testing.assert_array_equal(actual, expected)
-        assert actual.dtype == expected.dtype
+        assert actual.dtype == np.int8
 
-    def test_input_not_mutated(self):
-        acc = np.arange(-8, 8, dtype=np.int64).reshape(2, 8)
-        saved = acc.copy()
+    def test_result_keeps_the_accumulator_layout(self):
+        acc = np.arange(-24, 24, dtype=np.int64).reshape(2, 3, 4, 2).transpose(0, 3, 1, 2)
         params = RequantParams(multiplier=np.int64(3), shift=2)
-        requantize_owned(acc, params, channel_axis=1, relu=True)
-        np.testing.assert_array_equal(acc, saved)
+        out = requantize_in_place(acc.copy(order="K"), params, channel_axis=1, relu=True)
+        np.testing.assert_array_equal(out, requantize(acc, params, channel_axis=1, relu=True))
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous

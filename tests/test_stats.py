@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,36 @@ class TestAdaptivePlan:
         with pytest.raises(ValueError, match="invalid adaptive plan thresholds"):
             AdaptiveCampaignPlan.from_dict(
                 {"target_half_width": 0.1, "thresholds": {"tolerable_drop": "lots"}}
+            )
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("target_half_width", True, "must be a number, got bool True"),
+            ("target_half_width", "0.1", "must be a number, got str '0.1'"),
+            ("target_half_width", float("nan"), "must be a finite number, got nan"),
+            ("confidence", float("inf"), "must be a finite number, got inf"),
+            ("round_size", "8", "must be an integer, got str '8'"),
+            ("round_size", True, "must be an integer, got bool True"),
+            ("min_rounds", 2.5, "must be an integer, got float 2.5"),
+            ("max_trials", 12.9, "must be an integer, got float 12.9"),
+            ("metric", 3, "must be a string, got int 3"),
+        ],
+    )
+    def test_from_dict_checks_types_instead_of_coercing(self, key, value, problem):
+        data = {"target_half_width": 0.1, key: value}
+        with pytest.raises(ValueError, match=f"adaptive plan key '{key}' {re.escape(problem)}"):
+            AdaptiveCampaignPlan.from_dict(data)
+
+    def test_from_dict_widens_integers_for_number_keys(self):
+        plan = AdaptiveCampaignPlan.from_dict(
+            {"target_half_width": 1, "max_trials": None, "thresholds": {"critical_drop": 1}}
+        )
+        assert type(plan.target_half_width) is float
+        assert type(plan.thresholds.critical_drop) is float
+        with pytest.raises(ValueError, match="'masked_epsilon' must be a number, got bool"):
+            AdaptiveCampaignPlan.from_dict(
+                {"target_half_width": 0.1, "thresholds": {"masked_epsilon": False}}
             )
 
     def test_validation(self):
