@@ -104,10 +104,9 @@ def _runner(spec, strategy, *, tape: bool):
         tape_bytes=(256 << 20) if tape else 0,
     )
     platform = dataclasses.replace(spec, platform_config=config).build()
-    # The reference runs one full forward per trial, while the delta path
-    # keeps the defaults (auto-capped fusion).
-    campaign = CampaignConfig(batch_size=64, seed=0, fused_trials=8 if tape else 1)
-    return ParallelCampaignRunner(platform, strategy, campaign)
+    # Without a tape the platform runs one full forward per trial; with
+    # one it caps fused groups itself.
+    return ParallelCampaignRunner(platform, strategy, CampaignConfig(batch_size=64, seed=0))
 
 
 def _measure(spec, strategy, images, labels) -> dict:

@@ -59,6 +59,17 @@ _ADAPTIVE_FLAG_DEFAULTS = {
 }
 
 
+def _image_count(text: str) -> int:
+    """argparse type of ``--images``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_log_level_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
                         default=None,
@@ -275,7 +286,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         strategy,
         CampaignConfig(
             seed=args.campaign_seed,
-            fused_trials=args.fused_trials,
             max_shard_retries=args.max_shard_retries,
             shard_timeout=args.shard_timeout,
             poison_policy=args.poison_policy,
@@ -365,7 +375,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         sweep_dir=args.sweep_dir,
         resume=args.resume,
-        fused_trials=args.fused_trials,
         max_shard_retries=args.max_shard_retries,
         shard_timeout=args.shard_timeout,
         poison_policy=args.poison_policy,
@@ -629,7 +638,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_shard_retries=args.max_shard_retries,
         retry_backoff=args.retry_backoff,
         poison_policy=args.poison_policy,
-        fused_trials=args.fused_trials,
         net_chaos=net_chaos,
     )
     # Flushed before serving so scripts that bind port 0 can read the
@@ -730,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--values", type=int, nargs="+", default=[0, 1, -1])
     campaign.add_argument("--counts", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6, 7])
     campaign.add_argument("--trials", type=int, default=2)
-    campaign.add_argument("--images", type=int, default=64)
+    campaign.add_argument("--images", type=_image_count, default=64)
     campaign.add_argument("--campaign-seed", type=int, default=0)
     campaign.add_argument("--output", type=str, default="")
     campaign.add_argument("--workers", type=int, default=1,
@@ -740,9 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSONL file streaming one record per finished trial")
     campaign.add_argument("--resume", action="store_true",
                           help="skip trials already present in --checkpoint")
-    campaign.add_argument("--fused-trials", type=int, default=8,
-                          help="trials evaluated per fused engine pass (1 disables "
-                               "fusion; records are bit-identical for any value)")
     campaign.add_argument("--profile", action="store_true",
                           help="write a per-stage wall-time breakdown (tape build, "
                                "correction, suffix forward, requant) as JSON next "
@@ -783,15 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-identical for any worker count")
     sweep.add_argument("--resume", action="store_true",
                        help="complete the missing trials of an interrupted sweep")
-    sweep.add_argument("--images", type=int, default=None,
+    sweep.add_argument("--images", type=_image_count, default=None,
                        help="override the spec's evaluation-image count")
     sweep.add_argument("--sweep-seed", type=int, default=None,
                        help="override the spec's campaign seed")
     sweep.add_argument("--list", action="store_true",
                        help="print the scenario ids of the grid and exit")
-    sweep.add_argument("--fused-trials", type=int, default=8,
-                       help="trials evaluated per fused engine pass inside each "
-                            "scenario (1 disables fusion)")
     sweep.add_argument("--profile", action="store_true",
                        help="write the sweep-wide and per-scenario runtime stats "
                             "(stage wall times, GEMM and tape counters) to "
@@ -919,8 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--poison-policy", choices=("raise", "quarantine"), default="raise",
                        help="fail the job (raise) or record the poison lease "
                             "and keep going (quarantine)")
-    serve.add_argument("--fused-trials", type=int, default=8,
-                       help="trials per fused engine pass on the workers")
     serve.add_argument("--net-chaos", type=str, default="",
                        help="inject network faults for testing recovery: a JSON "
                             "plan file (the --chaos-plan format) or an inline "
@@ -989,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     heatmap = subparsers.add_parser("heatmap", help="run the single-site sweep (Fig. 3 style)")
     _add_model_arguments(heatmap)
     heatmap.add_argument("--value", type=int, default=0)
-    heatmap.add_argument("--images", type=int, default=64)
+    heatmap.add_argument("--images", type=_image_count, default=64)
     heatmap.add_argument("--campaign-seed", type=int, default=0)
     heatmap.add_argument("--output", type=str, default="")
     heatmap.set_defaults(func=_cmd_heatmap)

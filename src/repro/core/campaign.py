@@ -26,26 +26,18 @@ logger = get_logger(__name__)
 class CampaignConfig:
     """Parameters of one campaign run.
 
-    None of these knobs changes campaign *records* — fused evaluation,
-    shared batches and fault recovery are execution details certified
-    bit-identical to the plain per-trial path.  Per-stage wall times are
+    The fault-recovery knobs never change campaign *records*: a recovered
+    run is bit-identical to an undisturbed one.  Per-stage wall times are
     always collected into ``CampaignResult.runtime_stats``; no knob arms
-    them.
+    them.  How many trials share an engine pass is the platform's call
+    (see :meth:`EmulationPlatform.accuracies_with_faults
+    <repro.core.platform.EmulationPlatform.accuracies_with_faults>`).
     """
 
     batch_size: int = 64
     seed: int = 0
     #: Evaluate at most this many images per trial (None = all provided).
     max_images: int | None = None
-    #: Trials evaluated per fused engine pass (1 disables fusion).  A group
-    #: shares every clean-prefix layer's taped GEMM and runs the diverged
-    #: suffix as one stacked pass, amortising per-trial dispatch overhead.
-    #: Records are bit-identical for any value.
-    fused_trials: int = 8
-    #: Map the evaluation images/labels into worker processes via
-    #: ``multiprocessing.shared_memory`` instead of pickling one private
-    #: copy per worker (ignored for serial runs).
-    shared_batches: bool = True
     #: Re-lease attempts after a shard's first failure before it turns
     #: poison (0 = fail on the first dead/hung worker, as the old fail-fast
     #: runner did).  Recovery cannot change records: trials are pure

@@ -71,7 +71,6 @@ from repro.core.campaign import CampaignConfig
 from repro.core.chaos import ChaosMonkey
 from repro.core.platform import EmulationPlatform, PlatformConfig
 from repro.core.results import CampaignResult, TrialRecord
-from repro.core.shm import SharedBatch, release_batch, resolve_batch
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.strategies import InjectionStrategy, StrategyTrial
 from repro.core.leasebook import LeaseBook, ShardLease
@@ -89,6 +88,10 @@ CHECKPOINT_VERSION = 1
 
 #: Default result-queue poll interval when no hang deadline bounds it.
 DEFAULT_POLL = 0.5
+
+#: Trials :meth:`TrialServer.records` hands the platform per call: the
+#: records of one call reach the checkpoint and the result queue together.
+TRIALS_PER_CALL = 8
 
 
 @dataclass(frozen=True)
@@ -373,28 +376,22 @@ class TrialServer:
         config: CampaignConfig,
         monkey: ChaosMonkey | None = None,
     ) -> Iterator[TrialRecord]:
-        """Yield the records of ``indices`` in order, fusing groups of trials.
+        """Yield the records of ``indices`` in order.
 
-        Consecutive trials are evaluated ``config.fused_trials`` at a time
-        through :meth:`EmulationPlatform.accuracies_with_faults`, which runs
-        fusable configurations as stacked multi-trial engine passes and the
-        rest one at a time — the records are bit-identical to per-trial
-        evaluation for any group size, so sharding, resuming and fusing
-        compose freely.  ``monkey`` strikes after each yielded record.
+        Consecutive trials go to
+        :meth:`EmulationPlatform.accuracies_with_faults`
+        :data:`TRIALS_PER_CALL` at a time; the platform decides which of
+        them share an engine pass.  Records are bit-identical to per-trial
+        evaluation, so sharding, resuming and fusing compose freely.
+        ``monkey`` strikes after each yielded record.
         """
         pairs = [(index, trial_at(index)) for index in indices]
-        group = max(1, config.fused_trials)
-        for start in range(0, len(pairs), group):
-            chunk = pairs[start : start + group]
-            configs = [trial.config for _, trial in chunk]
-            if len(chunk) == 1:
-                accuracies = [self.platform.accuracy_with_faults(
-                    configs[0], self.images, self.labels, batch_size=config.batch_size
-                )]
-            else:
-                accuracies = self.platform.accuracies_with_faults(
-                    configs, self.images, self.labels, batch_size=config.batch_size
-                )
+        for start in range(0, len(pairs), TRIALS_PER_CALL):
+            chunk = pairs[start : start + TRIALS_PER_CALL]
+            accuracies = self.platform.accuracies_with_faults(
+                [trial.config for _, trial in chunk],
+                self.images, self.labels, batch_size=config.batch_size,
+            )
             for (index, trial), accuracy in zip(chunk, accuracies):
                 yield TrialRecord(
                     trial_index=index,
@@ -500,7 +497,8 @@ def _round_worker(
     spec: PlatformSpec,
     strategy: InjectionStrategy,
     config: CampaignConfig,
-    batch,
+    images: np.ndarray,
+    labels: np.ndarray,
     tasks: mp.Queue,
     results: mp.Queue,
 ) -> None:
@@ -514,8 +512,8 @@ def _round_worker(
     ``token`` is ``(pool slot, epoch)``: the epoch bumps every time the
     slot's process is respawned after a failure, so a terminated worker's
     late lifecycle messages can never complete a later epoch's lease.
-    ``batch`` is either a zero-copy :class:`~repro.core.shm.SharedBatch`
-    (mapped, not pickled) or a plain ``(images, labels)`` tuple.
+    ``images`` and ``labels`` arrive with the process: fork shares the
+    parent's pages, and spawn pickles them.
     """
 
     def flush() -> None:
@@ -526,7 +524,6 @@ def _round_worker(
     try:
         _worker_setup()
         monkey = ChaosMonkey(config.chaos, *token, flush=flush)
-        images, labels = resolve_batch(batch)
         server = TrialServer(spec, images, labels, config.batch_size)
         results.put(("meta", token, (server.baseline, server.ips)))
         monkey.on_record(0)
@@ -539,8 +536,6 @@ def _round_worker(
         results.put(("done", token, None))
     except Exception:  # pragma: no cover - exercised via the parent's error path
         results.put(("error", token, traceback.format_exc()))
-    finally:
-        release_batch(batch)
 
 
 def terminate_process(proc, grace: float = 5.0) -> None:
@@ -959,23 +954,6 @@ class ParallelCampaignRunner:
             workers=stats.get("workers"),
         )
 
-    def _make_batch(self, images: np.ndarray, labels: np.ndarray):
-        """``(batch payload, shared handle or None)`` for worker processes.
-
-        With ``shared_batches`` the arrays live in one shared-memory block
-        that workers map instead of unpickling private copies; any failure
-        degrades to passing the arrays directly.
-        """
-        if self.config.shared_batches:
-            try:
-                shared = SharedBatch.create(images, labels)
-                return shared, shared
-            except Exception as exc:  # pragma: no cover - platform-specific
-                logger.warning(
-                    "shared-memory batch unavailable (%s); passing arrays directly", exc
-                )
-        return (images, labels), None
-
     # ------------------------------------------------------------------
     # The one campaign body: a lease book driven by a transport
     # ------------------------------------------------------------------
@@ -1070,14 +1048,13 @@ class ParallelCampaignRunner:
         )
         ctx = mp.get_context(method)
         results: mp.Queue = ctx.Queue()
-        batch = None
 
         def start(slot_id: int, epoch: int):
             tasks = ctx.Queue()
             proc = ctx.Process(
                 target=_round_worker,
-                args=((slot_id, epoch), self.spec, self.strategy, cfg, batch,
-                      tasks, results),
+                args=((slot_id, epoch), self.spec, self.strategy, cfg, images,
+                      labels, tasks, results),
                 daemon=True,
             )
             proc.start()
@@ -1085,16 +1062,8 @@ class ParallelCampaignRunner:
 
         pool = WorkerPool(self.workers, start=start, results=results,
                           timeout=cfg.shard_timeout)
-        # The /dev/shm batch segment is allocated *inside* the try: workers
-        # release their attachment in a `finally`, but a worker killed
-        # mid-trial never runs it, so the unlink below is the only thing
-        # standing between an abnormal exit and a leaked segment.
-        shared = None
         try:
-            batch, shared = self._make_batch(images, labels)
             pool.serve(book, sink)
             pool.shutdown(book, sink)
         finally:
             pool.close()
-            if shared is not None:
-                shared.unlink()

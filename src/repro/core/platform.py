@@ -28,6 +28,18 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
+#: Ceiling on the samples (trials x batch chunk) of one fused multi-trial
+#: pass.  Fusing amortises per-trial dispatch overhead, which wins when
+#: chunks are small; past this many samples the stacked intermediates blow
+#: the cache hierarchy and per-trial passes are faster.
+FUSED_STACK_SAMPLES = 64
+
+#: Byte ceiling on the largest per-layer accumulator of one fused stack
+#: (the quantity that actually thrashes the cache hierarchy), measured
+#: from the taped conv/FC output shapes (8 bytes per output element), so
+#: wider models fuse fewer trials per pass.
+FUSED_STACK_BYTES = 4 << 20
+
 
 def _release_free_heap() -> None:
     """Hand freed heap pages back to the OS (glibc; a no-op elsewhere).
@@ -61,22 +73,10 @@ class PlatformConfig:
     #: Byte budget of the clean-activation tape (0 disables it).  The tape
     #: records the whole clean forward per evaluation-batch chunk during
     #: the baseline pass; fault trials then re-execute only the network
-    #: suffix that diverges from it (delta propagation) and support fused
-    #: multi-trial evaluation.  Records are bit-identical either way.
+    #: suffix that diverges from it (delta propagation), fusing several
+    #: trials per pass; without it every trial runs alone.  Records are
+    #: bit-identical either way.
     tape_bytes: int = 256 << 20
-    #: Ceiling on the total samples (trials x batch chunk) of one fused
-    #: multi-trial engine pass.  Fusing amortises per-trial dispatch
-    #: overhead, which wins when chunks are small; past this many samples
-    #: the stacked intermediates blow the cache hierarchy and per-trial
-    #: evaluation is faster, so oversized groups are split automatically.
-    #: Purely a performance knob — records are bit-identical for any value.
-    fused_stack_samples: int = 64
-    #: Byte ceiling on the largest per-layer accumulator of one fused
-    #: stack (the quantity that actually thrashes the cache hierarchy);
-    #: derived from the taped conv/FC output shapes after the baseline
-    #: pass (8 bytes per output element), so wider models automatically
-    #: fuse fewer trials per pass.
-    fused_stack_bytes: int = 4 << 20
 
 
 class EmulationPlatform:
@@ -162,59 +162,49 @@ class EmulationPlatform:
         labels: np.ndarray,
         batch_size: int = 64,
     ) -> list[float]:
-        """Accuracies of several fault configurations, fused when profitable.
+        """Accuracies of several fault configurations, in fused groups.
 
-        Configurations whose fault models are all deterministic (see
-        :func:`~repro.accelerator.engine.config_fusable`) are evaluated in
-        stacked multi-trial passes per batch chunk; the rest fall back to
-        one :meth:`accuracy_with_faults` call each.  Group size is capped so
-        a fused pass never stacks more than
-        :attr:`PlatformConfig.fused_stack_samples` samples — fusing
-        amortises dispatch overhead for small chunks but thrashes the cache
-        hierarchy for large ones, and a cap of one sends every trial down
-        the serial delta path.  The returned list is aligned with
-        ``configs`` and bit-identical to evaluating every configuration on
-        its own.
+        Fusion is on exactly when the clean-activation tape is armed, since
+        the group cap is measured from the taped accumulator shapes.  Then
+        configurations whose fault models are all deterministic (see
+        :func:`~repro.accelerator.engine.config_fusable`) run in groups of
+        up to the group cap per pass; every other configuration runs
+        alone, in index order, because transient pulses draw from the
+        engine's RNG stream.  Each group is one
+        :meth:`Runtime.accuracy_multi <repro.runtime.runtime.Runtime.accuracy_multi>`
+        call, and the returned list, aligned with ``configs``, is
+        bit-identical to evaluating every configuration on its own.
         """
         from repro.accelerator.engine import config_fusable
 
-        if not configs:
-            return []
-        per_chunk = min(batch_size, len(images)) or 1
-        group_cap = max(1, self.config.fused_stack_samples // per_chunk)
-        tape = self.accelerator.tape
-        per_sample = (
-            tape.max_accumulator_bytes_per_sample() if tape is not None else None
-        )
-        if per_sample:
-            byte_cap = max(1, self.config.fused_stack_bytes // (per_chunk * per_sample))
-            group_cap = min(group_cap, byte_cap)
-        fusable = (
-            self.config.engine == "vectorised"
-            and group_cap > 1
-            and len(configs) > 1
-        )
-        accuracies: list[float | None] = [None] * len(configs)
-        fused_idx = [
-            i for i, c in enumerate(configs) if fusable and config_fusable(c)
-        ]
-        if len(fused_idx) > 1:
-            self.runtime.clear_faults()
-            for start in range(0, len(fused_idx), group_cap):
-                group = fused_idx[start : start + group_cap]
-                if len(group) == 1:
-                    continue  # a lone leftover goes down the serial path
-                fused_accs = self.runtime.accuracy_multi(
-                    [configs[i] for i in group], images, labels, batch_size=batch_size
-                )
-                for i, acc in zip(group, fused_accs):
-                    accuracies[i] = acc
-        for i, config in enumerate(configs):
-            if accuracies[i] is None:
-                accuracies[i] = self.accuracy_with_faults(
-                    config, images, labels, batch_size=batch_size
-                )
+        cap = self._group_cap(batch_size, len(images))
+        fusable = [cap > 1 and config_fusable(c) for c in configs]
+        fused = [i for i, yes in enumerate(fusable) if yes]
+        groups = [fused[start : start + cap] for start in range(0, len(fused), cap)]
+        groups += [[i] for i, yes in enumerate(fusable) if not yes]
+        accuracies: list[float] = [0.0] * len(configs)
+        for group in groups:
+            found = self.runtime.accuracy_multi(
+                [configs[i] for i in group], images, labels, batch_size=batch_size
+            )
+            for i, accuracy in zip(group, found):
+                accuracies[i] = accuracy
         return accuracies
+
+    def _group_cap(self, batch_size: int, num_images: int) -> int:
+        """Trials per fused pass over chunks of ``batch_size`` images: 1
+        without a tape, else the most that stay within
+        :data:`FUSED_STACK_SAMPLES` samples and :data:`FUSED_STACK_BYTES`
+        of per-layer accumulator."""
+        tape = self.accelerator.tape
+        if tape is None:
+            return 1
+        per_chunk = min(batch_size, num_images) or 1
+        cap = FUSED_STACK_SAMPLES // per_chunk
+        per_sample = tape.max_accumulator_bytes_per_sample()
+        if per_sample:
+            cap = min(cap, FUSED_STACK_BYTES // (per_chunk * per_sample))
+        return max(1, cap)
 
     def cpu_reference_accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the bit-exact CPU backend (must equal the fault-free emulator)."""

@@ -382,15 +382,14 @@ class ExperimentSpec:
         faults = [FaultAxis.from_dict(d) for d in data.pop("faults", [])]
         strategies = [StrategyAxis.from_dict(d) for d in data.pop("strategies", [])]
         platforms = [PlatformAxis.from_dict(d) for d in data.pop("platforms", [])]
-        kwargs = {}
-        for key in ("images", "seed", "batch_size"):
-            if key in data:
-                kwargs[key] = int(data.pop(key))
-        if "max_shard_retries" in data:
-            kwargs["max_shard_retries"] = int(data.pop("max_shard_retries"))
-        for key in ("shard_timeout", "retry_backoff"):
-            if key in data:
-                kwargs[key] = float(data.pop(key))
+        scalars = {key: data.pop(key) for key in _SPEC_SCALARS if key in data}
+        problems = [_spec_scalar_problem(key, value) for key, value in scalars.items()]
+        if any(problems):
+            raise ValueError("; ".join(p for p in problems if p))
+        kwargs = {
+            key: float(value) if _SPEC_SCALARS[key][0] == "float" else value
+            for key, value in scalars.items()
+        }
         adaptive = data.pop("adaptive", None)
         if adaptive is not None:
             kwargs["adaptive"] = AdaptiveCampaignPlan.from_dict(adaptive)
@@ -690,11 +689,24 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     return _dedup(errors)
 
 
-#: Scalar spec keys and their :data:`repro.utils.checked.TYPES` types.
+#: Scalar spec keys: their :data:`repro.utils.checked.TYPES` type and
+#: least value.
 _SPEC_SCALARS = {
-    "images": "int", "seed": "int", "batch_size": "int", "max_shard_retries": "int",
-    "shard_timeout": "float", "retry_backoff": "float",
+    "images": ("int", 1), "seed": ("int", None), "batch_size": ("int", 1),
+    "max_shard_retries": ("int", 0), "shard_timeout": ("float", None),
+    "retry_backoff": ("float", 0),
 }
+
+
+def _spec_scalar_problem(key: str, value) -> str | None:
+    """What is wrong with scalar spec key ``key`` holding ``value``, if
+    anything; the one check of :func:`validate_spec_data` and
+    :meth:`ExperimentSpec.from_dict`."""
+    type_name, minimum = _SPEC_SCALARS[key]
+    problem = type_problem(type_name, value, minimum)
+    if problem is None and key == "shard_timeout" and not value > 0:
+        problem = f"must be positive, got {value}"
+    return None if problem is None else f"spec key {key!r} {problem}"
 
 
 def validate_spec_data(data: dict) -> list[str]:
@@ -738,18 +750,11 @@ def validate_spec_data(data: dict) -> list[str]:
         if len(names) != len(set(names)):
             errors.append(f"duplicate names in {key!r}: {sorted(names)}")
 
-    for key, type_name in _SPEC_SCALARS.items():
+    for key in _SPEC_SCALARS:
         if key in data:
-            value = data.pop(key)
-            problem = type_problem(type_name, value)
+            problem = _spec_scalar_problem(key, data.pop(key))
             if problem:
-                errors.append(f"spec key {key!r} {problem}")
-            elif key == "max_shard_retries" and value < 0:
-                errors.append(f"spec key 'max_shard_retries' must be >= 0, got {value}")
-            elif key == "shard_timeout" and value <= 0:
-                errors.append(f"spec key 'shard_timeout' must be positive, got {value}")
-            elif key == "retry_backoff" and value < 0:
-                errors.append(f"spec key 'retry_backoff' must be >= 0, got {value}")
+                errors.append(problem)
     adaptive = data.pop("adaptive", None)
     if adaptive is not None:
         try:
@@ -946,7 +951,6 @@ class SweepRunner:
         resolver: ScenarioResolver | None = None,
         cache_dir: Path | str | None = None,
         plan: AdaptiveCampaignPlan | None = None,
-        fused_trials: int = 8,
         max_shard_retries: int | None = None,
         shard_timeout: float | None = None,
         retry_backoff: float | None = None,
@@ -983,9 +987,6 @@ class SweepRunner:
         self.resolver = resolver or functools.partial(
             resolve_scenario, images=self.images, cache_dir=cache_dir
         )
-        #: Trials per fused engine pass inside every scenario campaign
-        #: (1 disables fusion; scenario records are bit-identical either way).
-        self.fused_trials = fused_trials
         #: Fault-tolerance knobs for every scenario campaign: explicit
         #: argument > spec value > CampaignConfig default.  Operational
         #: only — they never change scenario records.
@@ -1030,7 +1031,6 @@ class SweepRunner:
                 CampaignConfig(
                     batch_size=self.batch_size,
                     seed=self.seed,
-                    fused_trials=self.fused_trials,
                     chaos=self.chaos,
                     **{
                         key: value

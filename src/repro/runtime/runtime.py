@@ -11,7 +11,7 @@ campaigns in :mod:`repro.core` talk to.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,55 +39,6 @@ class InferenceResult:
         return int(self.logits.shape[0])
 
 
-@dataclass
-class RuntimeStatistics:
-    """Counters accumulated over the runtime's lifetime.
-
-    ``per_config_images`` aggregates by fault-model *kind* (model labels +
-    armed-site count) rather than by full configuration description: a
-    million-trial campaign arms a million distinct configurations, and one
-    dict entry each would grow without bound.  ``max_tracked_configs`` is a
-    backstop for strategies that still produce many kinds (e.g. sweeping
-    every constant value) — once reached, new kinds land in ``"(other)"``.
-    """
-
-    inferences: int = 0
-    images: int = 0
-    wall_seconds: float = 0.0
-    fi_reconfigurations: int = 0
-    per_config_images: dict[str, int] = field(default_factory=dict)
-    max_tracked_configs: int = 256
-
-    @staticmethod
-    def _config_key(injection: InjectionConfig) -> str:
-        if not injection.enabled:
-            return "fault-free"
-        labels = sorted({model.label() for model in injection.faults.values()})
-        return f"{'+'.join(labels)} x{len(injection)}"
-
-    def record(self, result: InferenceResult) -> None:
-        self.inferences += 1
-        self.images += result.batch_size
-        self.wall_seconds += result.wall_seconds
-        self._count_config(result.injection, result.batch_size)
-
-    def record_fused(
-        self, injections: list[InjectionConfig], batch_size: int, wall_seconds: float
-    ) -> None:
-        """Account one fused multi-trial pass (one inference per trial)."""
-        self.inferences += len(injections)
-        self.images += len(injections) * batch_size
-        self.wall_seconds += wall_seconds
-        for injection in injections:
-            self._count_config(injection, batch_size)
-
-    def _count_config(self, injection: InjectionConfig, batch_size: int) -> None:
-        key = self._config_key(injection)
-        if key not in self.per_config_images and len(self.per_config_images) >= self.max_tracked_configs:
-            key = "(other)"
-        self.per_config_images[key] = self.per_config_images.get(key, 0) + batch_size
-
-
 class Runtime:
     """Loads a loadable onto an accelerator and runs inference jobs."""
 
@@ -99,7 +50,6 @@ class Runtime:
         self.accelerator = accelerator or NVDLAAccelerator()
         self.timing_model = timing_model or TimingModel(geometry=self.accelerator.geometry)
         self.loadable: Loadable | None = None
-        self.stats = RuntimeStatistics()
         self._timing_cache: TimingReport | None = None
 
     # ------------------------------------------------------------------
@@ -123,7 +73,6 @@ class Runtime:
     def configure_faults(self, config: InjectionConfig | None) -> None:
         """Program a fault-injection configuration (None disarms)."""
         self.accelerator.set_injection_config(config)
-        self.stats.fi_reconfigurations += 1
 
     def clear_faults(self) -> None:
         self.configure_faults(InjectionConfig.fault_free())
@@ -150,7 +99,6 @@ class Runtime:
             wall_seconds=wall,
             emulated_latency_s=self.emulated_latency_seconds() * len(images),
         )
-        self.stats.record(result)
         return result
 
     def accuracy(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
@@ -186,15 +134,11 @@ class Runtime:
         for start in range(0, total, batch_size):
             batch = images[start : start + batch_size]
             chunk_labels = np.asarray(labels[start : start + batch_size])
-            t0 = time.perf_counter()
             logits = self.accelerator.execute_fused(
                 loadable, batch, configs, chunk_key=(start, len(batch))
             )
-            wall = time.perf_counter() - t0
             predictions = np.asarray(logits).argmax(axis=-1).reshape(groups, len(batch))
             correct += (predictions == chunk_labels[None, :]).sum(axis=1)
-            self.stats.record_fused(configs, len(batch), wall)
-        self.stats.fi_reconfigurations += groups
         return [int(c) / max(total, 1) for c in correct]
 
     # ------------------------------------------------------------------

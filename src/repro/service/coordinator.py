@@ -88,7 +88,6 @@ class CampaignCoordinator:
         max_shard_retries: int = 2,
         retry_backoff: float = 0.25,
         poison_policy: str = "raise",
-        fused_trials: int = 8,
         net_chaos: ChaosPlan | None = None,
         clock=time.monotonic,
     ):
@@ -107,7 +106,6 @@ class CampaignCoordinator:
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
         self.poison_policy = poison_policy
-        self.fused_trials = fused_trials
         self.clock = clock
         self.chaos = NetworkChaos(net_chaos) if net_chaos is not None else None
         self._lock = threading.RLock()
@@ -210,7 +208,6 @@ class CampaignCoordinator:
                 backoff=self.retry_backoff,
                 poison_policy=self.poison_policy,
                 heartbeat_timeout=self.heartbeat_timeout,
-                fused_trials=self.fused_trials,
                 clock=self.clock,
             )
             self.jobs[job_id] = job

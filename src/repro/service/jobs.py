@@ -143,7 +143,6 @@ class FleetJob:
         backoff: float = 0.25,
         poison_policy: str = "raise",
         heartbeat_timeout: float = 10.0,
-        fused_trials: int = 8,
         clock: Callable[[], float] = time.monotonic,
     ):
         if shard_size < 1:
@@ -152,7 +151,6 @@ class FleetJob:
         self.spec = spec
         self.artifacts_dir = Path(artifacts_dir)
         self.heartbeat_timeout = heartbeat_timeout
-        self.fused_trials = fused_trials
         self.clock = clock
         self.state = JOB_QUEUED
         self.error = ""
@@ -214,7 +212,6 @@ class FleetJob:
             seed=self.spec.seed,
             images=self.spec.images,
             batch_size=self.spec.batch_size,
-            fused_trials=self.fused_trials,
         )
 
     def _issue_lease_id(self, position: int) -> int:

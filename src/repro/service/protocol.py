@@ -115,7 +115,6 @@ class LeaseGrant(Message):
     seed: int = field(default=0, metadata={"min": -(2**63)})
     images: int = field(default=64, metadata={"min": 1})
     batch_size: int = field(default=64, metadata={"min": 1})
-    fused_trials: int = field(default=8, metadata={"min": 1})
 
 
 @dataclass(frozen=True)

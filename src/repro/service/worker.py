@@ -240,11 +240,7 @@ class WorkerAgent:
 
         try:
             server = self._server_for(scenario, grant)
-            config = CampaignConfig(
-                batch_size=grant.batch_size,
-                seed=grant.seed,
-                fused_trials=grant.fused_trials,
-            )
+            config = CampaignConfig(batch_size=grant.batch_size, seed=grant.seed)
             trial_at, _ = server.trial_source(scenario.build_strategy(), grant.seed)
             # First batch carries the campaign meta (baseline, throughput,
             # actual image count) — the fleet analogue of the local worker's

@@ -58,13 +58,17 @@ def _problem(expected: str, value: Any) -> str:
     return f"must be {expected}, got {type(value).__name__} {value!r}"
 
 
-def type_problem(name: str, value: Any) -> str | None:
+def type_problem(name: str, value: Any, minimum: float | None = None) -> str | None:
     """``None`` if ``value`` is of type ``name`` (a scalar or ``tuple[X, ...]``),
-    else the problem, e.g. ``"must be an integer, got str 'x'"``."""
+    and a scalar at least ``minimum`` when that is given, else the problem,
+    e.g. ``"must be an integer >= 1, got int 0"``."""
     element = _element(name)
     if element is None:
         expected, _, test = TYPES[name]
-        return None if test(value) else _problem(expected, value)
+        if minimum is not None:
+            expected += f" >= {minimum}"
+        ok = test(value) and (minimum is None or value >= minimum)
+        return None if ok else _problem(expected, value)
     _, plural, test = TYPES[element]
     if isinstance(value, (list, tuple)) and all(test(item) for item in value):
         return None

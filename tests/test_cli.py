@@ -55,18 +55,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep"])
 
-    def test_profile_and_fused_flags(self):
-        args = build_parser().parse_args(
-            ["campaign", "--profile", "--fused-trials", "4"]
-        )
+    def test_profile_flags(self):
+        args = build_parser().parse_args(["campaign", "--profile"])
         assert args.profile is True
-        assert args.fused_trials == 4
         args = build_parser().parse_args(["campaign"])
-        assert args.profile is False and args.fused_trials == 8
-        args = build_parser().parse_args(
-            ["sweep", "--spec", "grid.toml", "--profile", "--fused-trials", "2"]
-        )
-        assert args.profile is True and args.fused_trials == 2
+        assert args.profile is False
+        args = build_parser().parse_args(["sweep", "--spec", "grid.toml", "--profile"])
+        assert args.profile is True
+
+    @pytest.mark.parametrize("command", [["campaign"], ["sweep", "--spec", "grid.toml"]])
+    @pytest.mark.parametrize("images", ["0", "-5", "2.9", "many"])
+    def test_images_below_one_rejected(self, command, images, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--images", images])
+        assert exit_info.value.code == 2
+        assert "argument --images: must be an integer >= 1" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

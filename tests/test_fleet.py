@@ -300,6 +300,16 @@ class TestServiceEndpoints:
         finally:
             coordinator.shutdown()
 
+    def test_out_of_range_spec_refused_before_any_job(self, tmp_path):
+        coordinator = make_coordinator(tmp_path)
+        try:
+            client = CoordinatorClient(coordinator.url, timeout=5.0, retries=2, backoff=0.05)
+            with pytest.raises(ServiceError, match="'images' must be an integer >= 1"):
+                client.submit_job({"images": 0})
+            assert coordinator.jobs == {}
+        finally:
+            coordinator.shutdown()
+
     def test_unknown_job_and_endpoint_rejected(self, tmp_path):
         coordinator = make_coordinator(tmp_path)
         try:

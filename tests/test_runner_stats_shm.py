@@ -1,21 +1,34 @@
 """Runner-level tests of the delta engine's execution plumbing.
 
-Covers the pieces around the engine itself: zero-copy shared-memory
-batches, per-worker runtime-statistics aggregation (GEMM counters, tape
-hit rates, always-on per-stage wall times reported per run), and the
-invariance of campaign records under every fused-group size.
+Covers the pieces around the engine itself: per-worker runtime-statistics
+aggregation (GEMM counters, tape hit rates, always-on per-stage wall times
+reported per run), the one trial path from a lease to the op loop, the
+invariance of campaign records under fusion, and a killed worker leaving
+no shared-memory segment behind.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
+import os
+
 import pytest
 
+from repro.accelerator.accelerator import NVDLAAccelerator
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
-from repro.core.parallel import ParallelCampaignRunner, merge_runtime_stats
+from repro.core.parallel import ParallelCampaignRunner, TrialServer, merge_runtime_stats
 from repro.core.results import CampaignResult
-from repro.core.shm import SharedBatch, release_batch, resolve_batch
-from repro.core.strategies import RandomMultipliers
+from repro.core.strategies import RandomMultipliers, StrategyTrial
+from repro.faults.injector import InjectionConfig
+from repro.faults.models import (
+    ConstantValue,
+    StuckAtOne,
+    StuckAtZero,
+    TransientPulse,
+    WeightBitFlip,
+)
+from repro.faults.sites import FaultSite, MemorySite
+from repro.runtime.runtime import Runtime
 
 
 STRATEGY = RandomMultipliers(values=(0, -1), fault_counts=(1, 3), trials_per_point=2)
@@ -27,43 +40,29 @@ def _config(**overrides) -> CampaignConfig:
     return CampaignConfig(**base)
 
 
-class TestSharedBatch:
-    def test_round_trip_preserves_arrays(self):
-        images = np.random.default_rng(0).random((8, 3, 4, 4)).astype(np.float32)
-        labels = np.arange(8, dtype=np.int64)
-        batch = SharedBatch.create(images, labels)
-        try:
-            out_images, out_labels = resolve_batch(batch)
-            np.testing.assert_array_equal(out_images, images)
-            np.testing.assert_array_equal(out_labels, labels)
-            assert not out_images.flags.writeable
-            assert batch.nbytes == images.nbytes + labels.nbytes
-        finally:
-            batch.unlink()
+def _tapeless(spec):
+    """``spec`` with the clean-activation tape off: one trial per pass."""
+    return dataclasses.replace(
+        spec, platform_config=dataclasses.replace(spec.platform_config, tape_bytes=0)
+    )
 
-    def test_pickle_carries_metadata_not_payload(self):
-        import pickle
 
-        images = np.ones((4, 2), dtype=np.float32)
-        labels = np.zeros(4, dtype=np.int64)
-        batch = SharedBatch.create(images, labels)
-        try:
-            blob = pickle.dumps(batch)
-            assert len(blob) < 1024  # metadata only, no array bytes
-            clone = pickle.loads(blob)
-            clone_images, clone_labels = clone.arrays()
-            np.testing.assert_array_equal(clone_images, images)
-            np.testing.assert_array_equal(clone_labels, labels)
-            release_batch(clone)
-        finally:
-            batch.unlink()
+@pytest.fixture(scope="module")
+def tapeless_platform(tiny_platform_spec):
+    return _tapeless(tiny_platform_spec).build()
 
-    def test_plain_tuple_passthrough(self):
-        images = np.ones((2, 2))
-        labels = np.zeros(2)
-        out_images, out_labels = resolve_batch((images, labels))
-        assert out_images is images and out_labels is labels
-        release_batch((images, labels))  # no-op, must not raise
+
+def _count_fused_configs(monkeypatch) -> dict[int, list[int]]:
+    """Log ``len(configs)`` of every ``execute_fused`` call, per accelerator."""
+    sizes: dict[int, list[int]] = {}
+    real = NVDLAAccelerator.execute_fused
+
+    def counting(self, loadable, images, configs, chunk_key=None):
+        sizes.setdefault(id(self), []).append(len(configs))
+        return real(self, loadable, images, configs, chunk_key=chunk_key)
+
+    monkeypatch.setattr(NVDLAAccelerator, "execute_fused", counting)
+    return sizes
 
 
 class TestRuntimeStatsAggregation:
@@ -145,83 +144,101 @@ class TestRuntimeStatsAggregation:
         assert result.summary()["runtime_stats"] == result.runtime_stats
 
 
-class TestFusedGroupInvariance:
-    @pytest.mark.parametrize("fused_trials", [1, 3, 8])
-    def test_records_identical_for_any_group_size(
-        self, tiny_platform, tiny_dataset, fused_trials
+class TestOneTrialPath:
+    def test_mixed_lease_makes_only_fused_calls(
+        self, tiny_platform_spec, tiny_dataset, monkeypatch
     ):
-        campaign = FaultInjectionCampaign(
-            tiny_platform, STRATEGY, _config(fused_trials=fused_trials)
+        """Every trial after the baseline pass, fusable or not, is one
+        ``Runtime.accuracy_multi`` group: no trial arms the accelerator or
+        takes the ``execute`` path.  Transient pulses draw from the engine
+        RNG, so both servers are fresh and must run them in index order."""
+        images, labels = tiny_dataset.test_images[:8], tiny_dataset.test_labels[:8]
+        weight_flip = InjectionConfig.uniform(
+            [MemorySite("weight", 5, 6)], WeightBitFlip(dwell_start=1, dwell=2)
         )
-        result = campaign.run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        reference = FaultInjectionCampaign(
-            tiny_platform, STRATEGY, _config(fused_trials=1, shared_batches=False)
-        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        assert result.records == reference.records
+        configs = [
+            InjectionConfig.single(FaultSite(0, 1), StuckAtZero()),
+            InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
+            weight_flip,
+            InjectionConfig.single(FaultSite(2, 2), StuckAtOne()),
+            InjectionConfig.single(FaultSite(1, 1), ConstantValue(-3)),
+            InjectionConfig.single(FaultSite(5, 4), TransientPulse(value=-7, duty=0.5)),
+            InjectionConfig.single(FaultSite(6, 7), StuckAtZero()),
+            InjectionConfig.uniform(
+                [MemorySite("weight", 40, 1)], WeightBitFlip(dwell_start=0, dwell=1)
+            ),
+        ]
+        trials = [StrategyTrial(config=c, num_faults=len(c)) for c in configs]
+        servers = [
+            TrialServer(spec, images, labels, batch_size=8)
+            for spec in (tiny_platform_spec, _tapeless(tiny_platform_spec))
+        ]
 
-    def test_shared_batches_off_matches_on(self, tiny_platform_spec, tiny_dataset):
-        on = ParallelCampaignRunner(
-            tiny_platform_spec, STRATEGY, _config(shared_batches=True), workers=2
-        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        off = ParallelCampaignRunner(
-            tiny_platform_spec, STRATEGY, _config(shared_batches=False), workers=2
-        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
-        assert on.records == off.records
-        assert on.baseline_accuracy == off.baseline_accuracy
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called after the baseline pass")
+            return call
+
+        monkeypatch.setattr(Runtime, "accuracy", forbidden("Runtime.accuracy"))
+        monkeypatch.setattr(NVDLAAccelerator, "execute", forbidden("execute"))
+        monkeypatch.setattr(
+            NVDLAAccelerator, "set_injection_config", forbidden("set_injection_config")
+        )
+        sizes = _count_fused_configs(monkeypatch)
+        config = CampaignConfig(batch_size=8)
+        taped, tapeless = (
+            list(server.records(range(len(trials)), trials.__getitem__, config))
+            for server in servers
+        )
+        assert taped == tapeless
+        # 4 fusable trials share one pass; the other 4 run alone.
+        assert sorted(sizes[id(servers[0].platform.accelerator)]) == [1, 1, 1, 1, 4]
+        assert sizes[id(servers[1].platform.accelerator)] == [1] * 8
 
 
-class TestWorkerCrashReapsSharedMemory:
-    """A worker killed mid-trial must not leak the /dev/shm batch segment.
-
-    Workers release their attachment in a ``finally``, but SIGKILL never
-    runs it — the parent's own ``finally`` is the only reliable reaper, so
-    the segment allocation has to live inside the reaping ``try`` block.
-    """
-
-    def test_killed_worker_leaks_no_segment(
-        self, tiny_platform_spec, tiny_dataset, tmp_path, monkeypatch
+class TestFusedGroupInvariance:
+    def test_taped_fused_records_equal_tapeless(
+        self, tiny_platform, tapeless_platform, tiny_dataset, monkeypatch
     ):
-        import os
+        """At 8 images the taped platform fuses trials into multi-config
+        passes; the tape-less one runs each trial alone.  Records agree."""
+        sizes = _count_fused_configs(monkeypatch)
+        images, labels = tiny_dataset.test_images[:8], tiny_dataset.test_labels[:8]
+        config = _config(batch_size=8, max_images=8)
+        taped = FaultInjectionCampaign(tiny_platform, STRATEGY, config).run(images, labels)
+        tapeless = FaultInjectionCampaign(tapeless_platform, STRATEGY, config).run(
+            images, labels
+        )
+        assert taped.records == tapeless.records
+        assert max(sizes[id(tiny_platform.accelerator)]) > 1
+        assert max(sizes[id(tapeless_platform.accelerator)]) == 1
+
+
+class TestKilledWorkerLeavesNoSharedMemory:
+    """Workers get the evaluation batch with their process; a SIGKILLed
+    worker must leave nothing behind in ``/dev/shm``."""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_killed_worker_adds_no_dev_shm_entry(
+        self, tiny_platform_spec, tiny_dataset, monkeypatch
+    ):
         import signal
-        from multiprocessing import shared_memory
 
-        from repro.core import parallel, shm
-
-        created: list[str] = []
-        real_create = shm.SharedBatch.create.__func__
-
-        def recording_create(cls, images, labels):
-            batch = real_create(cls, images, labels)
-            created.append(batch._block_name)
-            return batch
-
-        monkeypatch.setattr(shm.SharedBatch, "create", classmethod(recording_create))
+        from repro.core import parallel
 
         real_worker = parallel._round_worker
 
-        def killing_worker(token, spec, strategy, config, batch, tasks, results):
+        def killing_worker(token, *args):
             if token == (0, 0):
                 # die without unwinding: no finally, no close(), no nothing
                 os.kill(os.getpid(), signal.SIGKILL)
-            real_worker(token, spec, strategy, config, batch, tasks, results)
+            real_worker(token, *args)
 
         # fork inherits the patched module global in the children
         monkeypatch.setattr(parallel, "_round_worker", killing_worker)
-
-        # max_shard_retries=0 keeps this fail-fast: the reaping ``finally``
-        # must run even when the supervisor gives up on the shard.
-        runner = ParallelCampaignRunner(
-            tiny_platform_spec,
-            STRATEGY,
-            _config(max_shard_retries=0),
-            workers=2,
-            checkpoint=tmp_path / "crash.jsonl",
-            start_method="fork",
-        )
-        with pytest.raises(RuntimeError, match="died"):
-            runner.run(tiny_dataset.test_images, tiny_dataset.test_labels)
-
-        assert created, "the parallel runner should have allocated a shared batch"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        before = set(os.listdir("/dev/shm"))
+        result = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, _config(), workers=2, start_method="fork"
+        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
+        assert result.recovery["dead_workers"] >= 1
+        assert set(os.listdir("/dev/shm")) - before == set()

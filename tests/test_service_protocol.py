@@ -69,7 +69,6 @@ MESSAGE_STRATEGIES = {
         seed=st.integers(min_value=-(2**31), max_value=2**31),
         images=st.integers(min_value=1, max_value=1024),
         batch_size=st.integers(min_value=1, max_value=1024),
-        fused_trials=st.integers(min_value=1, max_value=64),
     ),
     NoWork: st.builds(NoWork, retry_after=finite),
     RecordBatch: st.builds(

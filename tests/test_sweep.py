@@ -16,6 +16,7 @@ Three load-bearing properties:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from repro.core.sweep import (
     ScenarioGrid,
     StrategyAxis,
     SweepRunner,
+    validate_spec_data,
 )
 from repro.faults.models import (
     AccumulatorStuckAt,
@@ -96,6 +98,32 @@ class TestSpecParsing:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep spec keys"):
             ExperimentSpec.from_dict({"modles": []})
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("images", 0, "must be an integer >= 1"),
+        ("images", -5, "must be an integer >= 1"),
+        ("images", 2.9, "must be an integer >= 1"),
+        ("batch_size", 0, "must be an integer >= 1"),
+        ("batch_size", -8, "must be an integer >= 1"),
+        ("max_shard_retries", -1, "must be an integer >= 0"),
+        ("shard_timeout", 0, "must be positive"),
+        ("retry_backoff", -0.5, "must be a number >= 0"),
+        ("seed", True, "must be an integer"),
+    ])
+    def test_scalar_out_of_range_rejected_by_both_readers(self, key, value, problem):
+        expected = f"spec key {key!r} {problem}"
+        assert any(expected in p for p in validate_spec_data({key: value}))
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            ExperimentSpec.from_dict({key: value})
+
+    def test_scalars_in_range_load(self):
+        spec = ExperimentSpec.from_dict(
+            {"images": 1, "batch_size": 1, "seed": -3, "max_shard_retries": 0,
+             "shard_timeout": 2, "retry_backoff": 0}
+        )
+        assert (spec.images, spec.batch_size, spec.seed) == (1, 1, -3)
+        assert spec.shard_timeout == 2.0 and isinstance(spec.shard_timeout, float)
+        assert validate_spec_data(spec.to_dict()) == []
 
     def test_duplicate_axis_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
