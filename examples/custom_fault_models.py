@@ -5,7 +5,7 @@ The paper notes that "other fault models can easily be incorporated by
 modifying the source code".  This example shows the two extension points the
 library offers without touching any library code:
 
-1. additional built-in models (single-bit flips, transient pulses) are armed
+1. additional built-in models (single-bit flips, cycle-keyed transients) are armed
    exactly like the paper's constant overrides;
 2. the AXI4-Lite register file can be driven directly, byte for byte, the way
    the platform's Linux driver would program it.
@@ -18,7 +18,7 @@ Run with::
 from __future__ import annotations
 
 from repro.faults import FaultSite, InjectionConfig
-from repro.faults.models import BitFlip, ConstantValue, StuckAtZero, TransientPulse
+from repro.faults.models import BitFlip, ConstantValue, StuckAtZero, TransientCycleFault
 from repro.faults.registers import REG_CTRL, REG_FDATA, REG_FSEL, REG_SEL_A, FaultInjectionRegisterFile
 from repro.utils.tabulate import format_table
 from repro.zoo import CaseStudySpec, build_case_study_platform
@@ -45,7 +45,7 @@ def main() -> None:
         ConstantValue(2**15),          # a large constant: pathological pulse
         BitFlip(bit=17),               # flip the product's sign bit every cycle
         BitFlip(bit=2),                # flip a low-order bit (nearly harmless)
-        TransientPulse(value=2**14, duty=0.25),  # intermittent pulse
+        TransientCycleFault(value=2**14, duty=0.25),  # intermittent pulse
     ]
     rows = []
     for model in models:

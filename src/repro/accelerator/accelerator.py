@@ -106,8 +106,6 @@ class NVDLAAccelerator:
     engine:
         ``"vectorised"`` (default, fast) or ``"scalar"`` (literal reference,
         only practical for tiny layers).
-    seed:
-        Seed for fault models that need randomness (transient pulses).
     tape_bytes:
         Byte budget of the clean-activation tape (0 disables it).  The tape
         records the whole clean forward per batch chunk during the baseline
@@ -120,15 +118,13 @@ class NVDLAAccelerator:
         self,
         geometry: ArrayGeometry = PAPER_GEOMETRY,
         engine: str = "vectorised",
-        seed: int = 0,
         tape_bytes: int = 0,
     ):
         self.geometry = geometry
-        rng = np.random.default_rng(seed)
         if engine == "vectorised":
-            self.engine = VectorisedEngine(geometry, rng=rng)
+            self.engine = VectorisedEngine(geometry)
         elif engine == "scalar":
-            self.engine = ScalarReferenceEngine(geometry, rng=rng)
+            self.engine = ScalarReferenceEngine(geometry)
         else:
             raise ValueError(f"unknown engine {engine!r}; use 'vectorised' or 'scalar'")
         #: The clean-activation tape, if one is armed; the op loop decides
@@ -270,7 +266,7 @@ class NVDLAAccelerator:
         is bit-identical to ``execute`` with ``configs[g]`` armed.
 
         Requires no injection armed on the accelerator itself.  A group of
-        several configurations must hold only fusable fault models (see
+        several configurations must arm no memory fault (see
         :func:`~repro.accelerator.engine.config_fusable`); a single
         configuration may arm any model.
         """
@@ -285,8 +281,8 @@ class NVDLAAccelerator:
             unfusable = [c.describe() for c in configs if not config_fusable(c)]
             if unfusable:
                 raise ValueError(
-                    f"configuration(s) {unfusable} arm RNG-dependent or memory "
-                    "fault models and cannot be fused; evaluate them one at a time"
+                    f"configuration(s) {unfusable} arm memory faults and cannot "
+                    "be fused; evaluate them one at a time"
                 )
         logits, _ = self._run(loadable, images, configs, chunk_key)
         return logits
@@ -339,8 +335,8 @@ class NVDLAAccelerator:
           identity.
 
         A single configuration may also arm input-DMA and dwell-window
-        memory faults and RNG-dependent models; the fault-free baseline pass
-        (one configuration, tape recording) records each chunk's segment.
+        memory faults; the fault-free baseline pass (one configuration,
+        tape recording) records each chunk's segment.
         """
         groups = len(configs)
         per_trial = len(images)

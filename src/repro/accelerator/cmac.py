@@ -22,10 +22,9 @@ from repro.faults.sites import FaultSite
 class CMACArray:
     """The full MAC array with campaign-level fault configuration."""
 
-    def __init__(self, geometry: ArrayGeometry = PAPER_GEOMETRY, rng: np.random.Generator | None = None):
+    def __init__(self, geometry: ArrayGeometry = PAPER_GEOMETRY):
         self.geometry = geometry
-        rng = rng or np.random.default_rng(0)
-        self.mac_units = [MACUnit(geometry.muls_per_mac, rng=rng) for _ in range(geometry.num_macs)]
+        self.mac_units = [MACUnit(geometry.muls_per_mac) for _ in range(geometry.num_macs)]
         #: Accumulator-stage model per MAC unit (applied to the partial-sum
         #: bus after the adder tree, before the sum reaches the CACC).
         self.accumulator_models: dict[int, FaultModel] = {}

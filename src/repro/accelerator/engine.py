@@ -77,19 +77,11 @@ def config_fusable(config: InjectionConfig) -> bool:
     """True when a configuration can join a fused multi-trial evaluation.
 
     Fused evaluation computes several trials' correction terms inside one
-    engine pass, so every armed model must be a pure function of its inputs
-    (and, for cycle-dependent models, of the schedule's cycle indices).
-    Models that consume the engine's RNG stream (``rng_free = False``, e.g.
-    :class:`~repro.faults.models.TransientPulse`) would observe a different
-    draw order under fusion; such trials are evaluated one at a time.
-    Memory-resident models are likewise excluded: they corrupt the staged
-    operand bytes (weights, activations, input DMA) that a fused pass shares
-    across all trials of the group.
+    engine pass over a clean operand staging shared by the group, so only
+    memory-resident models are excluded: they corrupt the staged operand
+    bytes (weights, activations, input DMA) themselves.
     """
-    return all(
-        getattr(model, "rng_free", False) and model.stage != "memory"
-        for model in config.faults.values()
-    )
+    return all(model.stage != "memory" for model in config.faults.values())
 
 
 def clamp_free(
@@ -126,13 +118,8 @@ class VectorisedEngine:
     ``*_accumulate_fused`` methods only name its input form.
     """
 
-    def __init__(
-        self,
-        geometry: ArrayGeometry = PAPER_GEOMETRY,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, geometry: ArrayGeometry = PAPER_GEOMETRY):
         self.geometry = geometry
-        self.rng = rng or np.random.default_rng(0)
         # id(conv weight) -> (weak reference to it, its channels-last rows).
         self._weight_rows: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
@@ -584,7 +571,7 @@ class VectorisedEngine:
         # ~1/atomic_k slice of the layer; the clean accumulator itself still
         # comes from the BLAS-backed GEMM core.
         partials = np.einsum("ogle,nglep->nogep", w_g, cols_g)
-        faulty = model.apply(partials, self.rng)
+        faulty = model.apply(partials)
         return (faulty - partials).sum(axis=(2, 3))
 
     def _site_correction(
@@ -650,11 +637,11 @@ class VectorisedEngine:
 
         delta = np.zeros((n_batch, oc_sel.size, positions), dtype=np.int64)
         if columns.size:
-            faulty = model.apply(products, self.rng)
+            faulty = model.apply(products)
             delta += (faulty - products).sum(axis=2)
         if pad_terms:
             pad_products = np.zeros((n_batch, oc_sel.size, pad_terms, positions), dtype=np.int64)
-            pad_faulty = model.apply(pad_products, self.rng)
+            pad_faulty = model.apply(pad_products)
             delta += pad_faulty.sum(axis=2)
         return oc_sel, delta
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.accelerator.multiplier import Int8Multiplier
 from repro.faults.models import FaultModel
 
@@ -23,16 +21,13 @@ class MACUnit:
     ----------
     num_multipliers:
         Number of multiplier lanes (atomic-C); 8 in the paper.
-    rng:
-        Randomness source shared by non-deterministic fault models.
     """
 
-    def __init__(self, num_multipliers: int = 8, rng: np.random.Generator | None = None):
+    def __init__(self, num_multipliers: int = 8):
         if num_multipliers <= 0:
             raise ValueError("a MAC unit needs at least one multiplier")
         self.num_multipliers = num_multipliers
-        rng = rng or np.random.default_rng(0)
-        self.multipliers = [Int8Multiplier(rng=rng) for _ in range(num_multipliers)]
+        self.multipliers = [Int8Multiplier() for _ in range(num_multipliers)]
         #: Number of atomic operations executed (each consumes one cycle).
         self.cycles = 0
 

@@ -34,11 +34,9 @@ class Int8Multiplier:
         self,
         injector: FaultInjector | None = None,
         fault_model: FaultModel | None = None,
-        rng: np.random.Generator | None = None,
     ):
         self.injector = injector or FaultInjector.disabled()
         self.fault_model = fault_model
-        self._rng = rng or np.random.default_rng(0)
         #: Number of multiplications performed (used by the timing cross-checks).
         self.cycles = 0
 
@@ -76,7 +74,7 @@ class Int8Multiplier:
                     np.array([self.cycles - 1], dtype=np.int64),
                 )
             else:
-                faulty = self.fault_model.apply(np.array([product], dtype=np.int64), self._rng)
+                faulty = self.fault_model.apply(np.array([product], dtype=np.int64))
             return int(faulty[0])
         return product
 

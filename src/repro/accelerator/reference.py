@@ -28,9 +28,8 @@ from repro.utils.bitops import ACCUMULATOR_WIDTH, saturate
 class ScalarReferenceEngine:
     """Slow but literal per-multiplier execution of conv/FC layers."""
 
-    def __init__(self, geometry: ArrayGeometry = PAPER_GEOMETRY, rng: np.random.Generator | None = None):
+    def __init__(self, geometry: ArrayGeometry = PAPER_GEOMETRY):
         self.geometry = geometry
-        self.rng = rng or np.random.default_rng(0)
         #: Atomic operations executed by the last layer run (timing cross-check).
         self.last_atomic_ops = 0
 
@@ -77,7 +76,7 @@ class ScalarReferenceEngine:
         """
         config = config or InjectionConfig.fault_free()
         weight_flips, activation_flips = config.active_memory_flips(exec_index)
-        cmac = CMACArray(self.geometry, rng=self.rng)
+        cmac = CMACArray(self.geometry)
         cmac.apply_injection_config(config.datapath_config())
 
         if activation_flips:
@@ -161,7 +160,7 @@ class ScalarReferenceEngine:
         """Raw accumulator of a fully-connected layer via atomic operations."""
         config = config or InjectionConfig.fault_free()
         weight_flips, activation_flips = config.active_memory_flips(exec_index)
-        cmac = CMACArray(self.geometry, rng=self.rng)
+        cmac = CMACArray(self.geometry)
         cmac.apply_injection_config(config.datapath_config())
 
         if activation_flips:

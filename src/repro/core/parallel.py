@@ -636,6 +636,11 @@ class WorkerPool:
         if kind in ("record", "meta"):
             book.touch(*token)
         elif kind == "error":
+            # The worker returns right after reporting: let it exit on its
+            # own.  A SIGTERM landing while its feeder thread still holds the
+            # shared results queue's write lock would leave the lock taken,
+            # and every later worker would block on its first message.
+            slot.proc.join(5.0)
             self._fail(book, slot, f"worker raised:\n{payload}", "worker_errors")
         elif kind == "round-done":
             slot.token = None

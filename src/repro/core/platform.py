@@ -68,7 +68,6 @@ class PlatformConfig:
     per_channel_quantization: bool = True
     calibration_percentile: float | None = 99.9
     engine: str = "vectorised"
-    seed: int = 0
     name: str = "resnet18-cifar10"
     #: Byte budget of the clean-activation tape (0 disables it).  The tape
     #: records the whole clean forward per evaluation-batch chunk during
@@ -102,7 +101,6 @@ class EmulationPlatform:
         self.accelerator = NVDLAAccelerator(
             geometry=self.config.geometry,
             engine=self.config.engine,
-            seed=self.config.seed,
             tape_bytes=self.config.tape_bytes,
         )
         self.runtime = Runtime(accelerator=self.accelerator)
@@ -166,11 +164,12 @@ class EmulationPlatform:
 
         Fusion is on exactly when the clean-activation tape is armed, since
         the group cap is measured from the taped accumulator shapes.  Then
-        configurations whose fault models are all deterministic (see
+        configurations that arm no memory fault (see
         :func:`~repro.accelerator.engine.config_fusable`) run in groups of
-        up to the group cap per pass; every other configuration runs
-        alone, in index order, because transient pulses draw from the
-        engine's RNG stream.  Each group is one
+        up to the group cap per pass; a memory-fault configuration runs
+        alone, because it corrupts operands the group would share.  Every
+        fault model is a pure function of its trial, so the order of the
+        groups does not matter.  Each group is one
         :meth:`Runtime.accuracy_multi <repro.runtime.runtime.Runtime.accuracy_multi>`
         call, and the returned list, aligned with ``configs``, is
         bit-identical to evaluating every configuration on its own.

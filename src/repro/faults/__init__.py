@@ -21,7 +21,6 @@ from repro.faults.models import (
     StuckAtOne,
     StuckAtZero,
     TransientCycleFault,
-    TransientPulse,
 )
 from repro.faults.sites import FaultSite, FaultUniverse
 from repro.faults.injector import FaultInjector, InjectionConfig
@@ -33,7 +32,6 @@ __all__ = [
     "StuckAtOne",
     "ConstantValue",
     "BitFlip",
-    "TransientPulse",
     "TransientCycleFault",
     "AccumulatorStuckAt",
     "FaultSite",

@@ -4,9 +4,9 @@ A fault model answers one question: *given the fault-free value a datapath
 stage would have produced in this cycle, what value appears on its output
 bus instead?*  The paper's hardware supports overriding the 18-bit
 multiplier product bus with zero or a programmable constant; additional
-models (stuck-at-one, single-bit flips, transient pulses, accumulator-stage
-stuck-ats) are provided because the paper explicitly notes that "other
-fault models can easily be incorporated".
+models (stuck-at-one, single-bit flips, cycle-keyed transients,
+accumulator-stage stuck-ats) are provided because the paper explicitly notes
+that "other fault models can easily be incorporated".
 
 Models are grouped by the :attr:`~FaultModel.stage` they attack:
 
@@ -59,13 +59,13 @@ class FaultModel:
     fault-free signed bus values into faulty values, and declare whether
     the faulty value depends on the original value (:attr:`value_dependent`)
     — value-independent models admit a much faster vectorised execution path.
+    Every model is a pure function of the bus values (and, for
+    cycle-dependent models, of the schedule's cycle indices), so a trial's
+    result depends on that trial alone.
     """
 
     #: True when the faulty value depends on the fault-free product.
     value_dependent: bool = False
-
-    #: True when the fault is persistent across all cycles of an inference.
-    persistent: bool = True
 
     #: Datapath stage the model attacks: ``"product"`` (the 18-bit
     #: multiplier output bus) or ``"accumulator"`` (the 22-bit partial-sum
@@ -76,18 +76,7 @@ class FaultModel:
     #: such models implement :meth:`apply_at` instead of :meth:`apply`.
     cycle_dependent: bool = False
 
-    #: True when :meth:`apply` never consumes the engine's RNG stream, i.e.
-    #: the faulty values are a pure function of the inputs (and, for
-    #: cycle-dependent models, the cycle indices).  Only such models can
-    #: join fused multi-trial evaluation — models that draw random numbers
-    #: (e.g. :class:`TransientPulse`) would observe a different draw order
-    #: under fusion.  The base-class default is ``False`` so a new
-    #: stochastic model is excluded from fusion unless it explicitly opts
-    #: in; silently admitting one would break the records-bit-identical
-    #: invariant between fused and per-trial evaluation.
-    rng_free: bool = False
-
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         """Return the faulty products corresponding to ``products``."""
         raise NotImplementedError
 
@@ -127,8 +116,6 @@ class ConstantValue(FaultModel):
 
     value: int
     value_dependent: bool = False
-    persistent: bool = True
-    rng_free: bool = True
 
     def __post_init__(self) -> None:
         lo = -(1 << (PRODUCT_WIDTH - 1))
@@ -138,7 +125,7 @@ class ConstantValue(FaultModel):
                 f"constant {self.value} does not fit on the signed {PRODUCT_WIDTH}-bit product bus"
             )
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(products, dtype=np.int64), self.value)
 
     def constant_override(self) -> int:
@@ -157,10 +144,8 @@ class StuckAtZero(FaultModel):
     """All 18 product bits stuck at logic 0 (the paper's stuck-at error)."""
 
     value_dependent: bool = False
-    persistent: bool = True
-    rng_free: bool = True
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(products, dtype=np.int64))
 
     def constant_override(self) -> int:
@@ -175,10 +160,8 @@ class StuckAtOne(FaultModel):
     """All 18 product bits stuck at logic 1 (bus pattern 0x3FFFF, i.e. -1)."""
 
     value_dependent: bool = False
-    persistent: bool = True
-    rng_free: bool = True
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(products, dtype=np.int64), -1)
 
     def constant_override(self) -> int:
@@ -199,14 +182,12 @@ class BitFlip(FaultModel):
 
     bit: int
     value_dependent: bool = True
-    persistent: bool = True
-    rng_free: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.bit < PRODUCT_WIDTH:
             raise ValueError(f"bit index must be in [0, {PRODUCT_WIDTH}), got {self.bit}")
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         unsigned = to_unsigned(np.asarray(products, dtype=np.int64), PRODUCT_WIDTH)
         flipped = unsigned ^ (1 << self.bit)
         return to_signed(flipped, PRODUCT_WIDTH)
@@ -216,47 +197,13 @@ class BitFlip(FaultModel):
 
 
 @dataclass(frozen=True)
-class TransientPulse(FaultModel):
-    """Override a random fraction of the multiplier's cycles with a constant.
-
-    This approximates a transient (non-persistent) pulse: only ``duty`` of
-    the products computed by the faulty multiplier during an inference are
-    replaced by ``value``; the rest pass through unmodified.
-    """
-
-    value: int
-    duty: float = 0.5
-    value_dependent: bool = True  # requires the original products (to keep some)
-    persistent: bool = False
-    rng_free: bool = False  # firing pattern comes from the engine RNG stream
-
-    def __post_init__(self) -> None:
-        lo = -(1 << (PRODUCT_WIDTH - 1))
-        hi = (1 << (PRODUCT_WIDTH - 1)) - 1
-        if not lo <= self.value <= hi:
-            raise ValueError(f"constant {self.value} does not fit on the product bus")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty must be in [0, 1]")
-
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        products = np.asarray(products, dtype=np.int64)
-        mask = rng.random(products.shape) < self.duty
-        return np.where(mask, np.int64(self.value), products)
-
-    def label(self) -> str:
-        return f"pulse({self.value},duty={self.duty:g})"
-
-
-@dataclass(frozen=True)
 class TransientCycleFault(FaultModel):
     """Deterministic per-cycle transient: override random-looking cycles.
 
-    Unlike :class:`TransientPulse` (whose firing pattern depends on the
-    order in which an engine happens to draw random numbers), this model
-    decides whether it fires in a given cycle from the cycle index alone: a
-    stateless 64-bit hash of ``(salt, cycle)`` is compared against ``duty``.
+    Only ``duty`` of the products the faulty multiplier computes during an
+    inference are replaced by ``value``; the rest pass through unmodified.
+    Whether it fires in a given cycle is decided from the cycle index alone:
+    a stateless 64-bit hash of ``(salt, cycle)`` is compared against ``duty``.
     Both engines therefore produce *bit-identical* faulty accumulators — the
     property the differential test suite certifies for every fault model.
 
@@ -269,9 +216,7 @@ class TransientCycleFault(FaultModel):
     duty: float = 0.5
     salt: int = 0
     value_dependent: bool = True  # untouched cycles keep the original product
-    persistent: bool = False
     cycle_dependent: bool = True
-    rng_free: bool = True  # firing derives from cycle indices, not the RNG
 
     def __post_init__(self) -> None:
         lo = -(1 << (PRODUCT_WIDTH - 1))
@@ -299,7 +244,7 @@ class TransientCycleFault(FaultModel):
         mask = np.broadcast_to(self.fires(cycles), products.shape)
         return np.where(mask, np.int64(self.value), products)
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         raise TypeError(
             "TransientCycleFault is cycle-dependent; engines must call apply_at() "
             "with the schedule's cycle indices"
@@ -326,9 +271,7 @@ class AccumulatorStuckAt(FaultModel):
     bit: int
     stuck: int = 0
     value_dependent: bool = True
-    persistent: bool = True
     stage: str = "accumulator"
-    rng_free: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.bit < PARTIAL_SUM_WIDTH:
@@ -338,7 +281,7 @@ class AccumulatorStuckAt(FaultModel):
         if self.stuck not in (0, 1):
             raise ValueError(f"stuck value must be 0 or 1, got {self.stuck}")
 
-    def apply(self, partials: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, partials: np.ndarray) -> np.ndarray:
         """Force the stuck bit on signed partial-sum bus value(s)."""
         bus = to_unsigned(np.asarray(partials, dtype=np.int64), PARTIAL_SUM_WIDTH)
         if self.stuck:
@@ -374,12 +317,10 @@ class MemoryFaultModel(FaultModel):
 
     stage: str = "memory"
     value_dependent: bool = True  # a flip XORs the stored value
-    persistent: bool = True
     #: Corruption is a pure function of the stored bytes and the execution
     #: index — no RNG — but memory configurations are still excluded from
     #: fused evaluation (see :func:`repro.accelerator.engine.config_fusable`)
     #: because the fused path shares one clean operand staging across trials.
-    rng_free: bool = True
 
     def __init__(self, dwell_start: int = 0, dwell: int = 1):
         if dwell_start < 0:
@@ -393,7 +334,7 @@ class MemoryFaultModel(FaultModel):
         """True when the flip is resident during GEMM op ``exec_index``."""
         return self.dwell_start <= exec_index < self.dwell_start + self.dwell
 
-    def apply(self, products: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def apply(self, products: np.ndarray) -> np.ndarray:
         raise TypeError(
             f"{type(self).__name__} corrupts stored operand bytes, not bus values; "
             "engines must apply it to the staged surface before the GEMM"

@@ -24,6 +24,15 @@ from repro.utils.logging import get_logger
 logger = get_logger(__name__)
 
 
+def _check_batch_size(batch_size) -> None:
+    """Reject a batch size that would not step through the dataset: a
+    non-positive one makes ``range(0, n, batch_size)`` empty, so every
+    accuracy would read 0.0."""
+    integral = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
+    if not integral or batch_size < 1:
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+
+
 @dataclass
 class InferenceResult:
     """Result of one (batched) inference job."""
@@ -104,6 +113,7 @@ class Runtime:
     def accuracy(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
         """Top-1 accuracy over a dataset under the current fault configuration."""
         self._require_loadable()
+        _check_batch_size(batch_size)
         correct = 0
         total = len(labels)
         for start in range(0, total, batch_size):
@@ -128,6 +138,7 @@ class Runtime:
         ``configs[g]`` and calling :meth:`accuracy`.
         """
         loadable = self._require_loadable()
+        _check_batch_size(batch_size)
         groups = len(configs)
         total = len(labels)
         correct = np.zeros(groups, dtype=np.int64)

@@ -57,7 +57,7 @@ def tiny_platform(tiny_graph, tiny_dataset: SyntheticCIFAR10) -> EmulationPlatfo
     return EmulationPlatform(
         tiny_graph,
         tiny_dataset.calibration_batch(32),
-        config=PlatformConfig(name="tiny-resnet18", seed=3),
+        config=PlatformConfig(name="tiny-resnet18"),
     )
 
 
@@ -74,7 +74,7 @@ def tiny_platform_spec(tiny_graph, tiny_dataset: SyntheticCIFAR10) -> PlatformSp
         ),
         state=tiny_graph.state_dict(),
         calibration_images=tiny_dataset.calibration_batch(32),
-        platform_config=PlatformConfig(name="tiny-resnet18", seed=3),
+        platform_config=PlatformConfig(name="tiny-resnet18"),
     )
 
 

@@ -40,7 +40,6 @@ from repro.faults.models import (
     StuckAtOne,
     StuckAtZero,
     TransientCycleFault,
-    TransientPulse,
     WeightBitFlip,
 )
 from repro.faults.sites import FaultSite, MemorySite
@@ -152,9 +151,6 @@ class TestFusedLayerEquivalence:
         assert config_fusable(
             InjectionConfig.single(FaultSite(0, 0), TransientCycleFault(value=1))
         )
-        assert not config_fusable(
-            InjectionConfig.single(FaultSite(0, 0), TransientPulse(value=1))
-        )
 
     def test_fused_requires_exactly_one_source(self):
         node = make_qconv(8, 8, 1)
@@ -177,12 +173,12 @@ class TestPlatformDeltaEquivalence:
         delta = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="delta", seed=3),
+            config=PlatformConfig(name="delta"),
         )
         reference = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="reference", seed=3, tape_bytes=0),
+            config=PlatformConfig(name="reference", tape_bytes=0),
         )
         return delta, reference
 
@@ -209,7 +205,7 @@ class TestPlatformDeltaEquivalence:
         configs = [
             InjectionConfig.single(_site_for(model, i % 8, (2 * i) % 8), model)
             for i, model in enumerate(FAMILIES)
-        ] + [InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=1.0))]
+        ]
         fused = delta.accuracies_with_faults(configs, images, labels, batch_size=8)
         serial = [
             reference.accuracy_with_faults(c, images, labels, batch_size=8)
@@ -227,7 +223,7 @@ class TestPlatformDeltaEquivalence:
         platform = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="tiny-tape", seed=3, tape_bytes=1024),
+            config=PlatformConfig(name="tiny-tape", tape_bytes=1024),
         )
         images = tiny_dataset.test_images[:16]
         labels = tiny_dataset.test_labels[:16]
@@ -245,7 +241,7 @@ class TestPlatformDeltaEquivalence:
         reference = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="ref", seed=3, tape_bytes=0),
+            config=PlatformConfig(name="ref", tape_bytes=0),
         )
         assert baseline == reference.baseline_accuracy(images, labels, batch_size=8)
         assert accuracy == reference.accuracy_with_faults(config, images, labels, batch_size=8)
@@ -294,7 +290,7 @@ class TestPlatformDeltaEquivalence:
 def _taped_accelerator(loadable, images, tape_bytes: int = 1 << 20) -> NVDLAAccelerator:
     """A vectorised accelerator whose tape holds the clean forward of
     ``images`` under the chunk key ``(0, len(images))``."""
-    accelerator = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=tape_bytes)
+    accelerator = NVDLAAccelerator(engine="vectorised", tape_bytes=tape_bytes)
     accelerator.tape.start_recording()
     accelerator.execute(loadable, images, chunk_key=(0, len(images)))
     accelerator.tape.finish_recording()
@@ -302,8 +298,7 @@ def _taped_accelerator(loadable, images, tape_bytes: int = 1 << 20) -> NVDLAAcce
 
 
 #: Configurations only a one-config pass may arm: memory faults corrupt
-#: the staged operands a fused group shares, and transient pulses draw from
-#: the engine's RNG stream.
+#: the staged operands a fused group shares.
 ONE_CONFIG_ONLY = [
     InjectionConfig.uniform(
         [MemorySite("weight", 5, 6)], WeightBitFlip(dwell_start=1, dwell=2)
@@ -312,7 +307,6 @@ ONE_CONFIG_ONLY = [
         [MemorySite("activation", 30, 3)], ActivationBitFlip(dwell_start=2, dwell=3)
     ),
     InjectionConfig.uniform([MemorySite("input", 2, 7)], InputCorruption()),
-    InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
 ]
 
 
@@ -336,7 +330,7 @@ class TestOneOpLoop:
         want = armed.execute(loadable, images, chunk_key=chunk)
         np.testing.assert_array_equal(got, want)
         if any(model.stage == "memory" for model in config.faults.values()):
-            scalar = NVDLAAccelerator(engine="scalar", seed=3)
+            scalar = NVDLAAccelerator(engine="scalar")
             scalar.set_injection_config(config)
             np.testing.assert_array_equal(got, scalar.execute(loadable, images))
 
@@ -401,7 +395,7 @@ class TestIdleOpSkip:
         gemms = _gemm_names(loadable)
         taped = _taped_accelerator(loadable, images)
         segment = taped.tape.segment_for((0, 2), loadable.model.input_node.quantize(images))
-        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        reference = NVDLAAccelerator(engine="vectorised", tape_bytes=0)
         engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
         want_hits = want_misses = 0
         for start in range(len(gemms)):
@@ -424,7 +418,7 @@ class TestIdleOpSkip:
         assert stats["layer_hit_rate"] == want_hits / (want_hits + want_misses)
         # The scalar oracle, at a dwell start on a downsample branch.
         start = gemms.index("layer2.block0.downsample.conv")
-        scalar = NVDLAAccelerator(engine="scalar", seed=3)
+        scalar = NVDLAAccelerator(engine="scalar")
         scalar.set_injection_config(make_config(start))
         taped.set_injection_config(make_config(start))
         np.testing.assert_array_equal(
@@ -435,7 +429,6 @@ class TestIdleOpSkip:
         "configs",
         [
             [InjectionConfig.single(FaultSite(1, 2), StuckAtZero())],
-            [InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5))],
             [
                 InjectionConfig.single(_site_for(model, 1 + i, 2), model)
                 for i, model in enumerate(FAMILIES[:4])
@@ -453,7 +446,7 @@ class TestIdleOpSkip:
         loadable = tiny_platform.loadable
         images = tiny_dataset.test_images[:2]
         taped = _taped_accelerator(loadable, images)
-        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        reference = NVDLAAccelerator(engine="vectorised", tape_bytes=0)
         engine_calls, requant_calls = _log_gemm_work(monkeypatch, taped)
         stem = loadable.model.node(_gemm_names(loadable)[0])
         stem_mapping = _gemm_ops(loadable)[0].mapping
@@ -475,8 +468,6 @@ class TestIdleOpSkip:
         assert taped.tape.layer_hits == hits + 1  # the stem's input was the taped one
         assert engine_calls == requant_calls == _gemm_names(loadable)
         np.testing.assert_array_equal(logits, reference.execute_fused(loadable, images, configs))
-        # Same draws in the same order as the tape-less engine.
-        assert taped.engine.rng.bit_generator.state == reference.engine.rng.bit_generator.state
 
     def test_wrong_surface_memory_model_raises_at_first_gemm(
         self, tiny_platform, tiny_dataset, monkeypatch
@@ -669,7 +660,7 @@ class TestDirtyRegion:
         loadable = tiny_platform.loadable
         images = tiny_dataset.test_images[:4]
         taped = _taped_accelerator(loadable, images, tape_bytes=1 << 23)
-        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        reference = NVDLAAccelerator(engine="vectorised", tape_bytes=0)
         diverged = 0
         for start in range(len(_gemm_names(loadable))):
             config = _memory_config(surface, start, sites, seed=start)
@@ -703,7 +694,7 @@ class TestDirtyRegion:
         taped = _taped_accelerator(loadable, images)
         calls = _log_positions(monkeypatch, taped)
         taped.set_injection_config(config)
-        scalar = NVDLAAccelerator(engine="scalar", seed=3)
+        scalar = NVDLAAccelerator(engine="scalar")
         scalar.set_injection_config(config)
         np.testing.assert_array_equal(
             taped.execute(loadable, images, chunk_key=(0, 2)), scalar.execute(loadable, images)
@@ -768,7 +759,7 @@ class TestDirtyRegion:
         )
         graph.eval()
         platform = EmulationPlatform(
-            graph, tiny_dataset.calibration_batch(32), config=PlatformConfig(name="pool", seed=3)
+            graph, tiny_dataset.calibration_batch(32), config=PlatformConfig(name="pool")
         )
         loadable = platform.loadable
         assert any(op.name == "stem.pool" for op in loadable.ops)
@@ -780,7 +771,7 @@ class TestDirtyRegion:
         monkeypatch.setattr(taped.pdp, "max_pool", lambda x, node, at=None: (
             pooled.append(at is not None) or pool(x, node, at)
         ))
-        reference = NVDLAAccelerator(engine="vectorised", seed=3, tape_bytes=0)
+        reference = NVDLAAccelerator(engine="vectorised", tape_bytes=0)
         for offset in (0, 5 * 16 + 7, 2 * 256 + 15 * 16 + 15):
             config = InjectionConfig.uniform([MemorySite("input", offset, 6)], InputCorruption())
             taped.set_injection_config(config)
@@ -914,7 +905,7 @@ class TestCleanForwardTape:
         platform = EmulationPlatform(
             tiny_graph,
             tiny_dataset.calibration_batch(32),
-            config=PlatformConfig(name="identity", seed=3),
+            config=PlatformConfig(name="identity"),
         )
         images = tiny_dataset.test_images[:8]
         labels = tiny_dataset.test_labels[:8]

@@ -10,7 +10,7 @@ from repro.faults.models import (
     ConstantValue,
     StuckAtOne,
     StuckAtZero,
-    TransientPulse,
+    TransientCycleFault,
 )
 from repro.faults.registers import (
     CTRL_ENABLE,
@@ -76,19 +76,21 @@ class TestFaultModels:
         assert BitFlip(0).value_dependent is True
         assert ConstantValue(0).value_dependent is False
 
-    def test_transient_pulse_duty_extremes(self):
-        rng = np.random.default_rng(0)
+    def test_transient_duty_extremes(self):
         products = np.arange(10)
-        all_on = TransientPulse(value=7, duty=1.0).apply(products, rng)
+        cycles = np.arange(10)
+        all_on = TransientCycleFault(value=7, duty=1.0).apply_at(products, cycles)
         np.testing.assert_array_equal(all_on, np.full(10, 7))
-        none_on = TransientPulse(value=7, duty=0.0).apply(products, rng)
+        none_on = TransientCycleFault(value=7, duty=0.0).apply_at(products, cycles)
         np.testing.assert_array_equal(none_on, products)
 
-    def test_transient_pulse_validation(self):
-        with pytest.raises(ValueError):
-            TransientPulse(value=0, duty=1.5)
-        with pytest.raises(ValueError):
-            TransientPulse(value=2**20, duty=0.5)
+    def test_transient_validation(self):
+        with pytest.raises(ValueError, match="duty"):
+            TransientCycleFault(value=0, duty=1.5)
+        with pytest.raises(ValueError, match="product bus"):
+            TransientCycleFault(value=2**20, duty=0.5)
+        with pytest.raises(ValueError, match="product bus"):
+            TransientCycleFault(value=-(2**17) - 1, duty=0.5)
 
     def test_labels_are_informative(self):
         assert "0" in StuckAtZero().label()

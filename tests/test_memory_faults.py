@@ -67,8 +67,8 @@ SMALL_CASES = [
 def engines(geometry=None):
     geometry = geometry or ArrayGeometry(num_macs=4, muls_per_mac=4)
     return (
-        VectorisedEngine(geometry, rng=np.random.default_rng(0)),
-        ScalarReferenceEngine(geometry, rng=np.random.default_rng(0)),
+        VectorisedEngine(geometry),
+        ScalarReferenceEngine(geometry),
     )
 
 
@@ -164,7 +164,7 @@ class TestMemoryModels:
         assert not config_fusable(
             InjectionConfig.single(MemorySite("input", 1, 1), InputCorruption())
         )
-        # datapath rng-free configs remain fusable
+        # datapath configs remain fusable
         assert config_fusable(InjectionConfig.single(FaultSite(0, 0), ConstantValue(0)))
 
     def test_apply_refuses_bus_semantics(self):

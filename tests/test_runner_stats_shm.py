@@ -2,7 +2,8 @@
 
 Covers the pieces around the engine itself: per-worker runtime-statistics
 aggregation (GEMM counters, tape hit rates, always-on per-stage wall times
-reported per run), the one trial path from a lease to the op loop, the
+reported per run), the one trial path from a lease to the op loop, trials
+whose results do not depend on the trials evaluated before them, the
 invariance of campaign records under fusion, and a killed worker leaving
 no shared-memory segment behind.
 """
@@ -12,19 +13,25 @@ from __future__ import annotations
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
+import repro.faults
 from repro.accelerator.accelerator import NVDLAAccelerator
 from repro.core.campaign import CampaignConfig, FaultInjectionCampaign
+from repro.core.leasebook import PoisonShardError
 from repro.core.parallel import ParallelCampaignRunner, TrialServer, merge_runtime_stats
 from repro.core.results import CampaignResult
 from repro.core.strategies import RandomMultipliers, StrategyTrial
 from repro.faults.injector import InjectionConfig
 from repro.faults.models import (
+    AccumulatorStuckAt,
+    BitFlip,
     ConstantValue,
+    FaultModel,
     StuckAtOne,
     StuckAtZero,
-    TransientPulse,
+    TransientCycleFault,
     WeightBitFlip,
 )
 from repro.faults.sites import FaultSite, MemorySite
@@ -150,19 +157,19 @@ class TestOneTrialPath:
     ):
         """Every trial after the baseline pass, fusable or not, is one
         ``Runtime.accuracy_multi`` group: no trial arms the accelerator or
-        takes the ``execute`` path.  Transient pulses draw from the engine
-        RNG, so both servers are fresh and must run them in index order."""
+        takes the ``execute`` path.  The six datapath trials, cycle-keyed
+        transients included, fuse; the two memory-fault trials run alone."""
         images, labels = tiny_dataset.test_images[:8], tiny_dataset.test_labels[:8]
         weight_flip = InjectionConfig.uniform(
             [MemorySite("weight", 5, 6)], WeightBitFlip(dwell_start=1, dwell=2)
         )
         configs = [
             InjectionConfig.single(FaultSite(0, 1), StuckAtZero()),
-            InjectionConfig.single(FaultSite(3, 3), TransientPulse(value=2, duty=0.5)),
+            InjectionConfig.single(FaultSite(3, 3), TransientCycleFault(value=2, duty=0.5)),
             weight_flip,
             InjectionConfig.single(FaultSite(2, 2), StuckAtOne()),
             InjectionConfig.single(FaultSite(1, 1), ConstantValue(-3)),
-            InjectionConfig.single(FaultSite(5, 4), TransientPulse(value=-7, duty=0.5)),
+            InjectionConfig.single(FaultSite(5, 4), TransientCycleFault(value=-7, duty=0.5)),
             InjectionConfig.single(FaultSite(6, 7), StuckAtZero()),
             InjectionConfig.uniform(
                 [MemorySite("weight", 40, 1)], WeightBitFlip(dwell_start=0, dwell=1)
@@ -191,9 +198,87 @@ class TestOneTrialPath:
             for server in servers
         )
         assert taped == tapeless
-        # 4 fusable trials share one pass; the other 4 run alone.
-        assert sorted(sizes[id(servers[0].platform.accelerator)]) == [1, 1, 1, 1, 4]
+        # 6 fusable trials share one pass; the 2 memory-fault trials run alone.
+        assert sorted(sizes[id(servers[0].platform.accelerator)]) == [1, 1, 6]
         assert sizes[id(servers[1].platform.accelerator)] == [1] * 8
+
+
+#: One trial per datapath fault-model class that ``repro.faults`` exports.
+PURITY_MODELS = {
+    StuckAtZero: StuckAtZero(),
+    StuckAtOne: StuckAtOne(),
+    ConstantValue: ConstantValue(-3),
+    BitFlip: BitFlip(12),
+    TransientCycleFault: TransientCycleFault(value=2**14, duty=0.5),
+    AccumulatorStuckAt: AccumulatorStuckAt(bit=18, stuck=1),
+}
+
+
+class TestTrialPurity:
+    """A trial's result is a function of that trial alone: a trial armed
+    on a fresh platform gives the same accuracy, and the same logits, as on
+    a platform that has already evaluated other trials of the same model."""
+
+    def test_every_exported_datapath_model_is_covered(self):
+        exported = {getattr(repro.faults, name) for name in repro.faults.__all__}
+        assert set(PURITY_MODELS) == {
+            obj for obj in exported
+            if isinstance(obj, type) and issubclass(obj, FaultModel)
+            and obj is not FaultModel and obj.stage != "memory"
+        }
+
+    @pytest.mark.parametrize("model", list(PURITY_MODELS.values()), ids=lambda m: m.label())
+    def test_trial_ignores_earlier_trials(self, tiny_platform_spec, tiny_dataset, model):
+        images, labels = tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16]
+        def site(mac, lane):
+            # Accumulator-stage models are armed at lane 0 by convention.
+            return FaultSite(mac, 0 if model.stage == "accumulator" else lane)
+
+        armed = InjectionConfig.single(site(2, 5), model)
+        others = [InjectionConfig.single(site(mac, mac), model) for mac in (0, 3, 6)]
+        fresh, used = tiny_platform_spec.build(), tiny_platform_spec.build()
+        for platform in (fresh, used):
+            platform.baseline_accuracy(images, labels, batch_size=8)
+        for config in others:
+            used.accuracy_with_faults(config, images, labels, batch_size=8)
+        used.accuracies_with_faults(others, images, labels, batch_size=8)
+
+        def trial(platform):
+            accuracy = platform.accuracy_with_faults(armed, images, labels, batch_size=8)
+            logits = platform.accelerator.execute_fused(
+                platform.loadable, images[:8], [armed], chunk_key=(0, 8)
+            )
+            return accuracy, logits
+
+        (want, want_logits), (got, got_logits) = trial(fresh), trial(used)
+        assert got == want
+        np.testing.assert_array_equal(got_logits, want_logits)
+
+
+class TestBatchSizeValidation:
+    @pytest.mark.parametrize("batch_size", [-8, 0, 2.5, True])
+    def test_runner_rejects_a_batch_size_that_cannot_step(
+        self, tiny_platform_spec, tiny_dataset, batch_size
+    ):
+        """A batch size below 1 would step through no chunk and read every
+        accuracy, baseline included, as 0.0."""
+        runner = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, _config(batch_size=batch_size)
+        )
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            runner.run(tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16])
+
+    def test_pool_workers_report_the_error_and_exit(self, tiny_platform_spec, tiny_dataset):
+        """Every pool worker fails its warm-up the same way, so each lease
+        is poisoned with the error as its last failure, and the campaign
+        ends: a reporting worker is not terminated while it may still hold
+        the shared results queue's write lock, which would block every
+        respawned worker for good."""
+        runner = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, _config(batch_size=-8), workers=2
+        )
+        with pytest.raises(PoisonShardError, match="batch_size must be an integer >= 1"):
+            runner.run(tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16])
 
 
 class TestFusedGroupInvariance:

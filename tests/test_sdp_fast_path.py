@@ -31,7 +31,6 @@ from repro.faults.models import (
     StuckAtOne,
     StuckAtZero,
     TransientCycleFault,
-    TransientPulse,
 )
 from repro.faults.sites import FaultSite
 from repro.quant.qlayers import QAdd, QConv, QLinear
@@ -106,9 +105,6 @@ PRODUCT_MODELS = {
     StuckAtZero: st.just(StuckAtZero()),
     StuckAtOne: st.just(StuckAtOne()),
     BitFlip: st.builds(BitFlip, st.integers(0, PRODUCT_WIDTH - 1)),
-    TransientPulse: st.builds(
-        TransientPulse, st.integers(BUS_MIN, BUS_MAX), st.floats(0.0, 1.0)
-    ),
     TransientCycleFault: st.builds(
         TransientCycleFault, st.integers(BUS_MIN, BUS_MAX), st.floats(0.0, 1.0),
         st.integers(0, 2**16),
@@ -143,7 +139,7 @@ class TestProductBusPremise:
             cycles = rng.integers(0, 2**40, size=products.shape)
             faulty = model.apply_at(products, cycles)
         else:
-            faulty = model.apply(products, rng)
+            faulty = model.apply(products)
         assert faulty.min() >= BUS_MIN and faulty.max() <= BUS_MAX
 
 
