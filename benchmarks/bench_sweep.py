@@ -10,6 +10,7 @@ accumulator sweeps on the full test set.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from repro.core.sweep import (
@@ -55,8 +56,7 @@ def test_sweep_matrix(dataset, eval_images):
     def resolver(scenario):
         return platform_spec, images, labels
 
-    spec = _spec()
-    spec.images = len(labels)
+    spec = dataclasses.replace(_spec(), images=len(labels))
     grid = spec.grid()
 
     walls: dict[int, float] = {}

@@ -9,11 +9,13 @@ scalability experiments in the benchmarks can sweep the array size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.utils.checked import Checked
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
+class ArrayGeometry(Checked):
     """Shape of the MAC array.
 
     Attributes
@@ -26,12 +28,8 @@ class ArrayGeometry:
         channels consumed per atomic operation.
     """
 
-    num_macs: int = 8
-    muls_per_mac: int = 8
-
-    def __post_init__(self) -> None:
-        if self.num_macs <= 0 or self.muls_per_mac <= 0:
-            raise ValueError("array dimensions must be positive")
+    num_macs: int = field(default=8, metadata={"min": 1})
+    muls_per_mac: int = field(default=8, metadata={"min": 1})
 
     @property
     def atomic_k(self) -> int:

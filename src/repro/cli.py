@@ -28,6 +28,7 @@ All subcommands use the cached case-study model (training it on first use);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import signal
 import sys
 import time
@@ -88,11 +89,12 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
     """Supervisor knobs shared by the campaign and sweep subcommands."""
-    parser.add_argument("--max-shard-retries", type=int, default=2,
+    parser.add_argument("--max-shard-retries", type=int, default=None,
                         help="re-lease attempts after a shard's worker dies or "
                              "hangs before the shard is declared poison "
                              "(0 restores fail-fast behaviour; recovery never "
-                             "changes records)")
+                             "changes records; default: 2, or a sweep spec's "
+                             "max_shard_retries)")
     parser.add_argument("--shard-timeout", type=float, default=None,
                         help="seconds a worker may go without reporting progress "
                              "before it is declared hung and its shard re-leased "
@@ -358,11 +360,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"spec {args.spec} is invalid ({len(problems)} problem(s)):\n"
             + "\n".join(f"  - {problem}" for problem in problems)
         )
-    spec = ExperimentSpec.from_dict(data)
-    if args.images is not None:
-        spec.images = args.images
-    if args.sweep_seed is not None:
-        spec.seed = args.sweep_seed
+    overrides = {
+        key: value
+        for key, value in (
+            ("images", args.images),
+            ("seed", args.sweep_seed),
+            ("max_shard_retries", args.max_shard_retries),
+            ("shard_timeout", args.shard_timeout),
+        )
+        if value is not None
+    }
+    spec = dataclasses.replace(ExperimentSpec.from_dict(data), **overrides)
     grid = spec.grid()
     if args.list:
         for scenario in grid:
@@ -375,8 +383,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         sweep_dir=args.sweep_dir,
         resume=args.resume,
-        max_shard_retries=args.max_shard_retries,
-        shard_timeout=args.shard_timeout,
         poison_policy=args.poison_policy,
         chaos=load_plan(args.chaos_plan, ChaosEvent) if args.chaos_plan else None,
     )
@@ -773,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance_arguments(campaign)
     _add_log_level_argument(campaign)
     _add_trace_argument(campaign)
-    campaign.set_defaults(func=_cmd_campaign)
+    campaign.set_defaults(func=_cmd_campaign, max_shard_retries=CampaignConfig.max_shard_retries)
 
     sweep = subparsers.add_parser(
         "sweep",

@@ -8,7 +8,7 @@ runner (and inherits its checkpoint/resume machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +17,15 @@ from repro.core.chaos import ChaosPlan
 from repro.core.platform import EmulationPlatform
 from repro.core.results import CampaignResult
 from repro.core.strategies import InjectionStrategy
+from repro.utils.checked import Checked
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
 
-@dataclass
-class CampaignConfig:
-    """Parameters of one campaign run.
+@dataclass(frozen=True)
+class CampaignConfig(Checked):
+    """Parameters of one campaign run, checked on construction.
 
     The fault-recovery knobs never change campaign *records*: a recovered
     run is bit-identical to an undisturbed one.  Per-stage wall times are
@@ -34,33 +35,41 @@ class CampaignConfig:
     <repro.core.platform.EmulationPlatform.accuracies_with_faults>`).
     """
 
-    batch_size: int = 64
-    seed: int = 0
+    batch_size: int = field(default=64, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": None})
     #: Evaluate at most this many images per trial (None = all provided).
-    max_images: int | None = None
+    max_images: int | None = field(default=None, metadata={"min": 1})
     #: Re-lease attempts after a shard's first failure before it turns
     #: poison (0 = fail on the first dead/hung worker, as the old fail-fast
     #: runner did).  Recovery cannot change records: trials are pure
     #: functions of ``(seed, index)``.
     max_shard_retries: int = 2
-    #: Seconds a worker may go without emitting any message (baseline meta
-    #: or a record) before the worker pool declares it hung, terminates it
-    #: and re-leases the shard.  ``None`` disables hang detection; size it
-    #: as several multiples of platform build + the slowest trial group.
+    #: Seconds (> 0) a worker may go without emitting any message (baseline
+    #: meta or a record) before the worker pool declares it hung,
+    #: terminates it and re-leases the shard.  ``None`` disables hang
+    #: detection; size it as several multiples of platform build + the
+    #: slowest trial group.
     shard_timeout: float | None = None
     #: Base seconds of the exponential backoff between lease attempts
     #: (attempt *k* waits ``retry_backoff * 2**(k-1)``, capped at 30 s).
-    retry_backoff: float = 0.25
+    retry_backoff: float = field(default=0.25, metadata={"min": 0})
     #: What to do with a shard that exhausted its retries: ``"raise"``
     #: aborts the campaign with the failure history; ``"quarantine"``
     #: records it in ``CampaignResult.recovery["poison_shards"]`` and keeps
     #: the campaign going with that shard's trials missing.
-    poison_policy: str = "raise"
+    poison_policy: str = field(default="raise", metadata={"choices": ("raise", "quarantine")})
     #: Deterministic harness-fault plan (:mod:`repro.core.chaos`) injected
     #: into workers — kills/hangs/delays at seeded logical points.  Test/CI
     #: machinery for proving recovery keeps records byte-identical; leave
     #: ``None`` in real campaigns.
     chaos: ChaosPlan | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.shard_timeout is not None and not self.shard_timeout > 0:
+            raise ValueError(
+                f"CampaignConfig.shard_timeout must be > 0, got {self.shard_timeout}"
+            )
 
 
 class FaultInjectionCampaign:

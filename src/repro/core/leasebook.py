@@ -70,6 +70,13 @@ def backoff_delay(backoff: float, retries_used: int) -> float:
     return min(backoff * (2 ** retries_used), BACKOFF_CAP)
 
 
+def _reason_line(reason: str) -> str:
+    """A failure reason in one line: its first line joined to its last
+    non-empty line, which for a traceback is the exception raised."""
+    lines = [line.strip() for line in reason.splitlines() if line.strip()]
+    return f"{lines[0]} {lines[-1]}" if len(lines) > 1 else "".join(lines)
+
+
 class LeaseState(Enum):
     RUNNING = "running"
     #: Opened or reclaimed; waiting for (the backoff before) its next attempt.
@@ -372,15 +379,14 @@ class LeaseBook:
         wait = backoff_delay(self.backoff, retries_used)
         lease.state = LeaseState.WAITING
         lease.retry_at = self.clock() + wait
+        summary = _reason_line(reason)
         TELEMETRY.event(
             "lease.reclaim", **self.tags, lease=lease_id, attempt=lease.attempt,
-            remaining=len(lease.remaining), reason=reason.splitlines()[0],
-            backoff_seconds=wait,
+            remaining=len(lease.remaining), reason=summary, backoff_seconds=wait,
         )
         logger.warning(
             "lease %d%s failed (attempt %d/%d): %s; retrying in %.2fs",
-            lease_id, self._of(), lease.attempt, self.max_retries + 1,
-            reason.splitlines()[0], wait,
+            lease_id, self._of(), lease.attempt, self.max_retries + 1, summary, wait,
         )
         return True
 

@@ -270,7 +270,7 @@ def load_checkpoint(
         elif kind == "record":
             try:
                 record = TrialRecord.from_dict(data)
-            except (TypeError, ValueError, KeyError) as exc:
+            except ValueError as exc:
                 logger.warning(
                     "checkpoint %s: skipping malformed record on line %d (%s)",
                     path, lineno, exc,
@@ -588,8 +588,6 @@ class WorkerPool:
     """
 
     def __init__(self, size: int, *, start, results, timeout: float | None = None):
-        if timeout is not None and timeout <= 0:
-            raise ValueError("shard timeout must be positive (or None to disable)")
         self.slots = [_PoolSlot(slot_id) for slot_id in range(size)]
         self.start = start
         self.results = results

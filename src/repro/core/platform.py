@@ -10,7 +10,7 @@ under an arbitrary injection configuration, latency and resource reports.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.faults.sites import FaultUniverse
 from repro.nn.graph import Graph
 from repro.runtime.cpu_backend import CPUBackend
 from repro.runtime.runtime import Runtime
+from repro.utils.checked import Checked
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -60,14 +61,14 @@ def _release_free_heap() -> None:
     trim(0)
 
 
-@dataclass
-class PlatformConfig:
-    """Configuration of an :class:`EmulationPlatform`."""
+@dataclass(frozen=True)
+class PlatformConfig(Checked):
+    """Configuration of an :class:`EmulationPlatform`, checked on construction."""
 
     geometry: ArrayGeometry = PAPER_GEOMETRY
     per_channel_quantization: bool = True
     calibration_percentile: float | None = 99.9
-    engine: str = "vectorised"
+    engine: str = field(default="vectorised", metadata={"choices": ("vectorised", "scalar")})
     name: str = "resnet18-cifar10"
     #: Byte budget of the clean-activation tape (0 disables it).  The tape
     #: records the whole clean forward per evaluation-batch chunk during

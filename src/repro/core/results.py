@@ -12,17 +12,22 @@ conflict or belong to different campaigns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro.utils.checked import Checked
 from repro.utils.jsonsafe import dump_json_safe
 
 
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(Checked):
     """Outcome of one fault-injection trial (one configuration, full test set).
+
+    Records arrive from checkpoints and the fleet wire, so every field is
+    checked on construction.  The field order is the key order of
+    checkpoint record lines, which are not key-sorted.
 
     Attributes
     ----------
@@ -49,24 +54,10 @@ class TrialRecord:
     num_faults: int
     accuracy: float
     accuracy_drop: float
-    injected_value: int | None = None
+    injected_value: int | None = field(default=None, metadata={"min": None})
     mac_unit: int | None = None
     multiplier: int | None = None
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict representation (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrialRecord":
-        """Rebuild a record from :meth:`to_dict` output.
-
-        Unknown keys are ignored so that checkpoints written by newer
-        versions (with extra fields) remain loadable.
-        """
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 @dataclass

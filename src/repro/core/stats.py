@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.checked import type_problem
+from repro.utils.checked import Checked
 from repro.utils.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results -> stats)
@@ -355,7 +355,7 @@ OUTCOME_ORDER = (Outcome.MASKED, Outcome.TOLERABLE, Outcome.SDC, Outcome.CRITICA
 
 
 @dataclass(frozen=True)
-class OutcomeThresholds:
+class OutcomeThresholds(Checked):
     """Accuracy-delta thresholds of the outcome taxonomy.
 
     ``masked_epsilon`` absorbs float noise around zero; ``chance_accuracy``
@@ -363,30 +363,23 @@ class OutcomeThresholds:
     accuracy collapses to chance level as critical regardless of the drop.
     """
 
-    masked_epsilon: float = 1e-9
+    masked_epsilon: float = field(default=1e-9, metadata={"min": 0})
     tolerable_drop: float = 0.01
     critical_drop: float = 0.25
     chance_accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if self.masked_epsilon < 0:
-            raise ValueError("masked_epsilon must be >= 0")
+        super().__post_init__()
         if not self.masked_epsilon <= self.tolerable_drop <= self.critical_drop:
             raise ValueError(
-                "thresholds must satisfy masked_epsilon <= tolerable_drop <= "
+                "OutcomeThresholds must satisfy masked_epsilon <= tolerable_drop <= "
                 f"critical_drop, got masked_epsilon={self.masked_epsilon}, "
                 f"tolerable_drop={self.tolerable_drop}, critical_drop={self.critical_drop}"
             )
         if self.chance_accuracy is not None and not 0 <= self.chance_accuracy <= 1:
-            raise ValueError(f"chance_accuracy must be in [0, 1], got {self.chance_accuracy}")
-
-    def to_dict(self) -> dict:
-        return {
-            "masked_epsilon": self.masked_epsilon,
-            "tolerable_drop": self.tolerable_drop,
-            "critical_drop": self.critical_drop,
-            "chance_accuracy": self.chance_accuracy,
-        }
+            raise ValueError(
+                f"OutcomeThresholds.chance_accuracy must be in [0, 1], got {self.chance_accuracy}"
+            )
 
 
 #: Module-wide default thresholds (1% tolerable, 25% critical).
@@ -450,30 +443,8 @@ def sdc_count(counts: dict[str, int]) -> int:
 ADAPTIVE_METRICS = ("mean_drop", "sdc_rate")
 
 
-#: Type name (see :data:`repro.utils.checked.TYPES`) of each adaptive plan key.
-_PLAN_KEY_TYPES = {
-    "target_half_width": "float",
-    "round_size": "int",
-    "confidence": "float",
-    "metric": "str",
-    "min_rounds": "int",
-    "max_trials": "int",
-}
-
-
-def _checked_plan_value(what: str, type_name: str, value):
-    """``value`` if it is of type ``type_name`` (an integer widened to float
-    for a float key), else a ``ValueError`` naming ``what``."""
-    problem = type_problem(type_name, value)
-    if problem is None and type_name == "float" and not math.isfinite(value):
-        problem = f"must be a finite number, got {value!r}"
-    if problem is not None:
-        raise ValueError(f"{what} {problem}")
-    return float(value) if type_name == "float" else value
-
-
 @dataclass(frozen=True)
-class AdaptiveCampaignPlan:
+class AdaptiveCampaignPlan(Checked):
     """Confidence-bounded trial budgeting for a campaign.
 
     The campaign executes the strategy's trial index space in fixed-size
@@ -494,28 +465,23 @@ class AdaptiveCampaignPlan:
     """
 
     target_half_width: float
-    round_size: int = 16
+    round_size: int = field(default=16, metadata={"min": 1})
     confidence: float = 0.95
-    metric: str = "mean_drop"
-    min_rounds: int = 2
-    max_trials: int | None = None
+    metric: str = field(default="mean_drop", metadata={"choices": ADAPTIVE_METRICS})
+    min_rounds: int = field(default=2, metadata={"min": 1})
+    max_trials: int | None = field(default=None, metadata={"min": 1})
     thresholds: OutcomeThresholds = field(default_factory=OutcomeThresholds)
 
     def __post_init__(self) -> None:
-        if self.target_half_width <= 0:
-            raise ValueError(f"target_half_width must be > 0, got {self.target_half_width}")
-        if self.round_size < 1:
-            raise ValueError(f"round_size must be >= 1, got {self.round_size}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.metric not in ADAPTIVE_METRICS:
+        super().__post_init__()
+        if not self.target_half_width > 0:
             raise ValueError(
-                f"unknown adaptive metric {self.metric!r}; expected one of {ADAPTIVE_METRICS}"
+                f"AdaptiveCampaignPlan.target_half_width must be > 0, got {self.target_half_width}"
             )
-        if self.min_rounds < 1:
-            raise ValueError(f"min_rounds must be >= 1, got {self.min_rounds}")
-        if self.max_trials is not None and self.max_trials < 1:
-            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(
+                f"AdaptiveCampaignPlan.confidence must be in (0, 1), got {self.confidence}"
+            )
 
     # -- round geometry -------------------------------------------------
     def budget(self, expected_trials: int) -> int:
@@ -572,58 +538,6 @@ class AdaptiveCampaignPlan:
         if interval is None:
             return False
         return interval.half_width <= self.target_half_width
-
-    # -- serialisation (checkpoint identity, spec files) ----------------
-    def to_dict(self) -> dict:
-        return {
-            "target_half_width": self.target_half_width,
-            "round_size": self.round_size,
-            "confidence": self.confidence,
-            "metric": self.metric,
-            "min_rounds": self.min_rounds,
-            "max_trials": self.max_trials,
-            "thresholds": self.thresholds.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdaptiveCampaignPlan":
-        """Load a plan from outside input (an ``[adaptive]`` table, a header).
-
-        Values are checked, never coerced: a bool, a string where a number
-        belongs, a non-integer count or a non-finite number is a
-        ``ValueError`` naming the key.
-        """
-        data = dict(data)
-        thresholds = data.pop("thresholds", None)
-        kwargs = {key: data.pop(key) for key in _PLAN_KEY_TYPES if key in data}
-        if data:
-            raise ValueError(f"unknown adaptive plan keys {sorted(data)}")
-        if "target_half_width" not in kwargs:
-            raise ValueError("adaptive plan needs a 'target_half_width'")
-        for key, value in kwargs.items():
-            if not (key == "max_trials" and value is None):
-                kwargs[key] = _checked_plan_value(
-                    f"adaptive plan key {key!r}", _PLAN_KEY_TYPES[key], value
-                )
-        if thresholds is not None:
-            thresholds = dict(thresholds)
-            known = {"masked_epsilon", "tolerable_drop", "critical_drop", "chance_accuracy"}
-            unknown = set(thresholds) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown adaptive plan thresholds keys {sorted(unknown)}; "
-                    f"expected a subset of {sorted(known)}"
-                )
-            for key, value in thresholds.items():
-                if not (key == "chance_accuracy" and value is None):
-                    thresholds[key] = _checked_plan_value(
-                        f"invalid adaptive plan thresholds: {key!r}", "float", value
-                    )
-            try:
-                kwargs["thresholds"] = OutcomeThresholds(**thresholds)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid adaptive plan thresholds: {exc}") from None
-        return cls(**kwargs)
 
     def describe(self) -> str:
         return (

@@ -62,7 +62,7 @@ Artifacts (under ``--sweep-dir``)::
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import functools
 import hashlib
 import json
@@ -89,7 +89,7 @@ from repro.core.results import CampaignResult
 from repro.core.stats import AdaptiveCampaignPlan
 from repro.core.strategies import InjectionStrategy
 from repro.faults.models import FaultModel
-from repro.utils.checked import type_problem
+from repro.utils.checked import Checked
 from repro.utils.durable import durable_write_text
 from repro.utils.jsonsafe import dump_json_safe
 from repro.utils.logging import get_logger
@@ -332,103 +332,77 @@ class PlatformAxis(_NamedAxis):
 # ----------------------------------------------------------------------
 # Spec and grid
 # ----------------------------------------------------------------------
-@dataclass
-class ExperimentSpec:
-    """Declarative description of a scenario sweep (the four axes + knobs)."""
+#: Spec key of each axis list -> its axis class.
+AXES = {"models": ModelAxis, "faults": FaultAxis, "strategies": StrategyAxis,
+        "platforms": PlatformAxis}
 
-    models: list[ModelAxis] = field(default_factory=lambda: [ModelAxis(name="default")])
-    faults: list[FaultAxis] = field(
-        default_factory=lambda: [FaultAxis(name="const0", kind="const", params={"values": (0,)})]
+
+def _axis_problem(key: str, axes: Sequence) -> str | None:
+    """What is wrong with axis list ``key`` as a whole: it is empty or
+    repeats a name (scenario ids and checkpoint paths join the names)."""
+    if not axes:
+        return f"sweep spec needs at least one entry in {key!r}"
+    names = [axis.name for axis in axes]
+    if len(names) != len(set(names)):
+        return f"duplicate names in {key!r}: {sorted(names)}"
+    return None
+
+
+@dataclass(frozen=True)
+class ExperimentSpec(Checked):
+    """Declarative description of a scenario sweep (the four axes + knobs).
+
+    Every campaign setting of a sweep lives here; override one with
+    :func:`dataclasses.replace`, which re-runs the checks.
+    """
+
+    models: tuple[ModelAxis, ...] = field(default_factory=lambda: (ModelAxis(name="default"),))
+    faults: tuple[FaultAxis, ...] = field(
+        default_factory=lambda: (FaultAxis(name="const0", kind="const", params={"values": (0,)}),)
     )
-    strategies: list[StrategyAxis] = field(
-        default_factory=lambda: [StrategyAxis(name="random", kind="random")]
+    strategies: tuple[StrategyAxis, ...] = field(
+        default_factory=lambda: (StrategyAxis(name="random", kind="random"),)
     )
-    platforms: list[PlatformAxis] = field(default_factory=lambda: [PlatformAxis(name="8x8")])
+    platforms: tuple[PlatformAxis, ...] = field(
+        default_factory=lambda: (PlatformAxis(name="8x8"),)
+    )
     #: Evaluation images per trial (head of each model's test split).
-    images: int = 64
+    images: int = field(default=64, metadata={"min": 1})
     #: Campaign seed shared by every scenario (site draws stay independent:
     #: each trial derives its stream from its own coordinates).
-    seed: int = 0
-    batch_size: int = 64
+    seed: int = field(default=0, metadata={"min": None})
+    batch_size: int = field(default=64, metadata={"min": 1})
     #: Optional adaptive-stopping plan applied to every scenario's campaign
     #: (an ``[adaptive]`` table in the spec file; see
     #: :class:`~repro.core.stats.AdaptiveCampaignPlan`).
-    adaptive: AdaptiveCampaignPlan | None = None
-    #: Fault-tolerance knobs forwarded to every scenario's campaign runner
-    #: (``None`` = the :class:`~repro.core.campaign.CampaignConfig` default).
-    #: Purely operational: retries/deadlines change wall-clock behaviour,
-    #: never records, so they are *not* part of scenario identity.
-    max_shard_retries: int | None = None
-    shard_timeout: float | None = None
-    retry_backoff: float | None = None
+    adaptive: AdaptiveCampaignPlan | None = field(default=None, metadata={"omit_default": True})
+    #: Fault-tolerance knobs of every scenario's campaign (see
+    #: :class:`~repro.core.campaign.CampaignConfig`).  Purely operational:
+    #: retries/deadlines change wall-clock behaviour, never records, so
+    #: they are *not* part of scenario identity.
+    max_shard_retries: int = field(
+        default=CampaignConfig.max_shard_retries, metadata={"omit_default": True}
+    )
+    shard_timeout: float | None = field(default=None, metadata={"omit_default": True})
+    retry_backoff: float = field(
+        default=CampaignConfig.retry_backoff, metadata={"min": 0, "omit_default": True}
+    )
 
     def __post_init__(self) -> None:
-        for axis_name, axis in (
-            ("models", self.models),
-            ("faults", self.faults),
-            ("strategies", self.strategies),
-            ("platforms", self.platforms),
-        ):
-            if not axis:
-                raise ValueError(f"sweep spec needs at least one entry in {axis_name!r}")
-            names = [entry.name for entry in axis]
-            if len(names) != len(set(names)):
-                raise ValueError(f"duplicate names in {axis_name!r}: {sorted(names)}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        data = dict(data)
-        models = [ModelAxis.from_dict(d) for d in data.pop("models", [])]
-        faults = [FaultAxis.from_dict(d) for d in data.pop("faults", [])]
-        strategies = [StrategyAxis.from_dict(d) for d in data.pop("strategies", [])]
-        platforms = [PlatformAxis.from_dict(d) for d in data.pop("platforms", [])]
-        scalars = {key: data.pop(key) for key in _SPEC_SCALARS if key in data}
-        problems = [_spec_scalar_problem(key, value) for key, value in scalars.items()]
-        if any(problems):
-            raise ValueError("; ".join(p for p in problems if p))
-        kwargs = {
-            key: float(value) if _SPEC_SCALARS[key][0] == "float" else value
-            for key, value in scalars.items()
-        }
-        adaptive = data.pop("adaptive", None)
-        if adaptive is not None:
-            kwargs["adaptive"] = AdaptiveCampaignPlan.from_dict(adaptive)
-        if data:
-            raise ValueError(f"unknown sweep spec keys {sorted(data)}")
-        spec = cls(**kwargs)
-        if models:
-            spec.models = models
-        if faults:
-            spec.faults = faults
-        if strategies:
-            spec.strategies = strategies
-        if platforms:
-            spec.platforms = platforms
-        spec.__post_init__()
-        return spec
+        super().__post_init__()
+        for key in AXES:
+            problem = _axis_problem(key, getattr(self, key))
+            if problem is not None:
+                raise ValueError(problem)
+        if self.shard_timeout is not None and not self.shard_timeout > 0:
+            raise ValueError(
+                f"ExperimentSpec.shard_timeout must be > 0, got {self.shard_timeout}"
+            )
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ExperimentSpec":
         """Load a spec from a ``.toml`` or ``.json`` file."""
         return cls.from_dict(load_spec_data(path))
-
-    def to_dict(self) -> dict:
-        out = {
-            "images": self.images,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "models": [m.to_dict() for m in self.models],
-            "faults": [f.to_dict() for f in self.faults],
-            "strategies": [s.to_dict() for s in self.strategies],
-            "platforms": [p.to_dict() for p in self.platforms],
-        }
-        if self.adaptive is not None:
-            out["adaptive"] = self.adaptive.to_dict()
-        for key in ("max_shard_retries", "shard_timeout", "retry_backoff"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
     def grid(self) -> "ScenarioGrid":
         return ScenarioGrid(self)
@@ -456,9 +430,8 @@ class Scenario:
         return self.platform.config()
 
     def platform_key(self) -> tuple[str, str]:
-        """The (model, platform) cell by axis *contents*, not names: hand-
-        assembled scenario lists may reuse a name for different parameters,
-        and those must not share a trained platform."""
+        """The (model, platform) cell by axis *contents*, not names, so
+        entries that differ only in name share one trained platform."""
         return (
             json.dumps(self.model.to_dict(), sort_keys=True),
             json.dumps(self.platform.to_dict(), sort_keys=True),
@@ -526,9 +499,7 @@ class ScenarioGrid:
                         self.scenarios.append(scenario)
         # Scenario ids are unique by construction here: the spec enforces
         # unique, slug-safe (separator-free) names per axis, and every cell
-        # of the cross product joins one name from each axis.  Hand-built
-        # scenario sequences bypass this — SweepRunner re-checks ids so no
-        # duplicate can silently share a checkpoint file.
+        # of the cross product joins one name from each axis.
 
     def ids(self) -> list[str]:
         return [s.scenario_id for s in self.scenarios]
@@ -619,8 +590,9 @@ def _dedup(errors: list[str]) -> list[str]:
     return out
 
 
-def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Every problem of an assembled spec against the live registries.
+def validate_axes(models: Sequence, faults: Sequence, strategies: Sequence,
+                  platforms: Sequence) -> list[str]:
+    """Every problem of a spec's axes against the live registries.
 
     Checks run in two stages — per-axis schema validation first, then (only
     on schema-clean axes) builds and cross-axis cell checks — and *all*
@@ -630,10 +602,10 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     """
     errors: list[str] = []
     axis_specs = (
-        ("model", MODELS, spec.models),
-        ("fault", FAULTS, spec.faults),
-        ("strategy", STRATEGIES, spec.strategies),
-        ("platform", PLATFORMS, spec.platforms),
+        ("model", MODELS, models),
+        ("fault", FAULTS, faults),
+        ("strategy", STRATEGIES, strategies),
+        ("platform", PLATFORMS, platforms),
     )
     clean: dict[str, list] = {}
     for label, registry, axes in axis_specs:
@@ -689,90 +661,35 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     return _dedup(errors)
 
 
-#: Scalar spec keys: their :data:`repro.utils.checked.TYPES` type and
-#: least value.
-_SPEC_SCALARS = {
-    "images": ("int", 1), "seed": ("int", None), "batch_size": ("int", 1),
-    "max_shard_retries": ("int", 0), "shard_timeout": ("float", None),
-    "retry_backoff": ("float", 0),
-}
-
-
-def _spec_scalar_problem(key: str, value) -> str | None:
-    """What is wrong with scalar spec key ``key`` holding ``value``, if
-    anything; the one check of :func:`validate_spec_data` and
-    :meth:`ExperimentSpec.from_dict`."""
-    type_name, minimum = _SPEC_SCALARS[key]
-    problem = type_problem(type_name, value, minimum)
-    if problem is None and key == "shard_timeout" and not value > 0:
-        problem = f"must be positive, got {value}"
-    return None if problem is None else f"spec key {key!r} {problem}"
-
-
 def validate_spec_data(data: dict) -> list[str]:
-    """Every problem of a raw spec dict (as loaded from TOML/JSON).
+    """Every problem of a raw spec dict (as loaded from TOML/JSON), at once.
 
-    The dict-level wrapper around :func:`validate_spec`: additionally
-    catches malformed axis entries, bad scalar knobs, an invalid
-    ``[adaptive]`` table, duplicate axis names and unknown top-level keys —
-    everything ``ExperimentSpec.from_dict`` would raise on, collected
-    instead of raised one at a time.
+    :meth:`ExperimentSpec.problems <repro.utils.checked.Checked.problems>`
+    lists the schema problems (unknown keys, ill-typed or out-of-range
+    settings, malformed axis entries, an invalid ``[adaptive]`` table);
+    :func:`validate_axes` adds the registry and cross-axis problems of the
+    axis entries that parse, so one round fixes a whole spec.
     """
+    problems = ExperimentSpec.problems(data)
     if not isinstance(data, dict):
-        return [f"sweep spec must be a table/object, got {type(data).__name__}"]
-    data = dict(data)
-    errors: list[str] = []
-    axes: dict[str, list] = {}
-    for key, axis_cls in (
-        ("models", ModelAxis),
-        ("faults", FaultAxis),
-        ("strategies", StrategyAxis),
-        ("platforms", PlatformAxis),
-    ):
-        entries = data.pop(key, [])
-        axes[key] = []
-        if not isinstance(entries, list):
-            errors.append(
-                f"{key!r} must be an array of tables, got {type(entries).__name__}"
-            )
+        return problems
+    defaults = ExperimentSpec()
+    axes = {}
+    for key, axis_cls in AXES.items():
+        entries = data.get(key)
+        if not isinstance(entries, list):  # absent, or a problem listed above
+            axes[key] = getattr(defaults, key)
             continue
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                errors.append(
-                    f"{key}[{index}] must be a table, got {type(entry).__name__}"
-                )
-                continue
-            try:
-                axes[key].append(axis_cls.from_dict(entry))
-            except ValueError as exc:
-                errors.append(str(exc))
-        names = [axis.name for axis in axes[key]]
-        if len(names) != len(set(names)):
-            errors.append(f"duplicate names in {key!r}: {sorted(names)}")
-
-    for key in _SPEC_SCALARS:
-        if key in data:
-            problem = _spec_scalar_problem(key, data.pop(key))
-            if problem:
-                errors.append(problem)
-    adaptive = data.pop("adaptive", None)
-    if adaptive is not None:
-        try:
-            AdaptiveCampaignPlan.from_dict(adaptive)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"invalid [adaptive] table: {exc}")
-    if data:
-        errors.append(f"unknown sweep spec keys {sorted(data)}")
-
-    # Cross-axis checks need assembled axes; run them on whatever parsed
-    # cleanly so axis-level and cell-level problems surface together.
-    probe = ExperimentSpec.__new__(ExperimentSpec)
-    probe.models = axes["models"] or [ModelAxis(name="default")]
-    probe.faults = axes["faults"] or ExperimentSpec().faults
-    probe.strategies = axes["strategies"] or ExperimentSpec().strategies
-    probe.platforms = axes["platforms"] or ExperimentSpec().platforms
-    errors.extend(validate_spec(probe))
-    return _dedup(errors)
+        parsed = []
+        for entry in entries:
+            if isinstance(entry, dict):
+                with contextlib.suppress(TypeError, ValueError):
+                    parsed.append(axis_cls.from_dict(entry))
+        problem = _axis_problem(key, parsed) if parsed or not entries else None
+        if problem is not None:
+            problems.append(problem)
+        axes[key] = parsed or getattr(defaults, key)
+    return _dedup(problems + validate_axes(**axes))
 
 
 # ----------------------------------------------------------------------
@@ -934,78 +851,51 @@ class SweepRunner:
     (model, platform) cell reuse one trained platform spec, and each worker
     records its clean-activation tape during the scenario's baseline pass.
 
-    A custom ``resolver`` replaces the zoo lookup (e.g. in tests, where a
-    tiny pre-trained platform spec stands in for the case-study model).
+    Every campaign setting (images, seed, batch size, adaptive plan,
+    retries, deadline and backoff) comes from ``grid.spec``; override one
+    with :func:`dataclasses.replace` on the spec.  A custom ``resolver``
+    replaces the zoo lookup (e.g. in tests, where a tiny pre-trained
+    platform spec stands in for the case-study model).
     """
 
     def __init__(
         self,
-        grid: ScenarioGrid | Sequence[Scenario],
+        grid: ScenarioGrid,
         *,
         workers: int = 1,
         sweep_dir: Path | str | None = None,
         resume: bool = False,
-        images: int | None = None,
-        seed: int | None = None,
-        batch_size: int | None = None,
         resolver: ScenarioResolver | None = None,
         cache_dir: Path | str | None = None,
-        plan: AdaptiveCampaignPlan | None = None,
-        max_shard_retries: int | None = None,
-        shard_timeout: float | None = None,
-        retry_backoff: float | None = None,
-        poison_policy: str | None = None,
+        poison_policy: str = "raise",
         chaos=None,
     ):
-        spec = grid.spec if isinstance(grid, ScenarioGrid) else None
-        self.scenarios = list(grid)
-        if not self.scenarios:
-            raise ValueError("sweep needs at least one scenario")
-        # Hand-assembled scenario sequences bypass the spec's unique-name
-        # enforcement; duplicate ids would silently share one checkpoint
-        # file (and overwrite each other's merged lines), so reject them.
-        ids = [s.scenario_id for s in self.scenarios]
-        if len(ids) != len(set(ids)):
-            duplicates = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"scenario ids are not unique: {duplicates}")
+        spec = self.spec = grid.spec
         # Pre-flight: re-validate the spec against the live registries so a
         # spec that slipped past grid construction (e.g. kinds unregistered
         # since) fails here, before any trial executes.
-        if spec is not None:
-            problems = validate_spec(spec)
-            if problems:
-                raise ValueError("invalid sweep spec:\n" + "\n".join(problems))
+        problems = validate_axes(spec.models, spec.faults, spec.strategies, spec.platforms)
+        if problems:
+            raise ValueError("invalid sweep spec:\n" + "\n".join(problems))
+        self.scenarios = list(grid)
         self.workers = workers
         self.sweep_dir = Path(sweep_dir) if sweep_dir is not None else None
         self.resume = resume
-        self.images = images if images is not None else (spec.images if spec else 64)
-        self.seed = seed if seed is not None else (spec.seed if spec else 0)
-        self.batch_size = (
-            batch_size if batch_size is not None else (spec.batch_size if spec else 64)
-        )
-        self.plan = plan if plan is not None else (spec.adaptive if spec else None)
         self.resolver = resolver or functools.partial(
-            resolve_scenario, images=self.images, cache_dir=cache_dir
+            resolve_scenario, images=spec.images, cache_dir=cache_dir
         )
-        #: Fault-tolerance knobs for every scenario campaign: explicit
-        #: argument > spec value > CampaignConfig default.  Operational
-        #: only — they never change scenario records.
-        self.max_shard_retries = (
-            max_shard_retries
-            if max_shard_retries is not None
-            else (spec.max_shard_retries if spec else None)
+        #: Every scenario campaign's config.  ``chaos`` is a deterministic
+        #: harness-fault plan for every scenario's workers (chaos-testing
+        #: machinery; leave None in real sweeps).
+        self.config = CampaignConfig(
+            batch_size=spec.batch_size,
+            seed=spec.seed,
+            max_shard_retries=spec.max_shard_retries,
+            shard_timeout=spec.shard_timeout,
+            retry_backoff=spec.retry_backoff,
+            poison_policy=poison_policy,
+            chaos=chaos,
         )
-        self.shard_timeout = (
-            shard_timeout if shard_timeout is not None else (spec.shard_timeout if spec else None)
-        )
-        self.retry_backoff = (
-            retry_backoff if retry_backoff is not None else (spec.retry_backoff if spec else None)
-        )
-        self.poison_policy = poison_policy
-        #: Deterministic harness-fault plan applied to every scenario's
-        #: workers (chaos-testing machinery; leave None in real sweeps).
-        self.chaos = chaos
-        self._spec = spec
 
     def _checkpoint_path(self, scenario: Scenario) -> Path | None:
         if self.sweep_dir is None:
@@ -1028,25 +918,11 @@ class SweepRunner:
             runner = ParallelCampaignRunner(
                 platform_spec,
                 scenario.build_strategy(),
-                CampaignConfig(
-                    batch_size=self.batch_size,
-                    seed=self.seed,
-                    chaos=self.chaos,
-                    **{
-                        key: value
-                        for key, value in (
-                            ("max_shard_retries", self.max_shard_retries),
-                            ("shard_timeout", self.shard_timeout),
-                            ("retry_backoff", self.retry_backoff),
-                            ("poison_policy", self.poison_policy),
-                        )
-                        if value is not None
-                    },
-                ),
+                self.config,
                 workers=self.workers,
                 checkpoint=self._checkpoint_path(scenario),
                 resume=self.resume,
-                plan=self.plan,
+                plan=self.spec.adaptive,
             )
             with TELEMETRY.span(
                 "sweep.scenario",
@@ -1074,8 +950,7 @@ class SweepRunner:
         # leave either the previous artifact or the new one, never a torn mix.
         durable_write_text(self.sweep_dir / "sweep.jsonl", sweep.merged_jsonl_text())
         payload = sweep.to_dict()
-        if self._spec is not None:
-            payload["spec"] = self._spec.to_dict()
+        payload["spec"] = self.spec.to_dict()
         durable_write_text(
             self.sweep_dir / "sweep.json",
             dump_json_safe(payload, indent=2, sort_keys=True) + "\n",

@@ -254,8 +254,8 @@ class FleetJob:
         state = self.scenarios[scenario_index]
         book = self._book_of(lease_id)
         try:
-            records = [TrialRecord.from_dict(dict(data)) for data in record_dicts]
-        except (TypeError, ValueError, KeyError) as exc:
+            records = [TrialRecord.from_dict(data) for data in record_dicts]
+        except ValueError as exc:
             raise ValueError(f"malformed trial record on the wire: {exc}") from None
         try:
             accepted = len(state.book.merge(records))

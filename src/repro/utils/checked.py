@@ -1,28 +1,41 @@
 """One validator for outside input: JSON objects into checked dataclasses.
 
-Fleet wire messages (:mod:`repro.service.protocol`) and chaos plan events
-(:mod:`repro.core.chaos`) arrive as untrusted JSON.  Each is a frozen
-dataclass deriving from :class:`Checked`, with fields annotated as ``int``,
-``float``, ``str``, ``bool``, ``dict``, ``tuple[int, ...]`` or
-``tuple[dict, ...]``, or ``X | None`` of one of them.  ``__post_init__``
-checks every field against its annotation, so objects built in code meet
-the same rules as objects decoded from JSON; lists become tuples.  Floats
-must be finite (JSON has no portable NaN/Inf, and a NaN baseline or sleep
-fails far from where it came in); integers must be non-negative (each is a
-count, an id or an ordinal) unless the field sets another ``min``.
+Everything the program builds from outside input derives from
+:class:`Checked`: fleet wire messages (:mod:`repro.service.protocol`),
+chaos plan events (:mod:`repro.core.chaos`), the sweep spec and its
+``[adaptive]`` plan, trial records, and the campaign and platform configs.
+Each is a frozen dataclass whose fields are annotated as ``int``,
+``float``, ``str``, ``bool``, ``dict`` or a class with
+``from_dict``/``to_dict`` (another :class:`Checked`, a sweep axis, a chaos
+plan), as ``tuple[X, ...]`` of one of them, or as ``X | None``.
+``__post_init__`` checks every field against its annotation, so objects
+built in code meet the same rules as objects decoded from JSON; lists
+become tuples and a ``float`` field widens an integer to ``float``.
+Floats must be finite (JSON has no portable NaN/Inf, and a NaN baseline or
+sleep fails far from where it came in); integers must be non-negative
+(each is a count, an id or an ordinal) unless the field sets another
+``min``.  A nested class field holds an instance; :meth:`Checked.from_dict`
+decodes a JSON object through the class's own ``from_dict``.
 
 A field declares its domain bounds once, in ``field(metadata=...)``:
-``min``, ``nonempty`` and ``choices``; ``omit_default`` leaves it out of
-:meth:`Checked.to_dict` at its default.  Each class's rules are resolved
-once and cached, because the fleet coordinator builds a message per HTTP
-request.  :data:`TYPES` is also the spec registry's type table, so a spec
-parameter and a wire field of the same type fail with the same wording.
+``min`` (inclusive; ``None`` for none), ``nonempty`` and ``choices``;
+``omit_default`` leaves it out of :meth:`Checked.to_dict` at its default.
+A class checks only its exclusive and cross-field rules itself, in a
+``__post_init__`` that first calls ``super().__post_init__()``.
+:meth:`Checked.problems` lists every problem of a JSON object at once
+(unknown and missing keys, each field's type or bound, nested objects'
+problems under a dotted path), and :meth:`Checked.from_dict` raises them.
+Each class's rules are resolved once and cached, because the fleet
+coordinator builds a message per HTTP request.  :data:`TYPES` is also the
+spec registry's type table, so a spec parameter and a wire field of the
+same type fail with the same wording.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import MISSING, Field, dataclass, fields
 from typing import Any, Callable, ClassVar, NamedTuple
 
@@ -58,33 +71,55 @@ def _problem(expected: str, value: Any) -> str:
     return f"must be {expected}, got {type(value).__name__} {value!r}"
 
 
-def type_problem(name: str, value: Any, minimum: float | None = None) -> str | None:
+def type_problem(name: str, value: Any) -> str | None:
     """``None`` if ``value`` is of type ``name`` (a scalar or ``tuple[X, ...]``),
-    and a scalar at least ``minimum`` when that is given, else the problem,
-    e.g. ``"must be an integer >= 1, got int 0"``."""
+    else the problem, e.g. ``"must be an integer, got str '8'"``."""
     element = _element(name)
     if element is None:
         expected, _, test = TYPES[name]
-        if minimum is not None:
-            expected += f" >= {minimum}"
-        ok = test(value) and (minimum is None or value >= minimum)
-        return None if ok else _problem(expected, value)
+        return None if test(value) else _problem(expected, value)
     _, plural, test = TYPES[element]
     if isinstance(value, (list, tuple)) and all(test(item) for item in value):
         return None
     return _problem(f"a list of {plural}", value)
 
 
-def _field_rule(f: Field) -> tuple[str, Callable[[Any], bool]]:
-    """What values of field ``f`` must be, and the test they must pass."""
+class _Rule(NamedTuple):
+    name: str
+    #: What values must be, e.g. ``"an integer >= 1 or null"``.
+    expected: str
+    accepts: Callable[[Any], bool]
+    #: The class a JSON object in this field decodes into, if any.
+    nested: type | None
+    #: ``tuple[X, ...]`` field.
+    many: bool
+    #: Scalar ``float`` field: an integer widens to ``float``.
+    widen: bool
+
+
+def _resolve(owner: type, name: str) -> type:
+    """The class an annotation of ``owner`` names, looked up in the modules
+    of ``owner`` and its bases."""
+    for klass in owner.__mro__:
+        found = vars(sys.modules[klass.__module__]).get(name)
+        if isinstance(found, type) and hasattr(found, "from_dict"):
+            return found
+    raise TypeError(f"{owner.__name__} field annotation {name!r} is not a checked type")
+
+
+def _field_rule(owner: type, f: Field) -> _Rule:
     annotation = f.type if isinstance(f.type, str) else f.type.__name__
     base = annotation.removesuffix(" | None")
     optional = base != annotation
     element = _element(base)
     scalar = element or base
-    if scalar not in TYPES:
-        raise TypeError(f"field {f.name!r} has unsupported annotation {annotation!r}")
-    one, many, is_type = TYPES[scalar]
+    nested = None
+    if scalar in TYPES:
+        one, many, is_type = TYPES[scalar]
+    else:
+        nested = _resolve(owner, scalar)
+        one, many = "an object", "objects"
+        is_type = lambda value: isinstance(value, nested)  # noqa: E731
     minimum = f.metadata.get("min", 0 if scalar == "int" else None)
     nonempty = f.metadata.get("nonempty", False)
     choices = f.metadata.get("choices")
@@ -115,12 +150,18 @@ def _field_rule(f: Field) -> tuple[str, Callable[[Any], bool]]:
             return valid(value)
         return isinstance(value, (list, tuple)) and all(valid(item) for item in value)
 
-    return expected + (" or null" if optional else ""), accepts
+    return _Rule(
+        f.name,
+        expected + (" or null" if optional else ""),
+        accepts,
+        nested,
+        element is not None,
+        scalar == "float" and element is None,
+    )
 
 
 class _Schema(NamedTuple):
-    #: ``(name, expected, accepts)`` per field.
-    rules: tuple[tuple[str, str, Callable[[Any], bool]], ...]
+    rules: tuple[_Rule, ...]
     known: frozenset[str]
     required: frozenset[str]
     #: Default of each field left out of :meth:`Checked.to_dict` at it.
@@ -131,13 +172,32 @@ class _Schema(NamedTuple):
 def _schema(cls: type) -> _Schema:
     declared = fields(cls)
     return _Schema(
-        rules=tuple((f.name, *_field_rule(f)) for f in declared),
+        rules=tuple(_field_rule(cls, f) for f in declared),
         known=frozenset(f.name for f in declared),
         required=frozenset(
             f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
         ),
         omitted={f.name: f.default for f in declared if f.metadata.get("omit_default")},
     )
+
+
+def _decode(nested: type, value: Any, where: str, problems: list[str]) -> Any:
+    """``value`` with each JSON object in it (it, or the items of a list)
+    decoded as a ``nested``; the problems of those that fail go to
+    ``problems``."""
+    if isinstance(value, (list, tuple)):
+        return [_decode(nested, item, f"{where}[{i}]", problems) for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        return value
+    if issubclass(nested, Checked):
+        decoded, found = nested._parse(value, where)
+        problems.extend(found)
+        return decoded
+    try:
+        return nested.from_dict(value)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{where}: {exc}")
+        return None
 
 
 @dataclass(frozen=True)
@@ -151,33 +211,71 @@ class Checked:
 
     def __post_init__(self) -> None:
         cls = type(self)
-        for name, expected, accepts in _schema(cls).rules:
-            value = getattr(self, name)
-            if not accepts(value):
-                raise cls.ERROR(f"{cls.__name__}.{name} {_problem(expected, value)}")
+        for rule in _schema(cls).rules:
+            value = getattr(self, rule.name)
+            if not rule.accepts(value):
+                raise cls.ERROR(f"{cls.__name__}.{rule.name} {_problem(rule.expected, value)}")
             if isinstance(value, list):  # only tuple fields accept lists
-                object.__setattr__(self, name, tuple(value))
+                object.__setattr__(self, rule.name, tuple(value))
+            elif rule.widen and _is_int(value):
+                object.__setattr__(self, rule.name, float(value))
+
+    @classmethod
+    def _parse(cls, data: Any, path: str) -> tuple[Any, list[str]]:
+        """``(instance, [])`` for a valid JSON object, else ``(None,
+        problems)``, each problem naming its key under ``path``."""
+        if not isinstance(data, dict):
+            return None, [f"{path} must be an object, got {type(data).__name__}"]
+        schema = _schema(cls)
+        problems: list[str] = []
+        unknown = data.keys() - schema.known
+        if unknown:
+            problems.append(f"{path} has unknown keys {sorted(unknown)}")
+        missing = schema.required - data.keys()
+        if missing:
+            problems.append(f"{path} is missing keys {sorted(missing)}")
+        kwargs = {}
+        for rule in schema.rules:
+            if rule.name not in data:
+                continue
+            where, value, before = f"{path}.{rule.name}", data[rule.name], len(problems)
+            if rule.nested is not None:
+                value = _decode(rule.nested, value, where, problems)
+            if len(problems) == before and not rule.accepts(value):
+                problems.append(f"{where} {_problem(rule.expected, value)}")
+            kwargs[rule.name] = value
+        if problems:
+            return None, problems
+        try:
+            return cls(**kwargs), []
+        except ValueError as exc:  # a cross-field rule of __post_init__
+            return None, [str(exc)]
+
+    @classmethod
+    def problems(cls, data: Any) -> list[str]:
+        """Every problem of a decoded JSON object as a ``cls``, all at once
+        (empty when :meth:`from_dict` accepts it)."""
+        return cls._parse(data, cls.__name__)[1]
 
     @classmethod
     def from_dict(cls, data: Any):
         """The instance a decoded JSON object describes, checked."""
-        if not isinstance(data, dict):
-            raise cls.ERROR(f"{cls.__name__} must be an object, got {type(data).__name__}")
-        schema = _schema(cls)
-        unknown = data.keys() - schema.known
-        if unknown:
-            raise cls.ERROR(f"{cls.__name__} has unknown keys {sorted(unknown)}")
-        missing = schema.required - data.keys()
-        if missing:
-            raise cls.ERROR(f"{cls.__name__} is missing keys {sorted(missing)}")
-        return cls(**data)
+        instance, problems = cls._parse(data, cls.__name__)
+        if problems:
+            raise cls.ERROR("; ".join(problems))
+        return instance
 
     def to_dict(self) -> dict:
         """The JSON object :meth:`from_dict` turns back into ``self``."""
-        omitted = _schema(type(self)).omitted
+        schema = _schema(type(self))
         out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in omitted or value != omitted[f.name]:
-                out[f.name] = list(value) if isinstance(value, tuple) else value
+        for rule in schema.rules:
+            value = getattr(self, rule.name)
+            if rule.name in schema.omitted and value == schema.omitted[rule.name]:
+                continue
+            if rule.nested is not None and value is not None:
+                value = [item.to_dict() for item in value] if rule.many else value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[rule.name] = value
         return out

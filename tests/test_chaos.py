@@ -364,12 +364,10 @@ class TestLeaseSupervisor:
         assert [p.trial_index for k, p in handled if k == "record"] == [0, 1]
 
     def test_constructor_validation(self):
-        kwargs = dict(start=lambda slot, epoch: (FakeProc(), FakeTasks()),
-                      results=queue.Queue())
         with pytest.raises(ValueError, match="max_retries"):
             LeaseBook(1, max_retries=-1)
-        with pytest.raises(ValueError, match="timeout"):
-            WorkerPool(1, timeout=0.0, **kwargs)
+        with pytest.raises(ValueError, match="shard_timeout must be > 0"):
+            CampaignConfig(shard_timeout=0.0)
         with pytest.raises(ValueError, match="backoff"):
             LeaseBook(1, backoff=-0.1)
         with pytest.raises(ValueError, match="poison_policy"):
@@ -561,10 +559,11 @@ class TestSweepByteIdentity:
         return resolver
 
     def _run_sweep(self, resolver, workers, sweep_dir, chaos=None, shard_timeout=None):
-        spec = ExperimentSpec.from_dict(SWEEP_SPEC)
+        spec = dataclasses.replace(
+            ExperimentSpec.from_dict(SWEEP_SPEC), shard_timeout=shard_timeout, retry_backoff=0.01
+        )
         return SweepRunner(
-            spec.grid(), workers=workers, sweep_dir=sweep_dir, resolver=resolver,
-            chaos=chaos, shard_timeout=shard_timeout, retry_backoff=0.01,
+            spec.grid(), workers=workers, sweep_dir=sweep_dir, resolver=resolver, chaos=chaos,
         ).run()
 
     @pytest.mark.parametrize("workers", [2, 4])

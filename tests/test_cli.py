@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.sweep import SweepRunner
 
 
 #: CLI arguments selecting a tiny, quickly trained model for end-to-end runs.
@@ -261,8 +263,8 @@ class TestValidateAndCleanErrors:
         assert main(["validate", "--spec", self.BROKEN_SPEC]) == 1
         err = capsys.readouterr().err
         assert "5 problem(s)" in err
-        assert "spec key 'images' must be an integer" in err
-        assert "unknown sweep spec keys ['bogus_key']" in err
+        assert "ExperimentSpec.images must be an integer" in err
+        assert "ExperimentSpec has unknown keys ['bogus_key']" in err
         # unknown-kind errors enumerate the live registry, not a frozen list
         assert "unknown kind 'no-such-fault'" in err
         assert "registered fault kinds:" in err and "bitflip" in err
@@ -307,10 +309,31 @@ class TestValidateAndCleanErrors:
         assert main(["sweep", "--spec", str(path), "--list"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
-        assert "'target_half_width' must be a number, got bool True" in captured.err
+        assert (
+            "ExperimentSpec.adaptive.target_half_width must be a finite number, got bool True"
+            in captured.err
+        )
         assert "Traceback" not in captured.err
         assert main(["validate", "--spec", str(path)]) == 1
-        assert "invalid [adaptive] table" in capsys.readouterr().err
+        assert "ExperimentSpec.adaptive.round_size must be an integer" in capsys.readouterr().err
+
+    def test_sweep_keeps_spec_retries_unless_flag_given(self, tmp_path, monkeypatch):
+        path = tmp_path / "retries.json"
+        path.write_text(json.dumps(dict(self.GOOD_SPEC, max_shard_retries=0)))
+        configs = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(grid, **kwargs):
+            configs.append(SweepRunner(grid, **kwargs).config)
+            raise Captured
+
+        monkeypatch.setattr(cli, "SweepRunner", capture)
+        for flags in ([], ["--max-shard-retries", "3"]):
+            with pytest.raises(Captured):
+                main(["sweep", "--spec", str(path), "--sweep-dir", str(tmp_path), *flags])
+        assert [config.max_shard_retries for config in configs] == [0, 3]
 
     @pytest.mark.parametrize("argv,event", [
         (["campaign", "--chaos-plan"],

@@ -304,7 +304,7 @@ class TestServiceEndpoints:
         coordinator = make_coordinator(tmp_path)
         try:
             client = CoordinatorClient(coordinator.url, timeout=5.0, retries=2, backoff=0.05)
-            with pytest.raises(ServiceError, match="'images' must be an integer >= 1"):
+            with pytest.raises(ServiceError, match="ExperimentSpec.images must be an integer >= 1"):
                 client.submit_job({"images": 0})
             assert coordinator.jobs == {}
         finally:
@@ -523,7 +523,7 @@ class TestFleetJobLeaseBook:
 
     @pytest.mark.parametrize("batch", [
         [record_dict(10**6)],
-        [record_dict(-3)],
+        [dict(record_dict(0), trial_index=-3)],
         [dict(record_dict(1), trial_index="1")],
         [dict(record_dict(1), trial_index=True)],
         [record_dict(0), {"trial_index": 1}],  # valid, then malformed
@@ -537,6 +537,22 @@ class TestFleetJobLeaseBook:
             job.add_records(grant.lease_id, grant.attempt, grant.scenario_index,
                             batch, baseline=0.9)
         assert job.status() == before
+        state = job.scenarios[grant.scenario_index]
+        assert state.records == {} and state.baseline is None
+        assert state.book.leases[grant.lease_id].remaining == set(grant.indices)
+
+    @pytest.mark.parametrize("key, value", [
+        ("accuracy", "0.5"), ("accuracy", None), ("description", 7), ("metadata", [1]),
+    ])
+    def test_ill_typed_record_field_merges_nothing(self, tmp_path, key, value):
+        # Every record field is checked, not only the trial index: a batch
+        # covering a whole lease with one ill-typed field must not merge.
+        job, _ = make_job(tmp_path)
+        grant = job.grant(node_id=0)
+        batch = [dict(record_dict(index), **{key: value}) for index in grant.indices]
+        with pytest.raises(ValueError, match=f"TrialRecord.{key} must be"):
+            job.add_records(grant.lease_id, grant.attempt, grant.scenario_index,
+                            batch, baseline=0.9)
         state = job.scenarios[grant.scenario_index]
         assert state.records == {} and state.baseline is None
         assert state.book.leases[grant.lease_id].remaining == set(grant.indices)
@@ -608,7 +624,7 @@ _bad_bodies = st.one_of(
     st.integers(2, 10**6).map(lambda i: _with("record-batch", scenario_index=i)),
     st.sampled_from([
         [record_dict(10**6)],
-        [record_dict(-3)],
+        [dict(record_dict(0), trial_index=-3)],
         [dict(record_dict(1), trial_index="1")],
         [record_dict(0), {"trial_index": 1}],
         [record_dict(0), record_dict(2)],

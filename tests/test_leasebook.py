@@ -214,3 +214,18 @@ def test_baseline_disagreement_is_loud():
     book = LeaseBook(2, baseline=0.9)
     with pytest.raises(DeterminismError, match="baseline"):
         book.merge_meta(0.8, None)
+
+
+def test_failure_warning_names_the_exception(caplog):
+    book = LeaseBook(2, max_retries=1)
+    (lease,) = book.due()
+    token = book.grant(lease)
+    reason = (
+        "worker raised:\n"
+        "Traceback (most recent call last):\n"
+        '  File "worker.py", line 1, in run\n'
+        "ValueError: batch_size must be an integer >= 1\n"
+    )
+    with caplog.at_level("WARNING", logger="repro.core.leasebook"):
+        assert book.fail(*token, reason, "worker_errors")
+    assert "worker raised: ValueError: batch_size must be an integer >= 1; retrying" in caplog.text

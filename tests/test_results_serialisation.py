@@ -59,10 +59,11 @@ class TestTrialRecordRoundTrip:
         restored = TrialRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert restored == record
 
-    def test_unknown_keys_ignored(self):
+    def test_unknown_keys_rejected(self):
         data = make_record(2).to_dict()
         data["added_in_a_future_version"] = {"x": 1}
-        assert TrialRecord.from_dict(data) == make_record(2)
+        with pytest.raises(ValueError, match="unknown keys.*added_in_a_future_version"):
+            TrialRecord.from_dict(data)
 
     def test_missing_optional_fields_default(self):
         data = make_record(3).to_dict()

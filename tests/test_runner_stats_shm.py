@@ -255,7 +255,28 @@ class TestTrialPurity:
         np.testing.assert_array_equal(got_logits, want_logits)
 
 
+def _forced(**fields) -> CampaignConfig:
+    """A config holding values its own checks reject, to reach the checks
+    of the runtime behind it."""
+    config = _config()
+    for key, value in fields.items():
+        object.__setattr__(config, key, value)
+    return config
+
+
 class TestBatchSizeValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", -8), ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True),
+        ("max_images", -4), ("max_shard_retries", -1), ("retry_backoff", -1),
+        ("shard_timeout", 0), ("poison_policy", "bogus"),
+    ])
+    def test_config_rejects_an_out_of_range_setting(self, key, value):
+        """A batch size below 1 would step through no chunk and read every
+        accuracy as 0.0, and ``max_images=-4`` would evaluate all but the
+        last 4 images; no such config is built."""
+        with pytest.raises(ValueError, match=f"CampaignConfig.{key} must be"):
+            _config(**{key: value})
+
     @pytest.mark.parametrize("batch_size", [-8, 0, 2.5, True])
     def test_runner_rejects_a_batch_size_that_cannot_step(
         self, tiny_platform_spec, tiny_dataset, batch_size
@@ -263,7 +284,7 @@ class TestBatchSizeValidation:
         """A batch size below 1 would step through no chunk and read every
         accuracy, baseline included, as 0.0."""
         runner = ParallelCampaignRunner(
-            tiny_platform_spec, STRATEGY, _config(batch_size=batch_size)
+            tiny_platform_spec, STRATEGY, _forced(batch_size=batch_size)
         )
         with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
             runner.run(tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16])
@@ -275,7 +296,7 @@ class TestBatchSizeValidation:
         the shared results queue's write lock, which would block every
         respawned worker for good."""
         runner = ParallelCampaignRunner(
-            tiny_platform_spec, STRATEGY, _config(batch_size=-8), workers=2
+            tiny_platform_spec, STRATEGY, _forced(batch_size=-8), workers=2
         )
         with pytest.raises(PoisonShardError, match="batch_size must be an integer >= 1"):
             runner.run(tiny_dataset.test_images[:16], tiny_dataset.test_labels[:16])

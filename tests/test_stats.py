@@ -314,17 +314,17 @@ class TestAdaptivePlan:
         assert clone == plan
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown adaptive plan keys"):
+        with pytest.raises(ValueError, match=r"AdaptiveCampaignPlan has unknown keys \['rounds'\]"):
             AdaptiveCampaignPlan.from_dict({"target_half_width": 0.1, "rounds": 4})
         with pytest.raises(ValueError, match="target_half_width"):
             AdaptiveCampaignPlan.from_dict({"round_size": 4})
 
     def test_from_dict_rejects_bad_thresholds_clearly(self):
-        with pytest.raises(ValueError, match="thresholds keys.*tolerble_drop"):
+        with pytest.raises(ValueError, match="thresholds has unknown keys.*tolerble_drop"):
             AdaptiveCampaignPlan.from_dict(
                 {"target_half_width": 0.1, "thresholds": {"tolerble_drop": 0.02}}
             )
-        with pytest.raises(ValueError, match="invalid adaptive plan thresholds"):
+        with pytest.raises(ValueError, match="AdaptiveCampaignPlan.thresholds.tolerable_drop must be a finite number"):
             AdaptiveCampaignPlan.from_dict(
                 {"target_half_width": 0.1, "thresholds": {"tolerable_drop": "lots"}}
             )
@@ -332,20 +332,20 @@ class TestAdaptivePlan:
     @pytest.mark.parametrize(
         "key, value, problem",
         [
-            ("target_half_width", True, "must be a number, got bool True"),
-            ("target_half_width", "0.1", "must be a number, got str '0.1'"),
-            ("target_half_width", float("nan"), "must be a finite number, got nan"),
-            ("confidence", float("inf"), "must be a finite number, got inf"),
-            ("round_size", "8", "must be an integer, got str '8'"),
-            ("round_size", True, "must be an integer, got bool True"),
-            ("min_rounds", 2.5, "must be an integer, got float 2.5"),
-            ("max_trials", 12.9, "must be an integer, got float 12.9"),
-            ("metric", 3, "must be a string, got int 3"),
+            ("target_half_width", True, "must be a finite number, got bool True"),
+            ("target_half_width", "0.1", "must be a finite number, got str '0.1'"),
+            ("target_half_width", float("nan"), "must be a finite number, got float nan"),
+            ("confidence", float("inf"), "must be a finite number, got float inf"),
+            ("round_size", "8", "must be an integer >= 1, got str '8'"),
+            ("round_size", True, "must be an integer >= 1, got bool True"),
+            ("min_rounds", 2.5, "must be an integer >= 1, got float 2.5"),
+            ("max_trials", 12.9, "must be an integer >= 1 or null, got float 12.9"),
+            ("metric", 3, "must be one of mean_drop/sdc_rate, got int 3"),
         ],
     )
     def test_from_dict_checks_types_instead_of_coercing(self, key, value, problem):
         data = {"target_half_width": 0.1, key: value}
-        with pytest.raises(ValueError, match=f"adaptive plan key '{key}' {re.escape(problem)}"):
+        with pytest.raises(ValueError, match=f"AdaptiveCampaignPlan.{key} {re.escape(problem)}"):
             AdaptiveCampaignPlan.from_dict(data)
 
     def test_from_dict_widens_integers_for_number_keys(self):
@@ -354,7 +354,7 @@ class TestAdaptivePlan:
         )
         assert type(plan.target_half_width) is float
         assert type(plan.thresholds.critical_drop) is float
-        with pytest.raises(ValueError, match="'masked_epsilon' must be a number, got bool"):
+        with pytest.raises(ValueError, match="thresholds.masked_epsilon must be a finite number >= 0, got bool"):
             AdaptiveCampaignPlan.from_dict(
                 {"target_half_width": 0.1, "thresholds": {"masked_epsilon": False}}
             )

@@ -96,7 +96,7 @@ class TestSpecParsing:
         assert grid.ids() == ["default/const0/random/8x8"]
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep spec keys"):
+        with pytest.raises(ValueError, match=r"ExperimentSpec has unknown keys \['modles'\]"):
             ExperimentSpec.from_dict({"modles": []})
 
     @pytest.mark.parametrize("key, value, problem", [
@@ -105,13 +105,13 @@ class TestSpecParsing:
         ("images", 2.9, "must be an integer >= 1"),
         ("batch_size", 0, "must be an integer >= 1"),
         ("batch_size", -8, "must be an integer >= 1"),
-        ("max_shard_retries", -1, "must be an integer >= 0"),
-        ("shard_timeout", 0, "must be positive"),
-        ("retry_backoff", -0.5, "must be a number >= 0"),
+        ("max_shard_retries", -1, "must be a non-negative integer"),
+        ("shard_timeout", 0, "must be > 0"),
+        ("retry_backoff", -0.5, "must be a finite number >= 0"),
         ("seed", True, "must be an integer"),
     ])
     def test_scalar_out_of_range_rejected_by_both_readers(self, key, value, problem):
-        expected = f"spec key {key!r} {problem}"
+        expected = f"ExperimentSpec.{key} {problem}"
         assert any(expected in p for p in validate_spec_data({key: value}))
         with pytest.raises(ValueError, match=re.escape(expected)):
             ExperimentSpec.from_dict({key: value})
