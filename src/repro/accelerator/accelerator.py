@@ -476,17 +476,19 @@ class NVDLAAccelerator:
         return self.sdp.elementwise_add_owned(inputs[0], inputs[1], node)
 
     def _gemm_out(self, op, node, configs, per_trial: int, **source) -> np.ndarray:
-        """Post-SDP output of a conv/FC op: engine accumulate, then requant."""
+        """Post-SDP output of a conv/FC op: engine accumulate, then requant.
+
+        One :func:`clamp_free` certificate covers both 34-bit clamps.
+        """
         accumulate = (
             self.engine.conv_accumulate_fused
             if isinstance(op, ConvOp)
             else self.engine.linear_accumulate_fused
         )
-        acc = accumulate(node, configs, per_trial, **source)
+        certified = clamp_free(node, configs, self.geometry)
+        acc = accumulate(node, configs, per_trial, certified=certified, **source)
         start = TELEMETRY.tick()
-        out = self.sdp.conv_post_owned(
-            acc, node, channel_axis=1, clamp_free=clamp_free(node, configs, self.geometry)
-        )
+        out = self.sdp.conv_post_owned(acc, node, channel_axis=1, clamp_free=certified)
         TELEMETRY.tock("requant", start)
         return out
 

@@ -215,11 +215,14 @@ class VectorisedEngine:
         exec_index: int,
         record: bool,
         positions: tuple[np.ndarray, ...] | None = None,
+        certified: bool | None = None,
     ) -> np.ndarray:
         """Accumulators of ``len(configs)`` trials of one layer, 34-bit saturated.
 
         The saturation pass is skipped when :func:`clamp_free` certifies
-        that it cannot fire, which leaves the values identical.
+        that it cannot fire, which leaves the values identical.  A caller
+        that already holds that certificate for ``configs`` passes it as
+        ``certified``; ``None`` evaluates it here.
 
         Exactly one input form describes the layer input:
 
@@ -298,7 +301,8 @@ class VectorisedEngine:
             kernel_elems = 1
             w_rows = weight
 
-        certified = clamp_free(node, configs, self.geometry)
+        if certified is None:
+            certified = clamp_free(node, configs, self.geometry)
         if positions is not None:
             if any(config.enabled for config in configs):
                 raise ValueError("gathered positions carry no datapath fault correction")
@@ -375,16 +379,18 @@ class VectorisedEngine:
         exec_index: int = 0,
         record: bool = False,
         positions: tuple[np.ndarray, ...] | None = None,
+        certified: bool | None = None,
     ) -> np.ndarray:
         """Accumulators of ``len(configs)`` trials of one layer in one pass.
 
-        See :meth:`_accumulate` for the input forms and ``positions``;
-        ``record`` is set on the fault-free baseline pass that records the
-        tape.  The stack is bit-identical to concatenating G single-trial
-        ``conv_accumulate`` calls.
+        See :meth:`_accumulate` for the input forms, ``positions`` and
+        ``certified``; ``record`` is set on the fault-free baseline pass
+        that records the tape.  The stack is bit-identical to concatenating
+        G single-trial ``conv_accumulate`` calls.
         """
         return self._accumulate(
-            node, configs, per_trial, x_stack, x_clean, exec_index, record, positions
+            node, configs, per_trial, x_stack, x_clean, exec_index, record, positions,
+            certified,
         )
 
     #: The fully-connected form of :meth:`conv_accumulate_fused`.

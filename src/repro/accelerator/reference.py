@@ -224,7 +224,9 @@ class ScalarReferenceEngine:
 
         Each trial runs through the unchanged literal ``*_accumulate``
         method, so the oracle's arithmetic stays independent of the
-        vectorised engine's fusion.
+        vectorised engine's fusion.  The fused forms' ``record`` and
+        ``certified`` arguments are accepted and ignored: the oracle keeps
+        no tape and always saturates.
         """
         parts = [
             accumulate(
@@ -239,7 +241,7 @@ class ScalarReferenceEngine:
 
     def conv_accumulate_fused(
         self, node, configs, per_trial, x_stack=None, x_clean=None,
-        exec_index=0, record=False,
+        exec_index=0, record=False, certified=None,
     ) -> np.ndarray:
         return self._one_config_at_a_time(
             self.conv_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index
@@ -247,7 +249,7 @@ class ScalarReferenceEngine:
 
     def linear_accumulate_fused(
         self, node, configs, per_trial, x_stack=None, x_clean=None,
-        exec_index=0, record=False,
+        exec_index=0, record=False, certified=None,
     ) -> np.ndarray:
         return self._one_config_at_a_time(
             self.linear_accumulate, node, configs, per_trial, x_stack, x_clean, exec_index

@@ -918,12 +918,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard-size", type=int, default=8,
                        help="trials per network lease (scheduling granularity "
                             "only; merged records are identical for any value)")
-    serve.add_argument("--max-shard-retries", type=int, default=2,
+    serve.add_argument("--max-shard-retries", type=int, default=None,
                        help="re-lease attempts after a node dies or goes silent "
-                            "before the lease is declared poison")
-    serve.add_argument("--retry-backoff", type=float, default=0.25,
+                            "before the lease is declared poison (default: each "
+                            "submitted spec's max_shard_retries, 2 unless set)")
+    serve.add_argument("--retry-backoff", type=float, default=None,
                        help="base of the capped exponential backoff between "
-                            "re-lease attempts")
+                            "re-lease attempts (default: each submitted spec's "
+                            "retry_backoff, 0.25 unless set)")
     serve.add_argument("--poison-policy", choices=("raise", "quarantine"), default="raise",
                        help="fail the job (raise) or record the poison lease "
                             "and keep going (quarantine)")

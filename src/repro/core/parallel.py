@@ -643,6 +643,13 @@ class WorkerPool:
         elif kind == "round-done":
             slot.token = None
             if not book.complete(*token):
+                # The book reclaimed the lease, whose next attempt needs a
+                # new epoch.  Retire this idle worker with the sentinel, as
+                # shutdown does: a SIGTERM could land while its feeder thread
+                # holds the shared results queue's lock (see the error path).
+                # Kill it only if it lingers.
+                slot.tasks.put(None)
+                slot.proc.join(5.0)
                 terminate_process(slot.proc)
 
     def _scan(self, book: LeaseBook, queue_drained: bool) -> None:

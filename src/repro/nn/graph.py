@@ -169,8 +169,10 @@ class Graph:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate ``grad_output`` through the graph.
 
-        Must be called right after :meth:`forward` (layers keep per-call
-        caches).  Returns the gradient with respect to the graph input.
+        Must be called right after a training-mode :meth:`forward`: layers
+        keep their per-call backward state only while training, and
+        ``backward`` after an eval-mode forward raises :class:`RuntimeError`.
+        Returns the gradient with respect to the graph input.
         """
         grads: dict[str, np.ndarray] = {self.output_name: grad_output}
         input_grad: np.ndarray | None = None

@@ -1,8 +1,10 @@
 """Float layers with explicit forward/backward passes.
 
 Each layer is a small object owning its :class:`~repro.nn.tensor.Parameter`
-objects and a per-call cache used by ``backward``.  Layers are composed into
-a DAG by :class:`repro.nn.graph.Graph`.
+objects and, in training mode only, a per-call cache used by ``backward``.
+An eval-mode forward keeps nothing, so a graph used for inference (the
+compiler's calibration pass, accuracy evaluation) holds no activations.
+Layers are composed into a DAG by :class:`repro.nn.graph.Graph`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ class Layer:
     Subclasses implement :meth:`forward` and :meth:`backward`.  ``backward``
     receives the gradient of the loss with respect to the layer output and
     must return the gradient(s) with respect to the layer input(s), while
-    accumulating parameter gradients internally.
+    accumulating parameter gradients internally.  ``forward`` hands what
+    ``backward`` needs to :meth:`_save_for_backward`, which keeps it only
+    while :attr:`training`; ``backward`` reads it back with :meth:`_saved`.
     """
 
     def __init__(self, name: str = ""):
@@ -46,7 +50,24 @@ class Layer:
         self.training = True
 
     def eval(self) -> None:
+        """Switch to inference and drop any state a training forward left."""
         self.training = False
+        self._cache = {}
+
+    # -- backward state ----------------------------------------------------
+    def _save_for_backward(self, state: dict) -> None:
+        """Keep ``state`` for :meth:`backward`, but only while training."""
+        if self.training:
+            self._cache = state
+
+    def _saved(self) -> dict:
+        """The state the last training-mode forward kept for backward."""
+        if not self._cache:
+            raise RuntimeError(
+                f"{type(self).__name__} {self.name!r} has no backward state: "
+                "backward needs a training-mode forward first"
+            )
+        return self._cache
 
     # -- computation -------------------------------------------------------
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
@@ -104,14 +125,15 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.value if self.bias is not None else None
         out, cols = F.conv2d_forward(x, self.weight.value, bias, self.stride, self.padding)
-        self._cache = {"x_shape": x.shape, "cols": cols}
+        self._save_for_backward({"x_shape": x.shape, "cols": cols})
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        saved = self._saved()
         grad_in, grad_w, grad_b = F.conv2d_backward(
             grad_out,
-            self._cache["x_shape"],
-            self._cache["cols"],
+            saved["x_shape"],
+            saved["cols"],
             self.weight.value,
             self.stride,
             self.padding,
@@ -173,14 +195,15 @@ class DepthwiseConv2D(Layer):
         out, view = F.depthwise_conv2d_forward(
             x, self.weight.value, bias, self.stride, self.padding
         )
-        self._cache = {"x_shape": x.shape, "view": view}
+        self._save_for_backward({"x_shape": x.shape, "view": view})
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        saved = self._saved()
         grad_in, grad_w, grad_b = F.depthwise_conv2d_backward(
             grad_out,
-            self._cache["x_shape"],
-            self._cache["view"],
+            saved["x_shape"],
+            saved["view"],
             self.weight.value,
             self.stride,
             self.padding,
@@ -225,11 +248,11 @@ class BatchNorm2D(Layer):
             self.eps,
             self.training,
         )
-        self._cache = cache
+        self._save_for_backward(cache)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_in, grad_gamma, grad_beta = F.batchnorm_backward(grad_out, self._cache)
+        grad_in, grad_gamma, grad_beta = F.batchnorm_backward(grad_out, self._saved())
         self.gamma.accumulate_grad(grad_gamma)
         self.beta.accumulate_grad(grad_beta)
         return grad_in
@@ -242,11 +265,11 @@ class ReLU(Layer):
     """Rectified linear unit."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = {"x": x}
+        self._save_for_backward({"x": x})
         return F.relu_forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.relu_backward(grad_out, self._cache["x"])
+        return F.relu_backward(grad_out, self._saved()["x"])
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -263,14 +286,15 @@ class MaxPool2D(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, argmax = F.maxpool2d_forward(x, self.kernel_size, self.stride, self.padding)
-        self._cache = {"x_shape": x.shape, "argmax": argmax}
+        self._save_for_backward({"x_shape": x.shape, "argmax": argmax})
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        saved = self._saved()
         return F.maxpool2d_backward(
             grad_out,
-            self._cache["argmax"],
-            self._cache["x_shape"],
+            saved["argmax"],
+            saved["x_shape"],
             self.kernel_size,
             self.stride,
             self.padding,
@@ -293,12 +317,12 @@ class AvgPool2D(Layer):
         self.padding = padding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = {"x_shape": x.shape}
+        self._save_for_backward({"x_shape": x.shape})
         return F.avgpool2d_forward(x, self.kernel_size, self.stride, self.padding)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return F.avgpool2d_backward(
-            grad_out, self._cache["x_shape"], self.kernel_size, self.stride, self.padding
+            grad_out, self._saved()["x_shape"], self.kernel_size, self.stride, self.padding
         )
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -312,11 +336,11 @@ class GlobalAvgPool2D(Layer):
     """Global average pooling, producing a (N, C) tensor."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = {"x_shape": x.shape}
+        self._save_for_backward({"x_shape": x.shape})
         return F.global_avgpool_forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.global_avgpool_backward(grad_out, self._cache["x_shape"])
+        return F.global_avgpool_backward(grad_out, self._saved()["x_shape"])
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, _, _ = input_shape
@@ -327,11 +351,11 @@ class Flatten(Layer):
     """Flatten all dimensions after the batch dimension."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = {"x_shape": x.shape}
+        self._save_for_backward({"x_shape": x.shape})
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._cache["x_shape"])
+        return grad_out.reshape(self._saved()["x_shape"])
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         size = 1
@@ -367,12 +391,14 @@ class Linear(Layer):
         return params
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = {"x": x}
+        self._save_for_backward({"x": x})
         bias = self.bias.value if self.bias is not None else None
         return F.linear_forward(x, self.weight.value, bias)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_in, grad_w, grad_b = F.linear_backward(grad_out, self._cache["x"], self.weight.value)
+        grad_in, grad_w, grad_b = F.linear_backward(
+            grad_out, self._saved()["x"], self.weight.value
+        )
         self.weight.accumulate_grad(grad_w)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_b)

@@ -85,8 +85,8 @@ class CampaignCoordinator:
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 10.0,
         shard_size: int = 8,
-        max_shard_retries: int = 2,
-        retry_backoff: float = 0.25,
+        max_shard_retries: int | None = None,
+        retry_backoff: float | None = None,
         poison_policy: str = "raise",
         net_chaos: ChaosPlan | None = None,
         clock=time.monotonic,
@@ -103,6 +103,8 @@ class CampaignCoordinator:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.shard_size = shard_size
+        #: Overrides of every submitted spec's own retry settings (None
+        #: keeps the spec's).
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
         self.poison_policy = poison_policy

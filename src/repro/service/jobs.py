@@ -139,14 +139,19 @@ class FleetJob:
         *,
         artifacts_dir: Path | str,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        max_retries: int = 2,
-        backoff: float = 0.25,
+        max_retries: int | None = None,
+        backoff: float | None = None,
         poison_policy: str = "raise",
         heartbeat_timeout: float = 10.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
+        # Retry settings left unset take the spec's, as a local sweep does.
+        if max_retries is None:
+            max_retries = spec.max_shard_retries
+        if backoff is None:
+            backoff = spec.retry_backoff
         self.job_id = job_id
         self.spec = spec
         self.artifacts_dir = Path(artifacts_dir)

@@ -436,6 +436,50 @@ class TestCampaignRecovery:
         assert result.recovery["dead_workers"] == 0
         assert result.recovery["hung_workers"] == 0
 
+    def test_rejected_completion_retires_the_worker(self, tiny_platform_spec,
+                                                    tiny_dataset, reference, monkeypatch):
+        # Slot 0's first worker reports its lease done without running it.
+        # The pool hands it the task-queue sentinel and it exits on its own
+        # (code 0): a SIGTERM could land while its feeder thread holds the
+        # shared results queue's lock.
+        from repro.core import parallel
+
+        real_worker, real_terminate = parallel._round_worker, parallel.terminate_process
+
+        class SkipFirstLease:
+            def __init__(self, tasks):
+                self.tasks, self.skipped = tasks, False
+
+            def get(self):
+                indices = self.tasks.get()
+                if indices is None or self.skipped:
+                    return indices
+                self.skipped = True
+                return []
+
+        def skipping_worker(token, *args):
+            if token == (0, 0):
+                *head, tasks, results = args
+                args = (*head, SkipFirstLease(tasks), results)
+            real_worker(token, *args)
+
+        exit_codes = []
+
+        def recording_terminate(proc, grace=5.0):
+            real_terminate(proc, grace)
+            if proc is not None:
+                exit_codes.append(proc.exitcode)
+
+        # fork inherits the patched worker in the children
+        monkeypatch.setattr(parallel, "_round_worker", skipping_worker)
+        monkeypatch.setattr(parallel, "terminate_process", recording_terminate)
+        result = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, CONFIG, workers=2, start_method="fork"
+        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
+        assert record_dicts(result) == record_dicts(reference)
+        assert result.recovery["reclaimed"] == 1
+        assert exit_codes and set(exit_codes) == {0}
+
     def test_poison_shard_quarantine_keeps_the_rest(self, tiny_platform_spec,
                                                     tiny_dataset, reference):
         # Worker 1 dies on startup on every attempt: its shard turns poison

@@ -332,6 +332,25 @@ class TestServiceEndpoints:
         finally:
             coordinator.shutdown()
 
+    def test_submitted_spec_sets_the_retry_settings(self, tmp_path):
+        # A coordinator without retry flags honours each spec's settings,
+        # as a local sweep does; a flag that is given overrides the spec.
+        spec = ExperimentSpec.from_dict(
+            dict(GOLDEN_SPEC, max_shard_retries=0, retry_backoff=5.0)
+        )
+        coordinator = make_coordinator(tmp_path, retry_backoff=None)
+        try:
+            book = coordinator.jobs[coordinator.submit(spec)].scenarios[0].book
+            assert (book.max_retries, book.backoff) == (0, 5.0)
+        finally:
+            coordinator.shutdown()
+        coordinator = make_coordinator(tmp_path, max_shard_retries=3)
+        try:
+            book = coordinator.jobs[coordinator.submit(spec)].scenarios[0].book
+            assert (book.max_retries, book.backoff) == (3, 0.05)
+        finally:
+            coordinator.shutdown()
+
     def test_exhausted_retries_escalate_to_poison_and_fail_job(
         self, tmp_path, fleet_resolver
     ):

@@ -179,6 +179,30 @@ class TestClampCertificate:
         node.bias[5] += 1
         assert clamp_free(node, [InjectionConfig.fault_free()], PAPER_GEOMETRY)
 
+    def test_one_certificate_per_op_evaluation(self, tiny_platform, tiny_dataset, monkeypatch):
+        from repro.accelerator import accelerator, engine
+
+        calls = {"clamp_free": 0, "_gemm_out": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(engine, "clamp_free")
+        counted(accelerator, "clamp_free")
+        counted(accelerator.NVDLAAccelerator, "_gemm_out")
+        stuck = InjectionConfig.single(FaultSite(3, 5), StuckAtOne())
+        tiny_platform.accuracy_with_faults(
+            stuck, tiny_dataset.test_images[:8], tiny_dataset.test_labels[:8]
+        )
+        assert calls["_gemm_out"] > 0
+        assert calls["clamp_free"] == calls["_gemm_out"]
+
     def test_uncertified_layer_clamps_like_the_scalar_reference(self):
         """An accumulator-stage sign-bit fault drives 4100 partial sums to
         about -2**21 each, past -2**33: both clamps must stay and fire."""
