@@ -35,6 +35,11 @@ pairs and gates on the median.  The floors were calibrated on a 2-vCPU
 x86_64 VM (OpenBLAS 0.3.31, smoke scale) as the median over 5 runs of this
 benchmark minus a bound set from their spread (see ``FLOORS``); the
 measured values travel in ``benchmarks/out/trial_throughput.json``.
+
+The JSON also records the cold start a trial process pays before its
+first trial, without a floor: ``load_s`` (:func:`case_study_platform_spec`
+on the cached model) and ``build_s`` (:meth:`PlatformSpec.build`: fold,
+calibrate, quantise, compile).
 """
 
 from __future__ import annotations
@@ -144,7 +149,12 @@ def test_trial_throughput():
         if SMOKE
         else CaseStudySpec()
     )
+    start = time.perf_counter()
     spec, case = case_study_platform_spec(case_spec)
+    load_s = time.perf_counter() - start
+    start = time.perf_counter()
+    spec.build()
+    build_s = time.perf_counter() - start
     test_images, test_labels = case.dataset.test_images, case.dataset.test_labels
 
     results = {
@@ -169,6 +179,7 @@ def test_trial_throughput():
         title=f"Per-trial campaign throughput "
               f"({'smoke' if SMOKE else 'full'} scale, median of {SAMPLES} pairs)",
     )
+    text += f"\ncold start: load {load_s:.2f} s, build {build_s:.2f} s (no floor)"
     write_report("trial_throughput.txt", text)
     write_json(
         "trial_throughput.json",
@@ -177,6 +188,7 @@ def test_trial_throughput():
             "smoke": SMOKE,
             "samples": SAMPLES,
             "records_identical": True,
+            "cold_start": {"load_s": load_s, "build_s": build_s},
             "scenarios": {regime.replace("-", "_"): r for regime, r in results.items()},
             "floors": {regime.replace("-", "_"): f for regime, f in FLOORS.items()},
         },

@@ -38,7 +38,7 @@ from repro.quant.qlayers import (
     QMaxPool,
     QuantizedModel,
 )
-from repro.quant.quantize import quantize_graph
+from repro.quant.quantize import quantize_graph, range_sources
 from repro.quant.shape_infer import infer_quantized_shapes
 
 
@@ -49,6 +49,8 @@ class CompilationResult:
     loadable: Loadable
     quantized_model: QuantizedModel
     folded_graph: Graph
+    #: The calibrated ranges the quantiser read (see
+    #: :func:`repro.quant.quantize.range_sources`), not every node's.
     ranges: ActivationRanges
 
 
@@ -172,7 +174,10 @@ def compile_model(
     folded = fold_batchnorm(graph)
     folded.eval()
     ranges = collect_activation_ranges(
-        folded, calibration_images, percentile=calibration_percentile
+        folded,
+        calibration_images,
+        percentile=calibration_percentile,
+        names=set(range_sources(folded).values()),
     )
     qmodel = quantize_graph(folded, ranges, per_channel=per_channel)
     ops, surfaces = _lower_to_ops(qmodel, geometry)

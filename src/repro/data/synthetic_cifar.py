@@ -12,11 +12,16 @@ is a 10-class, 32x32 RGB classification problem that:
 
 Pixel values are produced in ``[0, 1]`` and then standardised per channel,
 matching the usual CIFAR-10 preprocessing that the quantiser expects.
+
+A split's images render on first read: building the dataset only draws
+each image's random numbers, so a process that reads the calibration
+batch and the test split never renders the training images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,14 +65,51 @@ def _coords(size: int) -> tuple[np.ndarray, np.ndarray]:
     return ys.astype(np.float32), xs.astype(np.float32)
 
 
-def _structure(class_id: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Return the grayscale structural mask of one instance in [0, 1]."""
-    ys, xs = _coords(size)
+class _Draw(NamedTuple):
+    """Every random number of one image instance, in the order drawn."""
+
+    class_id: int
+    cy: float
+    cx: float
+    scale: float
+    phase: float
+    period: float
+    #: Gradient direction (class 5 only, else ``None``).
+    angle: float | None
+    fg: np.ndarray
+    bg: np.ndarray
+    brightness: float
+    noise: np.ndarray
+
+
+def _draw(class_id: int, rng: np.random.Generator, size: int) -> _Draw:
+    """Draw one instance's jitter from ``rng`` without rendering it.
+
+    Stepping ``rng`` past an image costs only these draws, which is how
+    :class:`SyntheticCIFAR10` reaches a split's start without rendering
+    the images before it.
+    """
+    if not 0 <= class_id < len(CLASS_NAMES):
+        raise ValueError(f"class_id must be in [0, {len(CLASS_NAMES)}), got {class_id}")
     cy = size / 2 + rng.uniform(-5, 5)
     cx = size / 2 + rng.uniform(-5, 5)
     scale = rng.uniform(0.7, 1.3)
     phase = rng.uniform(0, 2 * np.pi)
     period = rng.uniform(5, 9) * scale
+    angle = rng.uniform(0, np.pi) if class_id == 5 else None
+    fg = _PALETTES[class_id] + rng.uniform(-0.08, 0.08, size=3)
+    bg_class = (class_id + rng.integers(1, len(CLASS_NAMES))) % len(CLASS_NAMES)
+    bg = _PALETTES[bg_class] * 0.4 + 0.25 + rng.uniform(-0.08, 0.08, size=3)
+    brightness = rng.uniform(0.85, 1.15)
+    noise = rng.normal(0.0, 0.06, size=(3, size, size))
+    return _Draw(class_id, cy, cx, scale, phase, period, angle, fg, bg, brightness, noise)
+
+
+def _structure(d: _Draw, size: int) -> np.ndarray:
+    """Return the grayscale structural mask of one instance in [0, 1]."""
+    ys, xs = _coords(size)
+    cy, cx, scale, phase, period = d.cy, d.cx, d.scale, d.phase, d.period
+    class_id = d.class_id
 
     if class_id == 0:  # blob: soft gaussian bump
         r2 = (ys - cy) ** 2 + (xs - cx) ** 2
@@ -84,8 +126,7 @@ def _structure(class_id: int, size: int, rng: np.random.Generator) -> np.ndarray
             np.sin(2 * np.pi * ys / period + phase) * np.sin(2 * np.pi * xs / period + phase)
         )
     elif class_id == 5:  # diagonal gradient
-        angle = rng.uniform(0, np.pi)
-        proj = np.cos(angle) * xs + np.sin(angle) * ys
+        proj = np.cos(d.angle) * xs + np.sin(d.angle) * ys
         mask = (proj - proj.min()) / (proj.max() - proj.min() + 1e-9)
     elif class_id == 6:  # cross
         width = 3.0 * scale
@@ -102,16 +143,25 @@ def _structure(class_id: int, size: int, rng: np.random.Generator) -> np.ndarray
         mask = mask**3
     elif class_id == 8:  # diagonal stripes
         mask = 0.5 + 0.5 * np.sin(2 * np.pi * (xs + ys) / period + phase)
-    elif class_id == 9:  # filled square
+    else:  # class 9, filled square
         half = 8.0 * scale
         mask = (
             (np.abs(ys - cy) < half) & (np.abs(xs - cx) < half)
         ).astype(np.float32)
         # soften the edges slightly
         mask = mask * 0.9 + 0.05
-    else:
-        raise ValueError(f"unknown class id {class_id}")
     return np.clip(mask, 0.0, 1.0).astype(np.float32)
+
+
+def _render(d: _Draw, size: int) -> np.ndarray:
+    """The normalised CHW image of one drawn instance."""
+    mask = _structure(d, size)
+    fg, bg = d.fg, d.bg
+    image = mask[None, :, :] * fg[:, None, None] + (1.0 - mask[None, :, :]) * bg[:, None, None]
+    image = image * d.brightness  # brightness jitter
+    image = image + d.noise  # sensor noise
+    image = np.clip(image, 0.0, 1.0).astype(np.float32)
+    return (image - CHANNEL_MEAN[:, None, None]) / CHANNEL_STD[:, None, None]
 
 
 def generate_image(class_id: int, rng: np.random.Generator, size: int = 32) -> np.ndarray:
@@ -120,19 +170,7 @@ def generate_image(class_id: int, rng: np.random.Generator, size: int = 32) -> n
     Returns a ``float32`` array of shape ``(3, size, size)`` standardised with
     :data:`CHANNEL_MEAN` / :data:`CHANNEL_STD`.
     """
-    if not 0 <= class_id < len(CLASS_NAMES):
-        raise ValueError(f"class_id must be in [0, {len(CLASS_NAMES)}), got {class_id}")
-    mask = _structure(class_id, size, rng)
-
-    fg = _PALETTES[class_id] + rng.uniform(-0.08, 0.08, size=3)
-    bg_class = (class_id + rng.integers(1, len(CLASS_NAMES))) % len(CLASS_NAMES)
-    bg = _PALETTES[bg_class] * 0.4 + 0.25 + rng.uniform(-0.08, 0.08, size=3)
-
-    image = mask[None, :, :] * fg[:, None, None] + (1.0 - mask[None, :, :]) * bg[:, None, None]
-    image = image * rng.uniform(0.85, 1.15)  # brightness jitter
-    image = image + rng.normal(0.0, 0.06, size=image.shape)  # sensor noise
-    image = np.clip(image, 0.0, 1.0).astype(np.float32)
-    return (image - CHANNEL_MEAN[:, None, None]) / CHANNEL_STD[:, None, None]
+    return _render(_draw(class_id, rng, size), size)
 
 
 @dataclass
@@ -158,16 +196,47 @@ class SyntheticCIFAR10:
 
     def __post_init__(self) -> None:
         rng = np.random.default_rng(self.seed)
-        self.train_images, self.train_labels = self._generate(self.num_train, rng)
-        self.test_images, self.test_labels = self._generate(self.num_test, rng)
+        #: Generator state at the first image of each split.
+        self._starts: dict[str, dict] = {}
+        #: Each split's images, once rendered.
+        self._images: dict[str, np.ndarray] = {}
+        self.train_labels = self._step_past("train", self.num_train, rng)
+        self.test_labels = self._step_past("test", self.num_test, rng)
 
-    def _generate(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def _step_past(self, split: str, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Shuffle ``split``'s labels, then step ``rng`` past its images by
+        drawing them without rendering; returns the labels."""
         labels = np.arange(count) % len(CLASS_NAMES)
         rng.shuffle(labels)
-        images = np.stack(
-            [generate_image(int(label), rng, self.image_size) for label in labels]
+        self._starts[split] = rng.bit_generator.state
+        for label in labels:
+            _draw(int(label), rng, self.image_size)
+        return labels.astype(np.int64)
+
+    def _replay(self, split: str, count: int | None = None) -> np.ndarray:
+        """The first ``count`` images of ``split`` (all by default), replayed
+        from its start."""
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self._starts[split]
+        labels = self.train_labels if split == "train" else self.test_labels
+        return np.stack(
+            [generate_image(int(label), rng, self.image_size) for label in labels[:count]]
         )
-        return images.astype(np.float32), labels.astype(np.int64)
+
+    def _rendered(self, split: str) -> np.ndarray:
+        if split not in self._images:
+            self._images[split] = self._replay(split)
+        return self._images[split]
+
+    @property
+    def train_images(self) -> np.ndarray:
+        """The training images, rendered on first read."""
+        return self._rendered("train")
+
+    @property
+    def test_images(self) -> np.ndarray:
+        """The test images, rendered on first read."""
+        return self._rendered("test")
 
     @property
     def num_classes(self) -> int:
@@ -178,9 +247,12 @@ class SyntheticCIFAR10:
         return (3, self.image_size, self.image_size)
 
     def calibration_batch(self, count: int = 64) -> np.ndarray:
-        """A slice of training images used for quantisation calibration."""
-        count = min(count, len(self.train_images))
-        return self.train_images[:count]
+        """The first ``count`` training images, used for quantisation
+        calibration; renders only those unless the split already is."""
+        count = min(count, self.num_train)
+        if "train" in self._images:
+            return self._images["train"][:count]
+        return self._replay("train", count)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

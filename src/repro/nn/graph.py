@@ -151,8 +151,7 @@ class Graph:
         """Run the graph on a batch ``x`` of shape (N, C, H, W).
 
         When ``return_activations`` is True the full activation dict (keyed
-        by node name, plus ``"input"``) is returned alongside the output;
-        the quantisation calibrator relies on this.
+        by node name, plus ``"input"``) is returned alongside the output.
         """
         activations: dict[str, np.ndarray] = {self.INPUT: x}
         for name in self.topological_order():

@@ -84,6 +84,28 @@ def _fused_relu_consumer(graph: Graph, name: str) -> str | None:
     return None
 
 
+def range_sources(graph: Graph) -> dict[str, str]:
+    """The calibration range :func:`quantize_graph` reads for each node that
+    sets an activation scale: ``{node: node whose range it reads}``.
+
+    That is the graph input, each convolution, depthwise convolution,
+    non-final linear and add (the range of its fused ReLU when it has one)
+    and each average pool.  Every other node either inherits its input's
+    scale or, as the final linear, keeps raw accumulators, so calibrating
+    only ``set(range_sources(graph).values())`` gives the same model.
+    """
+    sources = {Graph.INPUT: Graph.INPUT}
+    for name in graph.topological_order():
+        layer = graph.nodes[name].layer
+        if isinstance(layer, (AvgPool2D, GlobalAvgPool2D)):
+            sources[name] = name
+        elif isinstance(layer, (Conv2D, DepthwiseConv2D, Add)) or (
+            isinstance(layer, Linear) and graph.consumers(name)
+        ):
+            sources[name] = _fused_relu_consumer(graph, name) or name
+    return sources
+
+
 def quantize_graph(
     graph: Graph,
     ranges: ActivationRanges,
@@ -104,12 +126,17 @@ def quantize_graph(
         NVDLA default) or per tensor.
     """
     shapes = graph.infer_shapes()
+    sources = range_sources(graph)
+
+    def range_scale(name: str) -> float:
+        return float(symmetric_scale(ranges.get(sources[name])))
+
     qnodes: list = []
     name_map: dict[str, str] = {Graph.INPUT: Graph.INPUT}
     #: activation scale of each emitted quantised node (keyed by q-node name)
     scales: dict[str, float] = {}
 
-    input_scale = float(symmetric_scale(ranges.get(Graph.INPUT)))
+    input_scale = range_scale(Graph.INPUT)
     qnodes.append(
         QInput(name=Graph.INPUT, inputs=[], scale=input_scale, shape=tuple(graph.input_shape))
     )
@@ -127,8 +154,7 @@ def quantize_graph(
 
         if isinstance(layer, Conv2D):
             relu_node = _fused_relu_consumer(graph, node_name)
-            range_node = relu_node if relu_node is not None else node_name
-            out_scale = float(symmetric_scale(ranges.get(range_node)))
+            out_scale = range_scale(node_name)
             in_scale = scales[q_inputs[0]]
             wparams = _weight_params(layer.weight.value, per_channel)
             qweight = quantize_tensor(layer.weight.value, wparams, channel_axis=0)
@@ -159,8 +185,7 @@ def quantize_graph(
 
         elif isinstance(layer, DepthwiseConv2D):
             relu_node = _fused_relu_consumer(graph, node_name)
-            range_node = relu_node if relu_node is not None else node_name
-            out_scale = float(symmetric_scale(ranges.get(range_node)))
+            out_scale = range_scale(node_name)
             in_scale = scales[q_inputs[0]]
             wparams = _weight_params(layer.weight.value, per_channel)
             compact = quantize_tensor(layer.weight.value, wparams, channel_axis=0)
@@ -211,8 +236,7 @@ def quantize_graph(
                 requant = None
                 out_scale = in_scale * float(np.mean(np.atleast_1d(wparams.scale)))
             else:
-                range_node = relu_node if relu_node is not None else node_name
-                out_scale = float(symmetric_scale(ranges.get(range_node)))
+                out_scale = range_scale(node_name)
                 requant = compute_requant_params(in_scale, wparams.scale, out_scale)
             qnodes.append(
                 QLinear(
@@ -236,8 +260,7 @@ def quantize_graph(
 
         elif isinstance(layer, Add):
             relu_node = _fused_relu_consumer(graph, node_name)
-            range_node = relu_node if relu_node is not None else node_name
-            out_scale = float(symmetric_scale(ranges.get(range_node)))
+            out_scale = range_scale(node_name)
             scale_a = scales[q_inputs[0]]
             scale_b = scales[q_inputs[1]]
             qnodes.append(
@@ -302,7 +325,7 @@ def quantize_graph(
             else:
                 spatial = int(in_shape[1]) * int(in_shape[2])
             in_scale = scales[q_inputs[0]]
-            out_scale = float(symmetric_scale(ranges.get(node_name)))
+            out_scale = range_scale(node_name)
             requant = compute_requant_params(in_scale, 1.0 / spatial, out_scale)
             qnodes.append(
                 QGlobalAvgPool(

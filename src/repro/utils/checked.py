@@ -24,7 +24,8 @@ A class checks only its exclusive and cross-field rules itself, in a
 ``__post_init__`` that first calls ``super().__post_init__()``.
 :meth:`Checked.problems` lists every problem of a JSON object at once
 (unknown and missing keys, each field's type or bound, nested objects'
-problems under a dotted path), and :meth:`Checked.from_dict` raises them.
+problems under a dotted path, a nested class's own rule included), and
+:meth:`Checked.from_dict` raises them.
 Each class's rules are resolved once and cached, because the fleet
 coordinator builds a message per HTTP request.  :data:`TYPES` is also the
 spec registry's type table, so a spec parameter and a wire field of the
@@ -200,6 +201,17 @@ def _decode(nested: type, value: Any, where: str, problems: list[str]) -> Any:
         return None
 
 
+def _at_path(message: str, owner: str, path: str) -> str:
+    """A class's own rule ``message`` named by where the object sits:
+    ``"OutcomeThresholds must ..."`` at ``ExperimentSpec.adaptive.thresholds``
+    reads ``"ExperimentSpec.adaptive.thresholds must ..."``."""
+    if path == owner:
+        return message
+    if message.startswith((f"{owner} ", f"{owner}.")):
+        return path + message[len(owner):]
+    return f"{path}: {message}"
+
+
 @dataclass(frozen=True)
 class Checked:
     """Base of a frozen dataclass built from outside JSON, checked on init.
@@ -249,7 +261,7 @@ class Checked:
         try:
             return cls(**kwargs), []
         except ValueError as exc:  # a cross-field rule of __post_init__
-            return None, [str(exc)]
+            return None, [_at_path(str(exc), cls.__name__, path)]
 
     @classmethod
     def problems(cls, data: Any) -> list[str]:

@@ -317,6 +317,18 @@ class TestValidateAndCleanErrors:
         assert main(["validate", "--spec", str(path)]) == 1
         assert "ExperimentSpec.adaptive.round_size must be an integer" in capsys.readouterr().err
 
+    def test_nested_cross_field_rule_names_its_path(self, tmp_path, capsys):
+        spec = dict(self.GOOD_SPEC, adaptive={
+            "target_half_width": 0.05,
+            "thresholds": {"tolerable_drop": 0.5, "critical_drop": 0.2},
+        })
+        path = tmp_path / "thresholds.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ExperimentSpec.adaptive.thresholds must satisfy masked_epsilon" in err
+        assert "Traceback" not in err
+
     def test_sweep_keeps_spec_retries_unless_flag_given(self, tmp_path, monkeypatch):
         path = tmp_path / "retries.json"
         path.write_text(json.dumps(dict(self.GOOD_SPEC, max_shard_retries=0)))

@@ -27,6 +27,7 @@ from repro.core.registry import (
     registry_schema,
 )
 from repro.core.results import CampaignResult, TrialRecord
+from repro.core.stats import OutcomeThresholds
 from repro.core.sweep import (
     ExperimentSpec,
     FaultAxis,
@@ -293,6 +294,25 @@ class TestValidateSpecData:
         text = "\n".join(problems)
         assert "ExperimentSpec.faults must be a list of objects, got list [42]" in text
         assert "ExperimentSpec.strategies must be a list of objects, got str 'nope'" in text
+
+    def test_nested_cross_field_rules_name_their_path(self):
+        bad = dict(GOOD_SPEC, adaptive={
+            "target_half_width": 0.05,
+            "thresholds": {"tolerable_drop": 0.5, "critical_drop": 0.2},
+        })
+        assert ExperimentSpec.problems(bad) == [
+            "ExperimentSpec.adaptive.thresholds must satisfy masked_epsilon <= "
+            "tolerable_drop <= critical_drop, got masked_epsilon=1e-09, "
+            "tolerable_drop=0.5, critical_drop=0.2"
+        ]
+        zero = dict(GOOD_SPEC, adaptive={"target_half_width": 0})
+        assert ExperimentSpec.problems(zero) == [
+            "ExperimentSpec.adaptive.target_half_width must be > 0, got 0.0"
+        ]
+        # At the top level a class's rule keeps its own name.
+        assert OutcomeThresholds.problems({"tolerable_drop": 0.5, "critical_drop": 0.2})[
+            0
+        ].startswith("OutcomeThresholds must satisfy")
 
 
 class TestSweepRunnerGuards:
