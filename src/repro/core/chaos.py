@@ -15,8 +15,8 @@ worker-side :class:`ChaosMonkey` at a *worker slot*, *lease attempt* and
 *records emitted so far*:
 
 * ``kill`` — the worker exits immediately with a nonzero code (after
-  flushing its result queue, so records already produced survive — the
-  re-leased shard then re-emits some of them, which is exactly the
+  the records already produced have reached the parent, so they survive —
+  the re-leased shard then re-emits some of them, which is exactly the
   duplicate-record case the checkpoint merge must resolve);
 * ``hang`` — the worker stops making progress (sleeps far past any
   per-shard deadline) until the worker pool declares it hung and terminates
@@ -67,8 +67,7 @@ NETWORK_ACTIONS = ("drop", "partition", "slow-link", "dup-delivery")
 KILL_EXIT_CODE = 73
 
 #: How long a "hung" worker sleeps.  Far past any sane per-shard deadline;
-#: the worker pool terminates the worker long before this expires, and the
-#: sleep never holds a queue lock so termination is safe.
+#: the worker pool terminates the worker long before this expires.
 HANG_SECONDS = 3600.0
 
 
@@ -391,8 +390,9 @@ class ChaosMonkey:
     monkey fires whatever events the plan scheduled at that point.
 
     ``delay`` sleeps and carries on.  ``kill`` first calls the transport's
-    ``flush()``, which delivers every record already produced (the pool
-    joins its result queue, a fleet node posts its pending batch) — the
+    ``flush()``, if it has one, which delivers every record already
+    produced (a fleet node posts its pending batch; a pool worker needs
+    none, as its pipe writes have landed by the time they return) — the
     deterministic way to manufacture the delivered-then-re-executed
     duplicates that re-leased shards create.  It then calls
     ``stop(event)``, or exits hard without one.  ``hang`` sleeps until the

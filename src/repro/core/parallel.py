@@ -17,7 +17,8 @@ serial run** for any worker count and across interrupt/resume:
   the assignment cannot influence the result, only the wall-clock balance.
 * Each worker warms up one :class:`TrialServer` from a picklable
   :class:`PlatformSpec` and streams one record per finished trial back to
-  the parent, which appends it to a JSONL checkpoint file.
+  the parent over its own pipe; the parent appends it to a JSONL
+  checkpoint file.
 
 One :class:`TrialServer` turns a platform recipe into records for every
 transport — the in-process loop, each pool worker and each fleet node
@@ -47,21 +48,24 @@ fixed-budget campaign is a single round — and a transport drives it: an
 in-process loop for ``workers=1`` and a :class:`WorkerPool` of persistent
 worker processes otherwise, which detects dead and hung workers and lets
 the book re-lease their remaining trials with bounded retries or
-quarantine (or raise on) shards that keep failing.  See
+quarantine (or raise on) shards that keep failing.  Pool workers share
+nothing the parent reads through, so terminating one at any point, even
+mid-message, cannot block another.  See
 :mod:`repro.core.chaos` for the deterministic fault harness that proves
 recovered runs stay byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing as mp
-import queue as queue_module
 import signal
 import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
@@ -86,11 +90,14 @@ logger = get_logger(__name__)
 #: Version tag written into checkpoint headers.
 CHECKPOINT_VERSION = 1
 
-#: Default result-queue poll interval when no hang deadline bounds it.
+#: Default pool wait interval when no hang deadline bounds it.
 DEFAULT_POLL = 0.5
 
+#: Seconds a pool worker gets to exit on its own before it is terminated.
+EXIT_GRACE = 5.0
+
 #: Trials :meth:`TrialServer.records` hands the platform per call: the
-#: records of one call reach the checkpoint and the result queue together.
+#: records of one call reach the checkpoint and the parent together.
 TRIALS_PER_CALL = 8
 
 
@@ -499,46 +506,38 @@ def _round_worker(
     config: CampaignConfig,
     images: np.ndarray,
     labels: np.ndarray,
-    tasks: mp.Queue,
-    results: mp.Queue,
+    conn: Connection,
 ) -> None:
     """Worker entry point: warm up one trial server, then serve leases.
 
-    Serves index lists from ``tasks`` until the ``None`` sentinel arrives;
-    a ``round-done`` message completes each one.  Workers stay alive
-    between leases, so an adaptive campaign's later rounds reuse the
-    built platform.
+    Receives index lists on ``conn`` until the ``None`` sentinel arrives
+    and sends ``(kind, payload)`` messages back on it; a ``round-done``
+    message completes each lease, and the pipe's EOF after ``stats`` ends
+    the worker.  Workers stay alive between leases, so an adaptive
+    campaign's later rounds reuse the built platform.
 
     ``token`` is ``(pool slot, epoch)``: the epoch bumps every time the
-    slot's process is respawned after a failure, so a terminated worker's
-    late lifecycle messages can never complete a later epoch's lease.
-    ``images`` and ``labels`` arrive with the process: fork shares the
-    parent's pages, and spawn pickles them.
+    slot's process is respawned, and chaos plans key on it.  ``images``
+    and ``labels`` arrive with the process: fork shares the parent's
+    pages, and spawn pickles them.
     """
-
-    def flush() -> None:
-        # Push every queued message through the pipe to the parent.
-        results.close()
-        results.join_thread()
-
     try:
         _worker_setup()
-        monkey = ChaosMonkey(config.chaos, *token, flush=flush)
+        monkey = ChaosMonkey(config.chaos, *token)
         server = TrialServer(spec, images, labels, config.batch_size)
-        results.put(("meta", token, (server.baseline, server.ips)))
+        conn.send(("meta", (server.baseline, server.ips)))
         monkey.on_record(0)
         trial_at, _ = server.trial_source(strategy, config.seed)
-        while (indices := tasks.get()) is not None:
+        while (indices := conn.recv()) is not None:
             for record in server.records(indices, trial_at, config, monkey):
-                results.put(("record", token, record))
-            results.put(("round-done", token, None))
-        results.put(("stats", token, server.stats()))
-        results.put(("done", token, None))
+                conn.send(("record", record))
+            conn.send(("round-done", None))
+        conn.send(("stats", server.stats()))
     except Exception:  # pragma: no cover - exercised via the parent's error path
-        results.put(("error", token, traceback.format_exc()))
+        conn.send(("error", traceback.format_exc()))
 
 
-def terminate_process(proc, grace: float = 5.0) -> None:
+def terminate_process(proc, grace: float = EXIT_GRACE) -> None:
     """Stop a worker process for good: terminate, then kill if it lingers."""
     if proc is None:
         return
@@ -558,7 +557,8 @@ class _PoolSlot:
 
     slot_id: int
     proc: object | None = None
-    tasks: object | None = None
+    #: The parent's end of the worker's pipe (``None`` without a worker).
+    conn: Connection | None = None
     epoch: int = -1
     #: Book token of the lease the slot is serving (``None`` when idle).
     token: tuple[int, int] | None = None
@@ -567,32 +567,32 @@ class _PoolSlot:
 class WorkerPool:
     """The process-pool transport: persistent worker slots serving a book.
 
-    Lease ``w`` always runs on slot ``w``, whose messages arrive on one
-    shared ``results`` queue as ``(kind, (slot, epoch), payload)``.  The
-    pool only moves messages and watches processes; every scheduling
-    decision — fencing, merge, reclaim, backoff, poison, round barriers —
-    is the :class:`~repro.core.leasebook.LeaseBook`'s.
+    Lease ``w`` always runs on slot ``w``, whose worker talks to the parent
+    over one duplex pipe: index lists go down, ``(kind, payload)`` messages
+    come up.  Every respawn gets a new pipe and the old one is closed, so
+    each message is the current epoch's, and no worker holds anything its
+    peers need: terminating one at any point, even mid-message, blocks no
+    other.  The pool only moves messages and watches processes; every
+    scheduling decision — fencing, merge, reclaim, backoff, poison, round
+    barriers — is the :class:`~repro.core.leasebook.LeaseBook`'s.
 
-    * Records and baselines merge from any epoch (they are deterministic
-      and keyed by trial index); lifecycle messages (``round-done``,
-      ``error``) count only from the epoch serving the slot's lease.
-    * A slot whose process exited before completing its lease is reported
-      **dead** — but only once the queue reads empty, so a worker's
-      trailing messages are consumed first.
+    * A worker whose pipe reaches EOF (or a frame torn by its death) while
+      it serves a lease is **dead**; everything it sent before has been
+      read by then.
     * A lease with no progress (any message from its current attempt)
       for ``timeout`` seconds is **hung**: its worker is terminated.  The
       deadline bounds the gap between records, not shard duration, so
       size it as several multiples of the slowest trial group.
 
-    ``start(slot, epoch) -> (proc, tasks)`` launches a slot's process.
+    ``start(slot, epoch) -> (proc, conn)`` launches a slot's process and
+    returns it with the parent's end of its pipe.
     """
 
-    def __init__(self, size: int, *, start, results, timeout: float | None = None):
+    def __init__(self, size: int, *, start, timeout: float | None = None):
         self.slots = [_PoolSlot(slot_id) for slot_id in range(size)]
         self.start = start
-        self.results = results
         self.timeout = timeout
-        #: Queue polls must wake often enough to notice a hang deadline.
+        #: Waits must wake often enough to notice a hang deadline.
         self.poll = min(DEFAULT_POLL, timeout / 4.0) if timeout else DEFAULT_POLL
 
     def serve(self, book: LeaseBook, sink: Callable[[str, object], None]) -> None:
@@ -601,26 +601,41 @@ class WorkerPool:
         while not book.done:
             for lease in book.due():
                 self._launch(book, lease)
-            try:
-                message = self.results.get(timeout=self.poll)
-            except queue_module.Empty:
-                self._scan(book, queue_drained=True)
-                continue
-            self._dispatch(book, message, sink)
-            self._scan(book, queue_drained=False)
+            live = {slot.conn: slot for slot in self.slots if slot.conn is not None}
+            for conn in wait(list(live), timeout=self.poll):
+                self._receive(book, live[conn], sink)
+            self._scan(book)
 
     def _launch(self, book: LeaseBook, lease: ShardLease) -> None:
         slot = self.slots[lease.lease_id]
         slot.token = book.grant(lease)
-        if slot.proc is None or not slot.proc.is_alive():
+        if slot.conn is None or not slot.proc.is_alive():
+            self._close(slot)
             slot.epoch += 1
-            slot.proc, slot.tasks = self.start(slot.slot_id, slot.epoch)
-        slot.tasks.put(sorted(lease.remaining))
+            slot.proc, slot.conn = self.start(slot.slot_id, slot.epoch)
+        try:
+            slot.conn.send(sorted(lease.remaining))
+        except OSError:
+            pass  # the worker just died: its pipe's EOF fails the lease
 
-    def _dispatch(self, book: LeaseBook, message, sink) -> None:
-        kind, (slot_id, epoch), payload = message
-        slot = self.slots[slot_id]
-        token = slot.token if epoch == slot.epoch else None
+    def _receive(self, book: LeaseBook, slot: _PoolSlot, sink) -> None:
+        """Handle the next message from ``slot``'s worker, or its EOF."""
+        try:
+            kind, payload = slot.conn.recv()
+        except (EOFError, OSError):
+            # The worker is gone; a frame torn by its death reads as OSError.
+            slot.proc.join(EXIT_GRACE)
+            if slot.token is None:
+                self._close(slot)
+            else:
+                self._fail(
+                    book, slot,
+                    f"worker process died with exit code {slot.proc.exitcode} "
+                    f"before completing its lease",
+                    "dead_workers",
+                )
+            return
+        token = slot.token
         if kind == "record":
             for record in book.merge([payload]):
                 sink("record", record)
@@ -630,97 +645,77 @@ class WorkerPool:
         elif kind == "stats":
             sink("stats", payload)
         if token is None:
-            return  # an idle slot or a terminated epoch's straggler
+            return  # a retiring worker's stats
         if kind in ("record", "meta"):
             book.touch(*token)
         elif kind == "error":
-            # The worker returns right after reporting: let it exit on its
-            # own.  A SIGTERM landing while its feeder thread still holds the
-            # shared results queue's write lock would leave the lock taken,
-            # and every later worker would block on its first message.
-            slot.proc.join(5.0)
             self._fail(book, slot, f"worker raised:\n{payload}", "worker_errors")
         elif kind == "round-done":
             slot.token = None
             if not book.complete(*token):
                 # The book reclaimed the lease, whose next attempt needs a
-                # new epoch.  Retire this idle worker with the sentinel, as
-                # shutdown does: a SIGTERM could land while its feeder thread
-                # holds the shared results queue's lock (see the error path).
-                # Kill it only if it lingers.
-                slot.tasks.put(None)
-                slot.proc.join(5.0)
-                terminate_process(slot.proc)
+                # new epoch: retire this worker.
+                self._retire(book, [slot], sink, EXIT_GRACE)
 
-    def _scan(self, book: LeaseBook, queue_drained: bool) -> None:
-        hung = {lease.lease_id for lease in book.silent(self.timeout)} if self.timeout else ()
-        for slot in self.slots:
-            if slot.token is None:
-                continue
-            if not slot.proc.is_alive():
-                if queue_drained:
-                    self._fail(
-                        book, slot,
-                        f"worker process died with exit code {slot.proc.exitcode} "
-                        f"before completing its lease",
-                        "dead_workers",
-                    )
-            elif slot.token[0] in hung:
-                logger.warning(
-                    "lease %d: no progress for over %.1fs; terminating worker",
-                    slot.token[0], self.timeout,
-                )
-                self._fail(
-                    book, slot,
-                    f"worker made no progress for {self.timeout}s "
-                    f"(hung; terminated by the supervisor)",
-                    "hung_workers",
-                )
+    def _scan(self, book: LeaseBook) -> None:
+        for lease in book.silent(self.timeout) if self.timeout else ():
+            logger.warning(
+                "lease %d: no progress for over %.1fs; terminating worker",
+                lease.lease_id, self.timeout,
+            )
+            self._fail(
+                book, self.slots[lease.lease_id],
+                f"worker made no progress for {self.timeout}s "
+                f"(hung; terminated by the supervisor)",
+                "hung_workers",
+            )
 
     def _fail(self, book: LeaseBook, slot: _PoolSlot, reason: str, cause: str) -> None:
         # The slot's worker is unusable: stop it, so the lease's next
         # attempt respawns the slot under a new epoch.
         token, slot.token = slot.token, None
-        terminate_process(slot.proc)
+        self._close(slot)
         book.fail(*token, reason, cause)
 
-    def shutdown(self, book: LeaseBook, sink, deadline: float = 30.0) -> None:
-        """Retire surviving workers, collecting their final stats.
+    def _close(self, slot: _PoolSlot) -> None:
+        """Stop the slot's worker, if any, and close its pipe."""
+        terminate_process(slot.proc)
+        if slot.conn is not None:
+            slot.conn.close()
+        slot.proc = slot.conn = None
 
-        Deadline-aware: a worker that dies or hangs *during shutdown*
-        forfeits its stats (they are observational) instead of stalling
-        the campaign.
+    def _retire(self, book: LeaseBook, slots: list[_PoolSlot], sink, deadline: float) -> None:
+        """Send each worker the sentinel and read its pipe to EOF.
+
+        A retiring worker sends its stats and exits on its own.  One that
+        dies or hangs instead forfeits them (they are observational) and
+        is terminated once ``deadline`` passes.
         """
-        waiting = set()
-        for slot in self.slots:
-            if slot.proc is not None and slot.proc.is_alive():
-                slot.tasks.put(None)
-                waiting.add(slot.slot_id)
+        live = {}
+        for slot in slots:
+            with contextlib.suppress(OSError):
+                slot.conn.send(None)
+            live[slot.conn] = slot
         deadline_at = time.monotonic() + deadline
-        while waiting and time.monotonic() < deadline_at:
-            try:
-                message = self.results.get(timeout=0.25)
-            except queue_module.Empty:
-                waiting -= {s.slot_id for s in self.slots if not s.proc.is_alive()}
-                continue
-            kind, (slot_id, epoch), _ = message
-            if epoch != self.slots[slot_id].epoch:
-                continue  # a terminated epoch's stragglers
-            if kind == "done":
-                waiting.discard(slot_id)
-                self.slots[slot_id].proc.join()
-            else:
-                self._dispatch(book, message, sink)
-        for slot in self.slots:
-            if slot.slot_id in waiting:  # pragma: no cover - shutdown stall
-                logger.warning(
-                    "pool worker %d did not retire within %.0fs; terminating",
-                    slot.slot_id, deadline,
-                )
+        while live and (left := deadline_at - time.monotonic()) > 0:
+            for conn in wait(list(live), timeout=left):
+                self._receive(book, live[conn], sink)
+                if live[conn].conn is None:
+                    del live[conn]
+        for slot in live.values():  # pragma: no cover - retirement stall
+            logger.warning(
+                "pool worker %d did not retire within %.0fs; terminating",
+                slot.slot_id, deadline,
+            )
+            self._close(slot)
+
+    def shutdown(self, book: LeaseBook, sink, deadline: float = 30.0) -> None:
+        """Retire surviving workers, collecting their final stats."""
+        self._retire(book, [slot for slot in self.slots if slot.conn is not None], sink, deadline)
 
     def close(self) -> None:
         for slot in self.slots:
-            terminate_process(slot.proc)
+            self._close(slot)
 
 
 # ----------------------------------------------------------------------
@@ -1057,21 +1052,22 @@ class ParallelCampaignRunner:
             else "spawn"
         )
         ctx = mp.get_context(method)
-        results: mp.Queue = ctx.Queue()
 
         def start(slot_id: int, epoch: int):
-            tasks = ctx.Queue()
+            conn, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_round_worker,
                 args=((slot_id, epoch), self.spec, self.strategy, cfg, images,
-                      labels, tasks, results),
+                      labels, child),
                 daemon=True,
             )
             proc.start()
-            return proc, tasks
+            # Only the worker may hold its end: a parent copy would keep EOF
+            # from ever arriving, and later forks would inherit it.
+            child.close()
+            return proc, conn
 
-        pool = WorkerPool(self.workers, start=start, results=results,
-                          timeout=cfg.shard_timeout)
+        pool = WorkerPool(self.workers, start=start, timeout=cfg.shard_timeout)
         try:
             pool.serve(book, sink)
             pool.shutdown(book, sink)

@@ -11,16 +11,22 @@ provenance in the result.
 
 The process-pool transport (:class:`~repro.core.parallel.WorkerPool`
 driving a :class:`~repro.core.leasebook.LeaseBook`) is also unit-tested
-directly with fake processes (retry/backoff/poison accounting,
-stale-message policy, dead-worker draining) so failures localise.
+directly with fake processes on real pipes (retry/backoff/poison
+accounting, a reclaimed attempt's late messages, a dead worker's messages
+read before its EOF) so failures localise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
-import queue
+import multiprocessing
+import os
+import struct
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -75,6 +81,12 @@ def chaos_config(plan, **overrides):
 def reference(tiny_platform_spec, tiny_dataset):
     """The undisturbed campaign every chaos run must reproduce exactly."""
     return run_campaign(tiny_platform_spec, tiny_dataset, workers=2)
+
+
+@pytest.fixture(scope="module")
+def serial(tiny_platform_spec, tiny_dataset):
+    """The same campaign in-process, with no worker to lose."""
+    return run_campaign(tiny_platform_spec, tiny_dataset, workers=1)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +228,7 @@ class TestChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# Pool transport over the lease book (fake processes, real queue)
+# Pool transport over the lease book (fake processes, real pipes)
 # ----------------------------------------------------------------------
 class FakeProc:
     def __init__(self, alive=True, exitcode=None):
@@ -235,47 +247,63 @@ class FakeProc:
         pass
 
 
-class FakeTasks:
-    def put(self, indices):
-        pass
+def _idle_until_sentinel(child):
+    """A live fake worker: ignore index lists, exit on the pool's sentinel."""
+    with contextlib.suppress(EOFError, OSError):
+        while child.recv() is not None:
+            pass
+        child.close()
 
 
-def _record(token, index):
-    return ("record", token, SimpleNamespace(trial_index=index))
+def _record(index):
+    return ("record", SimpleNamespace(trial_index=index))
 
 
 class TestLeaseSupervisor:
     def _supervise(self, script, indices=(0, 1), timeout=None, **kwargs):
         """Run one lease whose per-attempt behaviour is scripted.
 
-        ``script[k] -> (proc, messages)`` describes slot epoch ``k`` (the
-        lease's attempt ``k``, 0-based): the fake worker process and the
-        messages it enqueues.
+        ``script[k](lease) -> (proc, messages)`` describes slot epoch ``k``
+        (the lease's attempt ``k``, 0-based): the fake worker process and
+        the messages it has sent on its end of a real pipe.  A live fake
+        then idles until the pool's sentinel; a dead one has closed its
+        end.  ``children`` holds every attempt's end.
         """
-        results = queue.Queue()
         book = LeaseBook(len(indices), backoff=0.0, **kwargs)
         lease = book.leases[0]
-        handled = []
+        handled, children = [], []
 
         def start(slot, epoch):
-            proc, messages = script[epoch]((slot, epoch), lease)
+            conn, child = multiprocessing.Pipe()
+            children.append(child)
+            proc, messages = script[epoch](lease)
             for message in messages:
-                results.put(message)
-            return proc, FakeTasks()
+                child.send(message)
+            if proc.is_alive():
+                threading.Thread(target=_idle_until_sentinel, args=(child,),
+                                 daemon=True).start()
+            else:
+                child.close()
+            return proc, conn
 
-        pool = WorkerPool(1, start=start, results=results, timeout=timeout)
+        pool = WorkerPool(1, start=start, timeout=timeout)
 
         def run():
-            pool.serve(book, lambda kind, payload: handled.append((kind, payload)))
+            try:
+                pool.serve(book, lambda kind, payload: handled.append((kind, payload)))
+            finally:
+                pool.close()
             return book.recovery
 
-        return lease, handled, SimpleNamespace(run=run, recovery=book.recovery)
+        return lease, handled, SimpleNamespace(
+            run=run, recovery=book.recovery, children=children
+        )
 
     def test_worker_error_is_retried_then_succeeds(self):
         script = [
-            lambda token, l: (FakeProc(), [("error", token, "boom traceback")]),
-            lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("round-done", token, None)]),
+            lambda l: (FakeProc(), [("error", "boom traceback")]),
+            lambda l: (FakeProc(), [_record(i) for i in sorted(l.remaining)]
+                       + [("round-done", None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -286,11 +314,11 @@ class TestLeaseSupervisor:
 
     def test_dead_workers_trailing_messages_consumed_first(self):
         # A worker that finished its lease and exited is not a casualty:
-        # its queued records and completion drain before death is declared.
+        # its records and completion are read before its pipe's EOF.
         script = [
-            lambda token, l: (FakeProc(alive=False, exitcode=0),
-                              [_record(token, i) for i in sorted(l.remaining)]
-                              + [("round-done", token, None)]),
+            lambda l: (FakeProc(alive=False, exitcode=0),
+                       [_record(i) for i in sorted(l.remaining)]
+                       + [("round-done", None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -299,10 +327,10 @@ class TestLeaseSupervisor:
 
     def test_dead_worker_reclaimed_and_partial_shard_rerun(self):
         script = [
-            lambda token, l: (FakeProc(alive=False, exitcode=KILL_EXIT_CODE),
-                              [_record(token, 0)]),
-            lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("round-done", token, None)]),
+            lambda l: (FakeProc(alive=False, exitcode=KILL_EXIT_CODE),
+                       [_record(0)]),
+            lambda l: (FakeProc(), [_record(i) for i in sorted(l.remaining)]
+                       + [("round-done", None)]),
         ]
         lease, handled, sup = self._supervise(script, indices=(0, 1, 2))
         log = sup.run()
@@ -314,9 +342,9 @@ class TestLeaseSupervisor:
 
     def test_completion_with_unaccounted_trials_is_a_failure(self):
         script = [
-            lambda token, l: (FakeProc(), [("round-done", token, None)]),
-            lambda token, l: (FakeProc(), [_record(token, i) for i in sorted(l.remaining)]
-                              + [("round-done", token, None)]),
+            lambda l: (FakeProc(), [("round-done", None)]),
+            lambda l: (FakeProc(), [_record(i) for i in sorted(l.remaining)]
+                       + [("round-done", None)]),
         ]
         lease, handled, sup = self._supervise(script)
         log = sup.run()
@@ -325,7 +353,7 @@ class TestLeaseSupervisor:
         assert "unaccounted" in lease.failures[0]
 
     def test_poison_raises_with_failure_history(self):
-        script = [lambda token, l: (FakeProc(alive=False, exitcode=1), [])]
+        script = [lambda l: (FakeProc(alive=False, exitcode=1), [])]
         lease, handled, sup = self._supervise(script, max_retries=0)
         with pytest.raises(PoisonShardError, match="failed 1 attempt"):
             sup.run()
@@ -333,7 +361,7 @@ class TestLeaseSupervisor:
         assert sup.recovery.poison[0]["unfinished"] == [0, 1]
 
     def test_hung_worker_quarantined_under_policy(self):
-        script = [lambda token, l: (FakeProc(alive=True), [])]
+        script = [lambda l: (FakeProc(alive=True), [])]
         lease, handled, sup = self._supervise(
             script, max_retries=0, timeout=0.05, poison_policy="quarantine"
         )
@@ -344,23 +372,22 @@ class TestLeaseSupervisor:
         assert log.poison[0]["indices"] == [0, 1]
 
     def test_stale_records_accepted_stale_lifecycle_ignored(self):
-        # Attempt 1 hangs; its late messages arrive after the re-lease.  Its
-        # record still counts (deterministic, index-keyed) but its "done"
-        # must not complete the new attempt's lease.
-        def second_attempt(token, l):
-            stale = (0, 0)
-            return FakeProc(), [
-                ("round-done", stale, None),    # ignored: stale lifecycle
-                _record(stale, 0),              # accepted: stale record
-                _record(token, 1),
-                ("round-done", token, None),
-            ]
+        # Attempt 0 delivers record 0 and hangs.  Once the pool reclaims it,
+        # a late round-done lands in attempt 0's end of its pipe, ahead of
+        # attempt 1's messages.  The record still counts (deterministic,
+        # index-keyed) but the round-done must not complete attempt 1's
+        # lease, whose one trial is still unaccounted for.
+        def second_attempt(l):
+            with contextlib.suppress(OSError):  # the pool closed that pipe
+                sup.children[0].send(("round-done", None))
+            return FakeProc(), [_record(1), ("round-done", None)]
 
-        script = [lambda token, l: (FakeProc(alive=True), []), second_attempt]
+        script = [lambda l: (FakeProc(alive=True), [_record(0)]), second_attempt]
         lease, handled, sup = self._supervise(script, timeout=0.05)
         log = sup.run()
         assert lease.state is LeaseState.DONE
-        assert log.hung_workers == 1 and log.reclaimed == 1
+        assert log.hung_workers == 1 and log.reclaimed == 1 and log.attempts == 2
+        assert len(lease.failures) == 1
         assert [p.trial_index for k, p in handled if k == "record"] == [0, 1]
 
     def test_constructor_validation(self):
@@ -439,19 +466,25 @@ class TestCampaignRecovery:
     def test_rejected_completion_retires_the_worker(self, tiny_platform_spec,
                                                     tiny_dataset, reference, monkeypatch):
         # Slot 0's first worker reports its lease done without running it.
-        # The pool hands it the task-queue sentinel and it exits on its own
-        # (code 0): a SIGTERM could land while its feeder thread holds the
-        # shared results queue's lock.
+        # The book reclaims the lease for a new epoch, and the pool retires
+        # the worker with the sentinel: it sends its stats and exits on its
+        # own (code 0), so no worker is terminated.
         from repro.core import parallel
 
         real_worker, real_terminate = parallel._round_worker, parallel.terminate_process
 
         class SkipFirstLease:
-            def __init__(self, tasks):
-                self.tasks, self.skipped = tasks, False
+            """The worker's end of its pipe, receiving no indices for the
+            first lease."""
 
-            def get(self):
-                indices = self.tasks.get()
+            def __init__(self, conn):
+                self.conn, self.skipped = conn, False
+
+            def send(self, message):
+                self.conn.send(message)
+
+            def recv(self):
+                indices = self.conn.recv()
                 if indices is None or self.skipped:
                     return indices
                 self.skipped = True
@@ -459,8 +492,8 @@ class TestCampaignRecovery:
 
         def skipping_worker(token, *args):
             if token == (0, 0):
-                *head, tasks, results = args
-                args = (*head, SkipFirstLease(tasks), results)
+                *head, conn = args
+                args = (*head, SkipFirstLease(conn))
             real_worker(token, *args)
 
         exit_codes = []
@@ -478,6 +511,7 @@ class TestCampaignRecovery:
         ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
         assert record_dicts(result) == record_dicts(reference)
         assert result.recovery["reclaimed"] == 1
+        assert result.recovery["worker_errors"] == 0
         assert exit_codes and set(exit_codes) == {0}
 
     def test_poison_shard_quarantine_keeps_the_rest(self, tiny_platform_spec,
@@ -516,6 +550,65 @@ class TestCampaignRecovery:
                               config=chaos_config(chaos))
         assert record_dicts(result) == record_dicts(clean)
         assert result.adaptive == clean.adaptive
+        assert result.recovery["dead_workers"] == 1
+
+    def test_worker_dying_mid_message_blocks_no_peer(self, tiny_platform_spec,
+                                                     tiny_dataset, serial, monkeypatch):
+        # Slot 0's first worker writes half a length-prefixed frame and dies:
+        # the torn frame reads as its death, and slot 1 never notices.
+        from repro.core import parallel
+
+        real_worker = parallel._round_worker
+
+        def tearing_worker(token, *args):
+            if token == (0, 0):
+                conn = args[-1]
+                os.write(conn.fileno(), struct.pack("!i", 1024) + bytes(512))
+                os._exit(KILL_EXIT_CODE)
+            real_worker(token, *args)
+
+        # fork inherits the patched worker in the children
+        monkeypatch.setattr(parallel, "_round_worker", tearing_worker)
+        result = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, CONFIG, workers=2, start_method="fork"
+        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
+        assert record_dicts(result) == record_dicts(serial)
+        assert result.recovery["dead_workers"] == 1
+        assert result.recovery["attempts"] == 3
+
+    def test_worker_hung_from_startup_blocks_no_peer(self, tiny_platform_spec,
+                                                     tiny_dataset, serial, monkeypatch):
+        # Slot 0's first worker hangs before its first message; slot 1's
+        # lease still finishes on its first attempt.
+        from repro.core import parallel
+
+        real_worker = parallel._round_worker
+
+        def hanging_worker(token, *args):
+            if token == (0, 0):
+                parallel._worker_setup()
+                time.sleep(3600)
+            real_worker(token, *args)
+
+        monkeypatch.setattr(parallel, "_round_worker", hanging_worker)
+        result = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, dataclasses.replace(CONFIG, shard_timeout=HANG_TIMEOUT),
+            workers=2, start_method="fork",
+        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
+        assert record_dicts(result) == record_dicts(serial)
+        assert result.recovery["hung_workers"] == 1
+        assert result.recovery["dead_workers"] == 0
+        assert result.recovery["reclaimed"] == 1
+        assert result.recovery["attempts"] == 3  # lease 1 ran once
+
+    def test_killed_worker_under_spawn(self, tiny_platform_spec, tiny_dataset, serial):
+        # Under spawn the worker's end of its pipe crosses by pickling.
+        plan = ChaosPlan(events=(ChaosEvent("kill", worker=0, after_records=1),))
+        result = ParallelCampaignRunner(
+            tiny_platform_spec, STRATEGY, chaos_config(plan), workers=2,
+            start_method="spawn",
+        ).run(tiny_dataset.test_images, tiny_dataset.test_labels)
+        assert record_dicts(result) == record_dicts(serial)
         assert result.recovery["dead_workers"] == 1
 
 

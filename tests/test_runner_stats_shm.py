@@ -292,9 +292,8 @@ class TestBatchSizeValidation:
     def test_pool_workers_report_the_error_and_exit(self, tiny_platform_spec, tiny_dataset):
         """Every pool worker fails its warm-up the same way, so each lease
         is poisoned with the error as its last failure, and the campaign
-        ends: a reporting worker is not terminated while it may still hold
-        the shared results queue's write lock, which would block every
-        respawned worker for good."""
+        ends: terminating a reporting worker leaves nothing its respawned
+        peers need."""
         runner = ParallelCampaignRunner(
             tiny_platform_spec, STRATEGY, _forced(batch_size=-8), workers=2
         )
